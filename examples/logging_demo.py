@@ -16,7 +16,8 @@ Walks the PR-10 observability story end to end, over real HTTP:
    assert the rendering is byte-deterministic,
 5. reject a bogus API key and find the tenancy auth warning in the
    log, then exercise the rotating JSONL sink and its
-   torn-tail-tolerant reader.
+   torn-tail-tolerant reader, and restart a server on the torn file:
+   its first job's events replay next to the old ones.
 
 Every step asserts what it claims, so CI can run this file as the
 logging smoke test.  Run with::
@@ -31,7 +32,7 @@ import tempfile
 import threading
 
 from repro.api import CompileJob, MachineSpec
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterCoordinator, assign_endpoint
 from repro.exceptions import ServiceError
 from repro.service import ServiceClient, make_server
 from repro.telemetry import read_events, render_waterfall
@@ -48,6 +49,28 @@ def start_server(**kwargs):
     return server, f"http://{host}:{port}"
 
 
+def sweep_jobs(urls):
+    """The square sweep over BENCHMARKS on 5x5, plus the first cheap
+    variants (other policies and grid sizes) that give every worker a
+    job: rendezvous placement depends on the ephemeral-port URLs, and
+    every shard must have a story to tell."""
+    pool = [CompileJob.for_benchmark(name, MachineSpec.nisq_grid(size, size),
+                                     policy)
+            for size in (5, 6, 7, 8) for policy in ("square", "eager", "lazy")
+            for name in BENCHMARKS]
+    jobs = pool[:len(BENCHMARKS)]
+    owners = {assign_endpoint(job.fingerprint(), urls) for job in jobs}
+    for job in pool[len(BENCHMARKS):]:
+        owner = assign_endpoint(job.fingerprint(), urls)
+        if owner not in owners:
+            jobs.append(job)
+            owners.add(owner)
+    if owners != set(urls):
+        raise RuntimeError(f"no job variant lands on "
+                           f"{sorted(set(urls) - owners)}")
+    return jobs
+
+
 def main() -> None:
     servers, urls = [], []
     for _ in range(2):
@@ -59,9 +82,7 @@ def main() -> None:
     try:
         # --- 1. one sweep, one trace id ----------------------------------
         coordinator = ClusterCoordinator(urls)
-        jobs = [CompileJob.for_benchmark(name, GRID, "square")
-                for name in BENCHMARKS]
-        result = coordinator.run(jobs)
+        result = coordinator.run(sweep_jobs(urls))
         assert all(entry.error is None for entry in result.entries)
         trace_id = coordinator.trace_id
         print(f"sweep        : {len(result.entries)} jobs under trace "
@@ -141,6 +162,23 @@ def main() -> None:
         assert "worker picked up job" in messages, messages
         print(f"jsonl sink   : {len(replay['events'])} events replayed, "
               f"{replay['torn_lines']} torn line tolerated")
+
+        # A restarted server cuts the torn tail before its first event,
+        # so the new job's narrative does not fuse with the fragment.
+        server, url = start_server(log_path=log_path)
+        try:
+            ServiceClient(url).submit(
+                CompileJob.for_benchmark("ADDER4", GRID, "square"))
+        finally:
+            server.shutdown()
+            server.server_close()
+        replay = read_events(log_path)
+        assert replay["torn_lines"] == 0, replay["torn_lines"]
+        pickups = [event for event in replay["events"]
+                   if event["message"] == "worker picked up job"]
+        assert len(pickups) == 2, pickups
+        print(f"restart      : {len(replay['events'])} events replayed, "
+              f"the new job's pickup next to the old one, 0 torn lines")
 
     print("logging demo OK")
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 
 from repro.api import CompileJob, MachineSpec
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterCoordinator, assign_endpoint
 from repro.profile import profile_benchmarks
 from repro.service import ServiceClient, make_server
 from repro.telemetry import render_waterfall
@@ -43,6 +43,28 @@ def start_server():
     return server, f"http://{host}:{port}"
 
 
+def sweep_jobs(urls):
+    """The square sweep over BENCHMARKS on 5x5, plus the first cheap
+    variants (other policies and grid sizes) that give every worker a
+    job: rendezvous placement depends on the ephemeral-port URLs, and
+    every shard must have a story to tell."""
+    pool = [CompileJob.for_benchmark(name, MachineSpec.nisq_grid(size, size),
+                                     policy)
+            for size in (5, 6, 7, 8) for policy in ("square", "eager", "lazy")
+            for name in BENCHMARKS]
+    jobs = pool[:len(BENCHMARKS)]
+    owners = {assign_endpoint(job.fingerprint(), urls) for job in jobs}
+    for job in pool[len(BENCHMARKS):]:
+        owner = assign_endpoint(job.fingerprint(), urls)
+        if owner not in owners:
+            jobs.append(job)
+            owners.add(owner)
+    if owners != set(urls):
+        raise RuntimeError(f"no job variant lands on "
+                           f"{sorted(set(urls) - owners)}")
+    return jobs
+
+
 def main() -> None:
     servers, urls = [], []
     for _ in range(2):
@@ -54,9 +76,7 @@ def main() -> None:
     try:
         # --- 1. one sweep, one trace id ----------------------------------
         coordinator = ClusterCoordinator(urls)
-        jobs = [CompileJob.for_benchmark(name, GRID, "square")
-                for name in BENCHMARKS]
-        result = coordinator.run(jobs)
+        result = coordinator.run(sweep_jobs(urls))
         assert all(entry.error is None for entry in result.entries)
         trace_id = coordinator.trace_id
         print(f"sweep        : {len(result.entries)} jobs under trace "

@@ -15,11 +15,10 @@ module gives the snapshot a version field and a journal:
   wrapped — so ``bench compare`` works against snapshots produced
   before this module existed.
 * :func:`append_history` / :func:`read_history` keep an append-only
-  ``bench_history/<suite>.jsonl`` journal, one record per line.  Like
-  the telemetry event-log sink, the reader is torn-tail tolerant: a
-  half-written final line (kill -9 mid-append) is counted, not fatal,
-  so the trajectory survives every crash that leaves at least one
-  complete line.
+  ``bench_history/<suite>.jsonl`` :mod:`repro.journal`, one record per
+  line and no header.  The reader is torn-tail tolerant: a half-written
+  final line (kill -9 mid-append) is counted, not fatal, and the next
+  append cuts it, so the trajectory survives every crash.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from repro import journal
 from repro.exceptions import BenchError
 
 #: Schema version stamped into every record this library writes.
@@ -129,11 +129,12 @@ def history_path(history_dir: str, suite: str) -> str:
 def append_history(history_dir: str, record: Dict[str, object]) -> str:
     """Append one record to its suite's journal; returns the path."""
     normalised = upconvert(record)
-    os.makedirs(history_dir, exist_ok=True)
     path = history_path(history_dir, str(normalised["suite"]))
-    with open(path, "a", encoding="utf-8") as stream:
-        stream.write(json.dumps(normalised, sort_keys=True) + "\n")
-        stream.flush()
+    history = journal.Journal(path)
+    try:
+        history.append(normalised)
+    finally:
+        history.close()
     return path
 
 
@@ -144,20 +145,12 @@ def read_history(history_dir: str, suite: str) -> Dict[str, object]:
     is an empty trajectory, not an error, and unparseable lines (torn
     tail after a crash mid-append) are counted rather than fatal.
     """
+    raw, torn = journal.read(history_path(history_dir, suite))
     records: List[Dict[str, object]] = []
-    torn = 0
-    try:
-        with open(history_path(history_dir, suite), "r",
-                  encoding="utf-8") as stream:
-            lines = stream.read().splitlines()
-    except OSError:
-        return {"records": [], "torn_lines": 0}
-    for line in lines:
-        if not line.strip():
-            continue
+    for record in raw:
         try:
-            records.append(upconvert(json.loads(line)))
-        except (ValueError, BenchError):
+            records.append(upconvert(record))
+        except BenchError:
             torn += 1
     return {"records": records, "torn_lines": torn}
 

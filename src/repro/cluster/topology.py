@@ -301,34 +301,11 @@ class ClusterTopology:
         shrinking it.
         """
         trace_id = coerce_trace_id(trace_id or self.trace_id)
-        merged: Dict[tuple, Dict[str, object]] = {}
-        workers: Dict[str, Dict[str, object]] = {}
-        for endpoint in self:
-            fetch = getattr(endpoint.client, "trace", None)
-            try:
-                if fetch is None:
-                    raise ServiceError(
-                        f"client for {endpoint.url} has no trace()")
-                payload = fetch(trace_id)
-            except ServiceError as error:
-                workers[endpoint.url] = {"reachable": False,
-                                         "error": str(error)}
-                continue
-            spans = payload.get("spans") or []
-            workers[endpoint.url] = {"reachable": True,
-                                     "spans": len(spans)}
-            for record in spans:
-                record = dict(record)
-                # Top-level key, not a label: render_waterfall shows it
-                # as an `@worker` suffix on every merged span's line.
-                record.setdefault("worker", endpoint.url)
-                merged[(endpoint.url, record.get("span_id"))] = record
-        ordered = sorted(merged.values(),
-                         key=lambda record: (record.get("start") or 0.0,
-                                             record.get("name") or "",
-                                             record.get("span_id") or ""))
-        return {"trace_id": trace_id, "count": len(ordered),
-                "spans": ordered, "workers": workers}
+        return self._fan_out(
+            "trace", trace_id, lambda fetch: fetch(trace_id), "spans",
+            "span_id", lambda record: (record.get("start") or 0.0,
+                                       record.get("name") or "",
+                                       record.get("span_id") or ""))
 
     def fleet_logs(self, trace: Optional[str] = None, *,
                    tenant: Optional[str] = None,
@@ -349,34 +326,44 @@ class ClusterTopology:
         """
         if trace is None:
             trace = self.trace_id
+        return self._fan_out(
+            "logs", trace or None,
+            lambda fetch: fetch(trace, tenant=tenant, level=level,
+                                since=since, limit=limit),
+            "events", "event_id",
+            lambda record: (record.get("ts") or 0.0,
+                            record.get("event_id") or ""))
+
+    def _fan_out(self, method: str, trace_id: Optional[str],
+                 call: Callable, list_key: str, id_key: str,
+                 sort_key: Callable) -> Dict[str, object]:
+        """``call(client.<method>)`` on every endpoint, merging the
+        payloads' ``list_key`` records as fleet_trace/fleet_logs say."""
         merged: Dict[tuple, Dict[str, object]] = {}
         workers: Dict[str, Dict[str, object]] = {}
         for endpoint in self:
-            fetch = getattr(endpoint.client, "logs", None)
+            fetch = getattr(endpoint.client, method, None)
             try:
                 if fetch is None:
                     raise ServiceError(
-                        f"client for {endpoint.url} has no logs()")
-                payload = fetch(trace, tenant=tenant, level=level,
-                                since=since, limit=limit)
+                        f"client for {endpoint.url} has no {method}()")
+                payload = call(fetch)
             except ServiceError as error:
                 workers[endpoint.url] = {"reachable": False,
                                          "error": str(error)}
                 continue
-            events = payload.get("events") or []
+            records = payload.get(list_key) or []
             workers[endpoint.url] = {"reachable": True,
-                                     "events": len(events)}
-            for record in events:
+                                     list_key: len(records)}
+            for record in records:
                 record = dict(record)
-                # Top-level key, like fleet_trace: render_waterfall
-                # shows it as an `@worker` suffix on event lines.
+                # Top-level key, not a label: render_waterfall shows it
+                # as an `@worker` suffix on every merged line.
                 record.setdefault("worker", endpoint.url)
-                merged[(endpoint.url, record.get("event_id"))] = record
-        ordered = sorted(merged.values(),
-                         key=lambda record: (record.get("ts") or 0.0,
-                                             record.get("event_id") or ""))
-        return {"trace_id": trace or None, "count": len(ordered),
-                "events": ordered, "workers": workers}
+                merged[(endpoint.url, record.get(id_key))] = record
+        ordered = sorted(merged.values(), key=sort_key)
+        return {"trace_id": trace_id, "count": len(ordered),
+                list_key: ordered, "workers": workers}
 
     def __repr__(self) -> str:
         return (f"ClusterTopology(registered={len(self)}, "

@@ -15,8 +15,8 @@ events in memory (evictions are counted as *drops*, exported on
 ``/metrics``), and optional sinks fan each event out as it is emitted —
 :func:`stderr_sink` for the classic human-readable server log line,
 :class:`JsonlSink` for a durable JSONL file with size-capped rotation
-and a torn-tail-tolerant reader (:func:`read_events`), the same WAL
-discipline as the tenancy job store.
+and a torn-tail-tolerant reader (:func:`read_events`), both on
+:mod:`repro.journal` (the next open cuts a torn tail).
 
 Event ids reuse the span-id scheme (random per-process prefix + a
 counter) so fleet merges can dedup on ``(worker, event_id)`` without
@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     TextIO)
 
+from repro import journal
 from repro.telemetry.spans import _ANCHOR_MONO, _ANCHOR_WALL, current_span
 
 __all__ = [
@@ -60,6 +61,9 @@ DEFAULT_CAPACITY = 4096
 
 #: JSONL sink schema version (header line of every log file).
 EVENTS_VERSION = 1
+
+#: Default ``json.dumps`` spacing: existing logs start with this line.
+_EVENTS_HEADER = json.dumps({"events_version": EVENTS_VERSION})
 
 #: Default size cap before a :class:`JsonlSink` rotates its file.
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
@@ -339,12 +343,11 @@ class EventLog:
 class JsonlSink:
     """Append-only JSONL disk sink with size-capped rotation.
 
-    Same WAL discipline as the tenancy job store: a version header
-    line, one JSON object per event, flushed per append so a crash
-    loses at most the torn tail (which :func:`read_events` tolerates).
-    When the file passes ``max_bytes`` it is rotated to ``<path>.1``
-    (replacing any previous rotation), so disk use is bounded at
-    roughly ``2 * max_bytes`` per server.
+    A :mod:`repro.journal` file: a version header, one JSON object per
+    event, flushed per append so a crash loses at most the torn tail
+    (:func:`read_events` counts it, the next sink cuts it).  Past
+    ``max_bytes`` the file is rotated to ``<path>.1`` (replacing any
+    previous rotation), bounding disk use at ~``2 * max_bytes``.
     """
 
     def __init__(self, path, *, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
@@ -353,46 +356,23 @@ class JsonlSink:
         self.path = Path(path)
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: Optional[TextIO] = None
-        self._bytes = 0
-        self._open_locked()
-
-    def _open_locked(self) -> None:
-        # Callers hold self._lock (or are the constructor, pre-sharing).
-        exists = self.path.exists() and self.path.stat().st_size > 0
-        self._fh = open(self.path, "a", encoding="utf-8")  # lint: unlocked
-        self._bytes = self.path.stat().st_size  # lint: unlocked
-        if not exists:
-            header = json.dumps({"events_version": EVENTS_VERSION},
-                                sort_keys=True) + "\n"
-            self._fh.write(header)
-            self._fh.flush()
-            self._bytes += len(header.encode("utf-8"))  # lint: unlocked
+        self._journal = journal.Journal(self.path, _EVENTS_HEADER)
 
     def __call__(self, event: LogEvent) -> None:
-        line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
         with self._lock:
-            if self._fh is None:
+            if self._journal is None:
                 raise ValueError("sink is closed")
-            self._fh.write(line)
-            self._fh.flush()
-            self._bytes += len(line.encode("utf-8"))
-            if self._bytes > self.max_bytes:
-                self._rotate_locked()
-
-    def _rotate_locked(self) -> None:
-        assert self._fh is not None
-        self._fh.close()
-        rotated = self.path.with_name(self.path.name + ".1")
-        os.replace(self.path, rotated)
-        self._open_locked()
+            self._journal.append(event.to_dict())
+            if self._journal.bytes > self.max_bytes:
+                self._journal.close()
+                os.replace(self.path, f"{self.path}.1")
+                self._journal = journal.Journal(self.path, _EVENTS_HEADER)
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
 
 def read_events(path) -> Dict[str, object]:
@@ -403,27 +383,8 @@ def read_events(path) -> Dict[str, object]:
     header line is consumed as the version; a file written before the
     header existed replays as version 0.
     """
-    path = Path(path)
+    events, torn = journal.read(path)
     version = 0
-    events: List[Dict[str, object]] = []
-    torn = 0
-    if not path.exists():
-        return {"version": version, "events": events, "torn_lines": torn}
-    with open(path, "r", encoding="utf-8") as fh:
-        for index, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if not isinstance(record, dict):
-                torn += 1
-                continue
-            if index == 0 and "events_version" in record:
-                version = int(record["events_version"])
-                continue
-            events.append(record)
+    if events and "events_version" in events[0]:
+        version = int(events.pop(0)["events_version"])
     return {"version": version, "events": events, "torn_lines": torn}

@@ -24,23 +24,23 @@ terminal jobs are served from the journal byte-identically to before
 the crash.
 
 :class:`JsonlJobStore` is the durable implementation: one append-only
-``jobs.wal`` JSONL file, flushed per event, torn-tail tolerant, and
-**compacting** — when the log grows past ``compact_threshold`` lines it
-is atomically rewritten as one snapshot per live job, so a long-lived
-server's journal stays proportional to its retained job table instead
-of its lifetime submission count.  :class:`MemoryJobStore` implements
-the same interface without persistence (tests, ephemeral servers); a
-SQLite-backed store can slot in behind the same five methods.
+``jobs.wal`` :mod:`repro.journal`, flushed per event, torn-tail
+tolerant (the next open cuts the tail) and **compacting** — past
+``compact_threshold`` lines it is atomically rewritten as one snapshot
+per live job, so a long-lived server's journal stays proportional to
+its retained job table instead of its lifetime submission count.
+:class:`MemoryJobStore` implements the same interface without
+persistence (tests, ephemeral servers); a SQLite-backed store can slot
+in behind the same five methods.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
+from repro import journal
 from repro.exceptions import ServiceError
 
 #: Journal schema version (header line of every WAL).
@@ -207,7 +207,7 @@ class JsonlJobStore(JobStore):
     Layout: ``<root>/jobs.wal`` — line 1 a header, every further line
     one event.  Appends flush before returning, so any event the
     manager observed as recorded survives a crash; a torn final line
-    (the expected wound of a killed writer) is skipped on load.
+    (a killed writer's wound) is counted on load, then cut.
 
     Args:
         root: Store directory (created if missing); the server's
@@ -226,53 +226,37 @@ class JsonlJobStore(JobStore):
             raise ServiceError(f"compact_threshold must be >= 2, "
                                f"got {compact_threshold}")
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / self.WAL_NAME
         self.compact_threshold = compact_threshold
         self._lock = threading.Lock()
         self._records: "Dict[str, Dict[str, object]]" = {}
         self._burst: Optional[Dict[str, object]] = None
-        self._lines = 0
         self._closed = False
         self.replayed = 0
-        self.torn_lines = 0
         self.compactions = 0
         self.appended = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._replay()
-        self._stream = open(self.path, "a", encoding="utf-8")
-        if self._lines == 0:
-            self._append({"type": "header", "version": STORE_VERSION})
+        events, self.torn_lines = journal.read(self.path)
+        if events:
+            header = events[0]
+            if header.get("type") != "header":
+                raise ServiceError(
+                    f"job journal {self.path} has no header line; refusing "
+                    f"to recover from it (move it aside to start fresh)")
+            if header.get("version") != STORE_VERSION:
+                raise ServiceError(
+                    f"job journal {self.path} has schema version "
+                    f"{header.get('version')!r}, expected {STORE_VERSION}")
+            for event in events[1:]:
+                self._apply(event)
+            self.replayed = len(self._records)
+        # Opened after the read, so the torn tail it cuts is counted.
+        self._journal = journal.Journal(self.path, journal.encode(
+            {"type": "header", "version": STORE_VERSION}))
+        self._lines = len(events) or 1
 
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        events: List[Dict[str, object]] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                self.torn_lines += 1
-                continue
-        if not events:
-            return
-        header = events[0]
-        if header.get("type") != "header":
-            raise ServiceError(
-                f"job journal {self.path} has no header line; refusing "
-                f"to recover from it (move it aside to start fresh)")
-        if header.get("version") != STORE_VERSION:
-            raise ServiceError(
-                f"job journal {self.path} has schema version "
-                f"{header.get('version')!r}, expected {STORE_VERSION}")
-        self._lines = len(events)
-        for event in events[1:]:
-            self._apply(event)
-        self.replayed = len(self._records)
-
     def _apply(self, event: Mapping[str, object]) -> None:
         """Fold one journal event into the live-record mirror."""
         kind = event.get("type")
@@ -322,9 +306,7 @@ class JsonlJobStore(JobStore):
         lock itself only from public entry points — internal callers
         already hold it.
         """
-        self._stream.write(json.dumps(event, separators=(",", ":"))
-                           + "\n")
-        self._stream.flush()
+        self._journal.append(event)
         self._lines += 1
         self.appended += 1
         if self._lines >= self.compact_threshold:
@@ -409,30 +391,14 @@ class JsonlJobStore(JobStore):
     # Compaction
     # ------------------------------------------------------------------
     def _compact_locked(self) -> None:
-        """Rewrite the WAL as header + one snapshot per live job.
-
-        Atomic: write to a temp file, fsync, rename over the WAL —
-        a crash mid-compaction leaves either the old or the new
-        journal, never a half-written one.
-        """
-        tmp = self.path.with_suffix(".wal.tmp")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps({"type": "header",
-                                     "version": STORE_VERSION},
-                                    separators=(",", ":")) + "\n")
-            for record in self._records.values():
-                stream.write(json.dumps(dict(record, type="snapshot"),
-                                        separators=(",", ":")) + "\n")
-            if self._burst is not None:
-                stream.write(json.dumps(dict(self._burst, type="burst"),
-                                        separators=(",", ":")) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        self._stream.close()
-        os.replace(tmp, self.path)
-        self._stream = open(self.path, "a", encoding="utf-8")
-        self._lines = (1 + len(self._records)
-                       + (1 if self._burst is not None else 0))
+        """Atomically rewrite the WAL as header + one snapshot per live
+        job (+ the latest burst snapshot)."""
+        snapshots = [dict(record, type="snapshot")
+                     for record in self._records.values()]
+        if self._burst is not None:
+            snapshots.append(dict(self._burst, type="burst"))
+        self._journal.rewrite(snapshots)
+        self._lines = 1 + len(snapshots)
         self.compactions += 1
 
     def compact(self) -> int:
@@ -454,7 +420,7 @@ class JsonlJobStore(JobStore):
             if self._closed:
                 return
             self._closed = True
-            self._stream.close()
+            self._journal.close()
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro import journal
 from repro.exceptions import TunerError
 from repro.api.job import CompileJob, MachineSpec
 from repro.api.session import Session
@@ -136,59 +137,47 @@ class TrialJournal:
 
     Line 1 is a header carrying the owning run's fingerprint; every
     further line is one trial record.  Loading tolerates a torn final
-    line (the expected wound of a killed process) but refuses a journal
-    whose header names a different run.
+    line (a killed process's wound, cut by the next append; see
+    :mod:`repro.journal`) but refuses one naming a different run.
     """
 
     def __init__(self, path, run_fingerprint: str) -> None:
         self.path = Path(path)
         self.run_fingerprint = run_fingerprint
         self.restored: Dict[str, Dict[str, object]] = {}
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({"type": "header", "version": JOURNAL_VERSION,
-                          "run": run_fingerprint})
-
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        records = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                continue  # torn tail from a killed writer
-        if not records or records[0].get("type") != "header":
-            raise TunerError(
-                f"journal {self.path} has no header line; refusing to "
-                f"resume from it (delete it to start fresh)")
-        header = records[0]
-        if header.get("version") != JOURNAL_VERSION:
-            raise TunerError(
-                f"journal {self.path} has schema version "
-                f"{header.get('version')!r}, expected {JOURNAL_VERSION}")
-        if header.get("run") != self.run_fingerprint:
-            raise TunerError(
-                f"journal {self.path} belongs to run "
-                f"{str(header.get('run'))[:12]}..., not this run "
-                f"({self.run_fingerprint[:12]}...); same space/objective/"
-                f"strategy/benchmarks/machine are required to resume")
-        for record in records[1:]:
-            if record.get("type") == "trial" and "fingerprint" in record:
-                self.restored[record["fingerprint"]] = record
-
-    def _append(self, record: Dict[str, object]) -> None:
-        with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-            stream.flush()
+        records, torn = journal.read(self.path)
+        if records or torn:
+            if not records or records[0].get("type") != "header":
+                raise TunerError(
+                    f"journal {self.path} has no header line; refusing to "
+                    f"resume from it (delete it to start fresh)")
+            header = records[0]
+            if header.get("version") != JOURNAL_VERSION:
+                raise TunerError(
+                    f"journal {self.path} has schema version "
+                    f"{header.get('version')!r}, expected {JOURNAL_VERSION}")
+            if header.get("run") != self.run_fingerprint:
+                raise TunerError(
+                    f"journal {self.path} belongs to run "
+                    f"{str(header.get('run'))[:12]}..., not this run "
+                    f"({self.run_fingerprint[:12]}...); same space/objective/"
+                    f"strategy/benchmarks/machine are required to resume")
+            for record in records[1:]:
+                if record.get("type") == "trial" and "fingerprint" in record:
+                    self.restored[record["fingerprint"]] = record
+        # Sorted keys: existing journals start with exactly this line.
+        self._header = journal.encode({"run": run_fingerprint,
+                                       "type": "header",
+                                       "version": JOURNAL_VERSION})
+        journal.Journal(self.path, self._header).close()
 
     def append_trial(self, record: Dict[str, object]) -> None:
         """Persist one executed trial (flushed before returning)."""
-        self._append(dict(record, type="trial"))
+        trials = journal.Journal(self.path, self._header)
+        try:
+            trials.append(dict(record, type="trial"))
+        finally:
+            trials.close()
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ import itertools
 
 import pytest
 
+from repro.api import CompileJob, MachineSpec
 from repro.arch.nisq import NISQMachine
+from repro.cluster import assign_endpoint
 from repro.ir.builder import ModuleBuilder
 from repro.ir.program import Program, QModule
 
@@ -53,6 +55,38 @@ def two_level_program() -> Program:
 def small_grid_machine() -> NISQMachine:
     """A 4x4 lattice NISQ machine."""
     return NISQMachine.grid(4, 4)
+
+
+@pytest.fixture
+def sweep_covering():
+    """``sweep_covering(urls, names)``: see :func:`_covering`."""
+    return _covering
+
+
+def _covering(urls, names):
+    """``names`` under the square policy on a 5x5 grid, plus the first
+    cheap variants (other policies and grid sizes) that give every URL
+    in ``urls`` a job.
+
+    Rendezvous placement depends on the (ephemeral-port) URLs, so a
+    fixed job list can land wholly on one worker; a test asserting that
+    every shard took part builds its sweep with this instead.
+    """
+    pool = [CompileJob.for_benchmark(name, MachineSpec.nisq_grid(size, size),
+                                     policy)
+            for size in (5, 6, 7, 8) for policy in ("square", "eager", "lazy")
+            for name in names]
+    jobs = pool[:len(names)]
+    owners = {assign_endpoint(job.fingerprint(), urls) for job in jobs}
+    for job in pool[len(names):]:
+        owner = assign_endpoint(job.fingerprint(), urls)
+        if owner not in owners:
+            jobs.append(job)
+            owners.add(owner)
+    if owners != set(urls):
+        raise AssertionError(f"no job variant lands on "
+                             f"{sorted(set(urls) - owners)}")
+    return jobs
 
 
 def all_basis_inputs(width: int):

@@ -374,7 +374,8 @@ class TestFleetLogs:
         assert not merged["workers"]["http://dead"]["reachable"]
         assert not merged["workers"]["http://old"]["reachable"]
 
-    def test_cluster_sweep_logs_merge_from_every_shard(self, tmp_path):
+    def test_cluster_sweep_logs_merge_from_every_shard(self, tmp_path,
+                                                       sweep_covering):
         from repro.cluster import ClusterCoordinator
 
         servers = []
@@ -388,11 +389,10 @@ class TestFleetLogs:
         urls = [f"http://127.0.0.1:{server.server_address[1]}"
                 for server, _ in servers]
         try:
+            jobs = sweep_covering(urls, ("RD53", "ADDER4", "2OF5", "6SYM"))
             coordinator = ClusterCoordinator(urls)
-            result = coordinator.run(
-                [CompileJob.for_benchmark(name, GRID, "square")
-                 for name in ("RD53", "ADDER4", "2OF5", "6SYM")])
-            assert len(result) == 4
+            result = coordinator.run(jobs)
+            assert len(result) == len(jobs)
             merged = coordinator.collect_logs()
             assert {event["worker"] for event in merged["events"]} \
                 == set(urls)

@@ -379,18 +379,16 @@ class TestFleetTrace:
             server.server_close()
             thread.join(timeout=5)
 
-    def test_cluster_sweep_merges_spans_from_every_shard(self, tmp_path):
-        from repro.api import SweepSpec
+    def test_cluster_sweep_merges_spans_from_every_shard(self, tmp_path,
+                                                         sweep_covering):
         from repro.cluster import ClusterCoordinator
 
         servers, urls = self._servers(tmp_path)
         try:
-            spec = SweepSpec(benchmarks=("RD53", "ADDER4", "2OF5", "6SYM"),
-                             machines=(GRID,), policies=("square",),
-                             scales=("quick",))
+            jobs = sweep_covering(urls, ("RD53", "ADDER4", "2OF5", "6SYM"))
             coordinator = ClusterCoordinator(urls)
-            result = coordinator.run(spec)
-            assert len(result) == 4
+            result = coordinator.run(jobs)
+            assert len(result) == len(jobs)
 
             payload = coordinator.collect_trace()
             assert payload["trace_id"] == coordinator.trace_id

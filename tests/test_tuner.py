@@ -24,7 +24,7 @@ import pytest
 
 from repro.exceptions import TunerError
 from repro.api import MachineSpec, Session
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterCoordinator, assign_endpoint
 from repro.core.compiler import POLICY_PRESETS, preset
 from repro.service import ServiceClient, make_server
 from repro.tuner import (
@@ -548,14 +548,18 @@ class TestRemoteBackends:
             assert {"server.handle", "job.run", "compile"} <= names
 
             coordinator = ClusterCoordinator(urls)
-            small_run(backend=coordinator).run()
+            trials = []
+            small_run(backend=coordinator, on_trial=trials.append).run()
             merged = coordinator.collect_trace()
             assert merged["trace_id"] == coordinator.trace_id
             assert merged["count"] > 0
             assert {span["trace_id"] for span in merged["spans"]} == \
                 {coordinator.trace_id}
-            # Both shards executed trials under the one id.
-            assert {span["worker"] for span in merged["spans"]} == set(urls)
+            # Every shard that owns a trial (rendezvous placement
+            # depends on the ephemeral-port URLs) ran it under the id.
+            owners = {assign_endpoint(trial["fingerprint"], urls)
+                      for trial in trials}
+            assert {span["worker"] for span in merged["spans"]} == owners
         finally:
             for server in servers:
                 stop(server)

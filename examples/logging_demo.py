@@ -8,8 +8,8 @@ Walks the PR-10 observability story end to end, over real HTTP:
    event chain a job leaves behind (http access line, queue push/pop,
    worker pickup, manager done — every one stamped with the same
    trace id),
-3. merge the whole fleet's events with
-   :meth:`~repro.cluster.ClusterCoordinator.collect_logs` — both
+3. merge the whole fleet's events with the coordinator topology's
+   :meth:`~repro.cluster.ClusterTopology.fleet_logs` — both
    workers contribute, every record carries its ``worker`` tag, and
    ``(worker, event_id)`` dedup keeps the merge stable,
 4. interleave the merged events into the merged span waterfall and
@@ -102,14 +102,14 @@ def main() -> None:
               f"components {sorted(components)}")
 
         # --- 3. fleet merge: both shards, worker tags, stable dedup ------
-        merged = coordinator.collect_logs()
+        merged = coordinator.topology.fleet_logs()
         workers = {event["worker"] for event in merged["events"]}
         assert workers == set(urls), workers
         assert all(info["reachable"] for info in merged["workers"].values())
         keys = [(event["worker"], event["event_id"])
                 for event in merged["events"]]
         assert len(keys) == len(set(keys)), "fleet merge must dedup"
-        again = coordinator.collect_logs()
+        again = coordinator.topology.fleet_logs()
         assert [e["event_id"] for e in merged["events"]] == \
             [e["event_id"] for e in again["events"]], \
             "fleet merge order must be deterministic"
@@ -117,7 +117,7 @@ def main() -> None:
               f"{len(workers)} shards")
 
         # --- 4. events interleave into the span waterfall ----------------
-        spans = coordinator.collect_trace()["spans"]
+        spans = coordinator.topology.fleet_trace()["spans"]
         waterfall = render_waterfall(spans, events=merged["events"])
         flipped = render_waterfall(list(reversed(spans)),
                                    events=list(reversed(merged["events"])))

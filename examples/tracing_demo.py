@@ -7,8 +7,8 @@ Walks the PR-9 observability story end to end, over real HTTP:
 2. fetch ``GET /trace/<id>`` from one worker and assert the span
    hierarchy a job leaves behind (``server.handle`` -> ``queue.wait`` +
    ``job.run`` -> ``session.compile`` -> ``compile`` -> ``phase.*``),
-3. merge the whole fleet's spans with
-   :meth:`~repro.cluster.ClusterCoordinator.collect_trace` and render
+3. merge the whole fleet's spans with the coordinator topology's
+   :meth:`~repro.cluster.ClusterTopology.fleet_trace` and render
    the ASCII waterfall — every shard appears as an ``@worker`` suffix
    and rendering is deterministic,
 4. profile the same benchmarks in-process with
@@ -93,7 +93,7 @@ def main() -> None:
               f"full handle->queue->compile->phase chain present")
 
         # --- 3. fleet merge + deterministic waterfall ---------------------
-        merged = coordinator.collect_trace()
+        merged = coordinator.topology.fleet_trace()
         workers = {span["worker"] for span in merged["spans"]}
         assert workers == set(urls), workers
         assert all(info["reachable"] for info in

@@ -227,6 +227,48 @@ class SweepEntry:
         """True when the job produced a result."""
         return self.error is None
 
+    def to_record(self) -> Dict[str, object]:
+        """The wire record of this entry (``/sweep`` and job entry
+        streams): job coordinates, provenance flags, then the result
+        (and verification report) or the failure."""
+        record: Dict[str, object] = {
+            "ok": self.ok,
+            "fingerprint": self.job.fingerprint(),
+            "benchmark": self.job.program_label,
+            "policy": self.job.policy_label,
+            "machine": self.job.machine.describe(),
+            "cached": self.cached,
+            "disk_hit": self.disk_hit,
+        }
+        if self.ok:
+            record["result"] = self.result.to_dict()
+            if self.verification is not None:
+                record["verification"] = self.verification.to_dict()
+        else:
+            record["error"] = self.error.to_dict()
+        return record
+
+    @classmethod
+    def from_record(cls, job: CompileJob,
+                    record: Mapping[str, object]) -> "SweepEntry":
+        """Rebuild the entry :meth:`to_record` wrote for ``job``."""
+        verification = None
+        if record.get("verification") is not None:
+            from repro.verify import VerificationReport
+
+            verification = VerificationReport.from_dict(
+                record["verification"])
+        ok = bool(record.get("ok"))
+        return cls(
+            job=job,
+            result=CompilationResult.from_dict(record["result"])
+            if ok else None,
+            error=None if ok else JobFailure.from_dict(record["error"]),
+            cached=bool(record.get("cached", False)),
+            disk_hit=bool(record.get("disk_hit", False)),
+            verification=verification,
+        )
+
     def row(self) -> Dict[str, object]:
         """Flat table row: job coordinates + headline metrics.
 

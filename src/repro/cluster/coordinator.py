@@ -43,6 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import (
@@ -62,7 +63,6 @@ from repro.cluster.streaming import (
     ShardConsumer,
 )
 from repro.cluster.topology import ClusterTopology, WorkerEndpoint
-from repro.core.result import CompilationResult, JobFailure
 from repro.telemetry import EventLog
 
 #: ``on_entry`` callback: (first original index, entry) per unique job.
@@ -118,7 +118,7 @@ class ClusterCoordinator:
         #: Coordinator-local event log: dispatch rounds, sheds, worker
         #: deaths, and failed-shard retries, correlated to the sweep's
         #: fleet-wide trace id.  Worker-side events are collected
-        #: separately via :meth:`collect_logs`.
+        #: separately via ``topology.fleet_logs()``.
         self.events = EventLog()
 
     # ------------------------------------------------------------------
@@ -173,7 +173,7 @@ class ClusterCoordinator:
                 results[fingerprint] = record
                 if on_entry is not None:
                     on_entry(first_index[fingerprint],
-                             self._build_entry(job, record, cached=None))
+                             SweepEntry.from_record(job, record))
 
         pending: List[Tuple[str, CompileJob]] = list(unique.items())
         rounds = 0
@@ -325,38 +325,6 @@ class ClusterCoordinator:
     _last_failed: frozenset = frozenset()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _build_entry(job: CompileJob, record: dict,
-                     cached: Optional[bool]) -> SweepEntry:
-        """Rebuild one wire record as a SweepEntry.
-
-        ``cached=None`` keeps the worker-reported provenance flags;
-        an explicit value overrides them (used by the merge step to
-        credit duplicate jobs as cache hits, exactly like a session).
-        """
-        if record.get("ok"):
-            verification = None
-            if record.get("verification") is not None:
-                from repro.verify import VerificationReport
-
-                verification = VerificationReport.from_dict(
-                    record["verification"])
-            return SweepEntry(
-                job=job,
-                result=CompilationResult.from_dict(record["result"]),
-                cached=bool(record.get("cached", False))
-                if cached is None else cached,
-                disk_hit=bool(record.get("disk_hit", False))
-                if cached is None else False,
-                verification=verification,
-            )
-        return SweepEntry(
-            job=job,
-            result=None,
-            error=JobFailure.from_dict(record["error"]),
-            cached=False,
-        )
-
     def _merge(self, jobs: Sequence[CompileJob],
                fingerprints: Sequence[str],
                results: Dict[str, dict]) -> SweepResult:
@@ -375,9 +343,10 @@ class ClusterCoordinator:
                 raise ClusterError(
                     f"merge is missing a result for {job.program_label} "
                     f"({fingerprint[:12]}...)")
-            repeat = fingerprint in seen and record.get("ok")
-            entries.append(self._build_entry(
-                job, record, cached=True if repeat else None))
+            entry = SweepEntry.from_record(job, record)
+            if fingerprint in seen and entry.ok:
+                entry = replace(entry, cached=True, disk_hit=False)
+            entries.append(entry)
             seen.add(fingerprint)
         return SweepResult(entries)
 
@@ -386,38 +355,6 @@ class ClusterCoordinator:
         """The trace id every shard of this coordinator's fan-outs
         carries (minted by the topology when the caller passed none)."""
         return self.topology.trace_id
-
-    def collect_trace(self,
-                      trace_id: Optional[str] = None) -> Dict[str, object]:
-        """Collect and merge the fleet's span records for one trace.
-
-        Defaults to the coordinator's own :attr:`trace_id` — i.e. "the
-        waterfall of the sweeps this coordinator ran".  See
-        :meth:`~repro.cluster.topology.ClusterTopology.fleet_trace` for
-        the merge semantics (per-worker labels, deterministic order,
-        unreachable workers reported rather than dropped).
-        """
-        return self.topology.fleet_trace(trace_id)
-
-    def collect_logs(self, trace_id: Optional[str] = None, *,
-                     tenant: Optional[str] = None,
-                     level: Optional[str] = None,
-                     since: Optional[float] = None,
-                     limit: Optional[int] = None) -> Dict[str, object]:
-        """Collect and merge the fleet's log events for one trace.
-
-        Defaults to the coordinator's own :attr:`trace_id` — i.e. "the
-        event narrative of the sweeps this coordinator ran".  See
-        :meth:`~repro.cluster.topology.ClusterTopology.fleet_logs` for
-        the merge semantics (``worker=`` tags, ``(worker, event_id)``
-        dedup, deterministic ``(ts, event_id)`` order, unreachable
-        workers reported rather than dropped).  Coordinator-local
-        events (dispatch/shed/heal) live in :attr:`events` and are not
-        part of the fleet merge.
-        """
-        return self.topology.fleet_logs(trace_id, tenant=tenant,
-                                        level=level, since=since,
-                                        limit=limit)
 
     def stats(self) -> Dict[str, object]:
         """JSON-compatible coordinator + fleet telemetry."""

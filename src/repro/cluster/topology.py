@@ -15,7 +15,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.exceptions import ClusterError, ServiceError
 from repro.service.client import ServiceClient
@@ -217,15 +218,12 @@ class ClusterTopology:
         rows: List[Dict[str, object]] = []
         totals: Dict[str, int] = {key: 0 for key in self.FLEET_COUNTERS}
         reachable = 0
-        for endpoint in self:
+        for endpoint, payload, error in self._fetch_all("stats"):
             row: Dict[str, object] = {"url": endpoint.url,
                                       "weight": endpoint.weight}
-            try:
-                payload = endpoint.client.stats()
-            except ServiceError as error:
-                row["reachable"] = False
-                row["error"] = str(error)
-                rows.append(row)
+            rows.append(row)
+            if error is not None:
+                row.update(reachable=False, error=str(error))
                 continue
             reachable += 1
             service = payload.get("service") or {}
@@ -250,7 +248,6 @@ class ClusterTopology:
             })
             for key in self.FLEET_COUNTERS:
                 totals[key] += row[key]
-            rows.append(row)
         return {
             "workers": rows,
             "fleet": totals,
@@ -273,17 +270,10 @@ class ClusterTopology:
         up = synth.gauge("repro_worker_up",
                          "1 when the worker answered the metrics scrape.",
                          labelnames=("worker",))
-        for endpoint in self:
-            scrape = getattr(endpoint.client, "metrics_text", None)
-            try:
-                if scrape is None:
-                    raise ServiceError(
-                        f"client for {endpoint.url} has no metrics_text()")
-                texts[endpoint.url] = scrape()
-            except ServiceError:
-                up.labels(worker=endpoint.url).set(0)
-                continue
-            up.labels(worker=endpoint.url).set(1)
+        for endpoint, text, error in self._fetch_all("metrics_text"):
+            up.labels(worker=endpoint.url).set(0 if error else 1)
+            if error is None:
+                texts[endpoint.url] = text
         return merge_expositions(texts) + synth.render()
 
     def fleet_trace(self, trace_id: Optional[str] = None) -> Dict[str, object]:
@@ -334,13 +324,16 @@ class ClusterTopology:
             lambda record: (record.get("ts") or 0.0,
                             record.get("event_id") or ""))
 
-    def _fan_out(self, method: str, trace_id: Optional[str],
-                 call: Callable, list_key: str, id_key: str,
-                 sort_key: Callable) -> Dict[str, object]:
-        """``call(client.<method>)`` on every endpoint, merging the
-        payloads' ``list_key`` records as fleet_trace/fleet_logs say."""
-        merged: Dict[tuple, Dict[str, object]] = {}
-        workers: Dict[str, Dict[str, object]] = {}
+    def _fetch_all(self, method: str,
+                   call: Callable = lambda fetch: fetch()) -> Iterator[
+                       Tuple[WorkerEndpoint, object, Optional[ServiceError]]]:
+        """``call(client.<method>)`` on every endpoint, in order.
+
+        Yields ``(endpoint, payload, None)`` for an endpoint that
+        answered and ``(endpoint, None, error)`` for one that did not;
+        a client without ``method`` (a server predating that endpoint)
+        counts as unreachable.
+        """
         for endpoint in self:
             fetch = getattr(endpoint.client, method, None)
             try:
@@ -349,6 +342,19 @@ class ClusterTopology:
                         f"client for {endpoint.url} has no {method}()")
                 payload = call(fetch)
             except ServiceError as error:
+                yield endpoint, None, error
+                continue
+            yield endpoint, payload, None
+
+    def _fan_out(self, method: str, trace_id: Optional[str],
+                 call: Callable, list_key: str, id_key: str,
+                 sort_key: Callable) -> Dict[str, object]:
+        """Merge every endpoint's ``list_key`` records from
+        ``call(client.<method>)`` as fleet_trace/fleet_logs say."""
+        merged: Dict[tuple, Dict[str, object]] = {}
+        workers: Dict[str, Dict[str, object]] = {}
+        for endpoint, payload, error in self._fetch_all(method, call):
+            if error is not None:
                 workers[endpoint.url] = {"reachable": False,
                                          "error": str(error)}
                 continue

@@ -329,30 +329,8 @@ class ServiceClient:
                 f"/sweep returned {got} entries for {len(jobs)} submitted "
                 f"job(s)"
             )
-        entries: List[SweepEntry] = []
-        for job, record in zip(jobs, records):
-            if record.get("ok"):
-                verification = None
-                if record.get("verification") is not None:
-                    from repro.verify import VerificationReport
-
-                    verification = VerificationReport.from_dict(
-                        record["verification"])
-                entries.append(SweepEntry(
-                    job=job,
-                    result=CompilationResult.from_dict(record["result"]),
-                    cached=bool(record.get("cached", False)),
-                    disk_hit=bool(record.get("disk_hit", False)),
-                    verification=verification,
-                ))
-            else:
-                entries.append(SweepEntry(
-                    job=job,
-                    result=None,
-                    error=JobFailure.from_dict(record["error"]),
-                    cached=bool(record.get("cached", False)),
-                ))
-        return SweepResult(entries)
+        return SweepResult([SweepEntry.from_record(job, record)
+                            for job, record in zip(jobs, records)])
 
     # ------------------------------------------------------------------
     # Asynchronous job API

@@ -395,28 +395,8 @@ class CompilationService:
                 response["verification"] = entry.verification.to_dict()
         else:
             response["error"] = entry.error.to_dict()
-        self.manager.record_entry(queued, self._entry_record(entry))
+        self.manager.record_entry(queued, entry.to_record())
         return response
-
-    @staticmethod
-    def _entry_record(entry) -> Dict[str, object]:
-        """Serialize one executed sweep entry to its wire record."""
-        record: Dict[str, object] = {
-            "ok": entry.ok,
-            "fingerprint": entry.job.fingerprint(),
-            "benchmark": entry.job.program_label,
-            "policy": entry.job.policy_label,
-            "machine": entry.job.machine.describe(),
-            "cached": entry.cached,
-            "disk_hit": entry.disk_hit,
-        }
-        if entry.ok:
-            record["result"] = entry.result.to_dict()
-            if entry.verification is not None:
-                record["verification"] = entry.verification.to_dict()
-        else:
-            record["error"] = entry.error.to_dict()
-        return record
 
     def _execute_sweep(self, queued: QueuedJob) -> Dict[str, object]:
         """Execute a sweep incrementally, streaming per-entry records.
@@ -446,7 +426,7 @@ class CompilationService:
                                      isolate_failures=True)
             for entry in batch:
                 entries.append(entry)
-                record = self._entry_record(entry)
+                record = entry.to_record()
                 records.append(record)
                 self.manager.record_entry(queued, record)
         sweep = SweepResult(entries)
@@ -812,6 +792,8 @@ class CompilationService:
         if level is not None and str(level).upper() not in LEVELS:
             raise ServiceError(f"unknown log level {level!r}; "
                                f"expected one of {list(LEVELS)}")
+        if limit is not None and limit < 0:
+            raise ServiceError(f"limit must be >= 0, got {limit}")
         events = self.events.events(trace=trace, tenant=tenant,
                                     level=level, since=since, limit=limit)
         return {"count": len(events),
@@ -922,7 +904,16 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"ok": False, "error": record})
 
     def _read_payload(self) -> Mapping[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request after the 400.
+            self.close_connection = True
+            raise ServiceError(f"invalid Content-Length {header!r}")
         body = self.rfile.read(length) if length else b""
         if not body:
             return {}

@@ -9,36 +9,35 @@ the event inherits its ``trace_id`` and ``span_id``, so the ``trace``
 CLI can interleave events into the span waterfall and ``logs --trace``
 answers "what happened to this job" with one query.
 
-Recording mirrors :class:`~repro.telemetry.spans.SpanRecorder`: a
-bounded, thread-safe :class:`EventLog` ring keeps the most recent
-events in memory (evictions are counted as *drops*, exported on
-``/metrics``), and optional sinks fan each event out as it is emitted —
+Recording shares the span layer's bounded ring
+(:class:`~repro.telemetry.spans.BoundedRing`): an :class:`EventLog`
+keeps the most recent events in memory (evictions are counted as
+*drops*, exported on ``/metrics``), and optional sinks fan each event out as it is emitted —
 :func:`stderr_sink` for the classic human-readable server log line,
 :class:`JsonlSink` for a durable JSONL file with size-capped rotation
 and a torn-tail-tolerant reader (:func:`read_events`), both on
 :mod:`repro.journal` (the next open cuts a torn tail).
 
-Event ids reuse the span-id scheme (random per-process prefix + a
+Event ids come from the span-id minter (random per-process prefix + a
 counter) so fleet merges can dedup on ``(worker, event_id)`` without
 per-event ``uuid4()`` cost on the hot path.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
 import threading
 import time
-import uuid
-from collections import deque
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     TextIO)
 
 from repro import journal
-from repro.telemetry.spans import _ANCHOR_MONO, _ANCHOR_WALL, current_span
+from repro.telemetry.spans import (_ANCHOR_MONO, _ANCHOR_WALL,
+                                   DEFAULT_CAPACITY, BoundedRing, _new_id,
+                                   current_span)
 
 __all__ = [
     "LEVELS",
@@ -55,10 +54,6 @@ LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
 
-#: Default ring capacity — matches ``SpanRecorder``; at ~10 events per
-#: job this keeps several hundred recent jobs narratable.
-DEFAULT_CAPACITY = 4096
-
 #: JSONL sink schema version (header line of every log file).
 EVENTS_VERSION = 1
 
@@ -67,18 +62,6 @@ _EVENTS_HEADER = json.dumps({"events_version": EVENTS_VERSION})
 
 #: Default size cap before a :class:`JsonlSink` rotates its file.
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
-
-#: Random per-process prefix + a counter: event ids stay unique across
-#: processes (fleet merges dedup on ``(worker, event_id)``) without a
-#: per-event ``uuid4()`` on the emission path.
-_ID_PREFIX = uuid.uuid4().hex[:8]
-_ID_COUNTER = itertools.count(1)
-
-
-def _new_event_id() -> str:
-    """16-hex event id, unique across processes and threads."""
-    return f"{_ID_PREFIX}{next(_ID_COUNTER) & 0xFFFFFFFF:08x}"
-
 
 def _coerce_level(level: str) -> str:
     name = str(level).upper()
@@ -110,7 +93,7 @@ class LogEvent:
                  ts: Optional[float] = None,
                  event_id: Optional[str] = None) -> None:
         mono = time.perf_counter()
-        object.__setattr__(self, "event_id", event_id or _new_event_id())
+        object.__setattr__(self, "event_id", event_id or _new_id())
         object.__setattr__(self, "ts", float(
             _ANCHOR_WALL + (mono - _ANCHOR_MONO) if ts is None else ts))
         object.__setattr__(self, "level", _coerce_level(level))
@@ -194,7 +177,7 @@ def stderr_sink(stream: Optional[TextIO] = None
     return sink
 
 
-class EventLog:
+class EventLog(BoundedRing):
     """Bounded, thread-safe ring of structured log events.
 
     ``emit()`` pulls trace/span correlation from the active span
@@ -206,17 +189,8 @@ class EventLog:
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, *,
-                 level: str = "DEBUG",
                  sinks: Iterable[Callable[[LogEvent], None]] = ()) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.level = _coerce_level(level)
-        self._lock = threading.Lock()
-        self._events: deque = deque(maxlen=capacity)
-        self._recorded = 0
-        self._dropped = 0
-        self._suppressed = 0
+        super().__init__(capacity)
         self._sink_errors = 0
         self._by_level: Dict[str, int] = {name: 0 for name in LEVELS}
         self._sinks: List[Callable[[LogEvent], None]] = list(sinks)
@@ -235,12 +209,7 @@ class EventLog:
              span_id: Optional[str] = None,
              tenant: Optional[str] = None,
              job_id: Optional[str] = None,
-             ts: Optional[float] = None) -> Optional[LogEvent]:
-        name = _coerce_level(level)
-        if _LEVEL_RANK[name] < _LEVEL_RANK[self.level]:
-            with self._lock:
-                self._suppressed += 1
-            return None
+             ts: Optional[float] = None) -> LogEvent:
         active = current_span()
         if active is not None:
             if trace_id is None:
@@ -251,15 +220,12 @@ class EventLog:
                 job_id = active.labels.get("job_id")
             if tenant is None:
                 tenant = active.labels.get("tenant")
-        event = LogEvent(name, message, component=component,
+        event = LogEvent(level, message, component=component,
                          fields=fields, trace_id=trace_id, span_id=span_id,
                          tenant=tenant, job_id=job_id, ts=ts)
         with self._lock:
-            if len(self._events) == self.capacity:
-                self._dropped += 1
-            self._events.append(event)
-            self._recorded += 1
-            self._by_level[name] += 1
+            self._push(event)
+            self._by_level[event.level] += 1
             sinks = self._sinks
         for sink in sinks:
             try:
@@ -269,25 +235,21 @@ class EventLog:
                     self._sink_errors += 1
         return event
 
-    def debug(self, message: str, **kwargs) -> Optional[LogEvent]:
+    def debug(self, message: str, **kwargs) -> LogEvent:
         return self.emit("DEBUG", message, **kwargs)
 
-    def info(self, message: str, **kwargs) -> Optional[LogEvent]:
+    def info(self, message: str, **kwargs) -> LogEvent:
         return self.emit("INFO", message, **kwargs)
 
-    def warning(self, message: str, **kwargs) -> Optional[LogEvent]:
+    def warning(self, message: str, **kwargs) -> LogEvent:
         return self.emit("WARNING", message, **kwargs)
 
-    def error(self, message: str, **kwargs) -> Optional[LogEvent]:
+    def error(self, message: str, **kwargs) -> LogEvent:
         return self.emit("ERROR", message, **kwargs)
 
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
-    def snapshot(self) -> List[LogEvent]:
-        with self._lock:
-            return list(self._events)
-
     def events(self, *, trace: Optional[str] = None,
                tenant: Optional[str] = None,
                level: Optional[str] = None,
@@ -319,22 +281,12 @@ class EventLog:
             out = out[-limit:] if limit else []
         return out
 
-    def for_trace(self, trace_id: str) -> List[LogEvent]:
-        return self.events(trace=trace_id)
-
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            return {"capacity": self.capacity,
-                    "buffered": len(self._events),
-                    "recorded": self._recorded,
-                    "dropped": self._dropped,
-                    "suppressed": self._suppressed,
+            return {**self._counts(),
+                    "dropped": self._evicted,
                     "sink_errors": self._sink_errors,
                     "by_level": dict(self._by_level)}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
 
 
 # ----------------------------------------------------------------------

@@ -70,15 +70,15 @@ _CURRENT: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
     "repro_current_span", default=None)
 
 
-#: Random per-process prefix + a counter: span ids stay unique across
-#: processes (fleet merges dedup on them) at a fraction of a per-span
-#: ``uuid4()`` — span minting sits on the hot compile path.
+#: Random per-process prefix + a counter: span and event ids stay
+#: unique across processes (fleet merges dedup on them) at a fraction of
+#: a per-id ``uuid4()`` — id minting sits on the hot compile path.
 _ID_PREFIX = uuid.uuid4().hex[:8]
 _ID_COUNTER = itertools.count(1)
 
 
-def _new_span_id() -> str:
-    """16-hex span id, unique across processes and threads."""
+def _new_id() -> str:
+    """16-hex span/event id, unique across processes and threads."""
     return f"{_ID_PREFIX}{next(_ID_COUNTER) & 0xFFFFFFFF:08x}"
 
 
@@ -106,7 +106,7 @@ class Span:
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self.name = name
         self.trace_id = coerce_trace_id(trace_id)
-        self.span_id = _new_span_id()
+        self.span_id = _new_id()
         self.parent_id = parent_id
         self.labels: Dict[str, str] = dict(labels or {})
         self.recorder = recorder
@@ -160,24 +160,47 @@ class Span:
                 f"duration={self.duration})")
 
 
-class SpanRecorder:
-    """Bounded, thread-safe ring buffer of finished spans."""
+class BoundedRing:
+    """Bounded, thread-safe ring of the most recent items.
+
+    Appending to a full ring evicts the oldest item and counts it.
+    Owners append with :meth:`_push` while holding ``_lock``, so they
+    can update their own counters in the same critical section.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._spans: deque = deque(maxlen=capacity)
+        self._items: deque = deque(maxlen=capacity)
         self._recorded = 0
         self._evicted = 0
 
+    def _push(self, item: object) -> None:
+        """Append ``item``; the caller holds ``_lock``."""
+        if len(self._items) == self.capacity:
+            self._evicted += 1
+        self._items.append(item)
+        self._recorded += 1
+
+    def snapshot(self) -> list:
+        with self._lock:
+            return list(self._items)
+
+    def _counts(self) -> Dict[str, int]:
+        """Capacity, fill and lifetime appends; the caller holds ``_lock``."""
+        return {"capacity": self.capacity,
+                "buffered": len(self._items),
+                "recorded": self._recorded}
+
+
+class SpanRecorder(BoundedRing):
+    """Bounded, thread-safe ring buffer of finished spans."""
+
     def record(self, span: Span) -> None:
         with self._lock:
-            if len(self._spans) == self.capacity:
-                self._evicted += 1
-            self._spans.append(span)
-            self._recorded += 1
+            self._push(span)
 
     @contextlib.contextmanager
     def span(self, name: str, *, trace_id: Optional[str] = None,
@@ -228,10 +251,6 @@ class SpanRecorder:
         self.record(span)
         return span
 
-    def snapshot(self) -> List[Span]:
-        with self._lock:
-            return list(self._spans)
-
     def for_trace(self, trace_id: str) -> List[Span]:
         """All recorded spans of one trace, deterministically ordered
         by (start, name, span_id)."""
@@ -242,14 +261,7 @@ class SpanRecorder:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return {"capacity": self.capacity,
-                    "buffered": len(self._spans),
-                    "recorded": self._recorded,
-                    "evicted": self._evicted}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
+            return {**self._counts(), "evicted": self._evicted}
 
 
 @contextlib.contextmanager

@@ -39,7 +39,6 @@ from repro.cluster import (
 )
 from repro.queue import DONE, JobManager, QueuedJob
 from repro.service import DiskCache, ServiceClient, make_server
-from repro.service.server import CompilationService
 
 GRID = MachineSpec.nisq_grid(5, 5)
 SPEC = (SweepSpec()
@@ -558,7 +557,7 @@ class FakeWorkerClient:
                 return
             entry = self.session.run([job])[0]
             self.delivered += 1
-            yield index, CompilationService._entry_record(entry)
+            yield index, entry.to_record()
         self._done.add(job_id)
 
     def poll(self, job_id):

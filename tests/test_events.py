@@ -82,14 +82,6 @@ class TestEventLog:
         stats = log.stats()
         assert stats["recorded"] == 5 and stats["dropped"] == 2
 
-    def test_level_threshold_suppresses(self):
-        log = EventLog(level="WARNING")
-        log.debug("quiet")
-        log.info("quiet too")
-        log.error("loud")
-        assert [event.level for event in log.events()] == ["ERROR"]
-        assert log.stats()["suppressed"] == 2
-
     def test_filters_compose(self):
         log = EventLog()
         log.emit("INFO", "a", trace_id="a" * 16, tenant="alpha", ts=1.0)
@@ -280,6 +272,8 @@ class TestLogsEndpoint:
         later = client.logs("", since=cut)["events"]
         assert later and all(event["ts"] > cut for event in later)
         assert len(client.logs("", limit=2)["events"]) == 2
+        with pytest.raises(ServiceError, match="limit must be >= 0"):
+            client.logs("", limit=-1)
         combo = client.logs(level="INFO", tenant="anonymous",
                             limit=1)["events"]
         assert len(combo) == 1 and combo[0]["tenant"] == "anonymous"
@@ -393,7 +387,7 @@ class TestFleetLogs:
             coordinator = ClusterCoordinator(urls)
             result = coordinator.run(jobs)
             assert len(result) == len(jobs)
-            merged = coordinator.collect_logs()
+            merged = coordinator.topology.fleet_logs()
             assert {event["worker"] for event in merged["events"]} \
                 == set(urls)
             assert all(event["trace_id"] == coordinator.trace_id

@@ -1,6 +1,7 @@
 """Tests for repro.service: disk cache, failure isolation, HTTP endpoint."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -183,6 +184,36 @@ class TestFailureIsolation:
 
         with pytest.raises(ExperimentError):
             SweepEntry(job=RD53, result=None, error=None)
+
+
+class TestEntryRecord:
+    """``SweepEntry.to_record``/``from_record``: the sweep-entry wire form."""
+
+    HEAD = ["ok", "fingerprint", "benchmark", "policy", "machine",
+            "cached", "disk_hit"]
+
+    def _entries(self, tmp_path):
+        Session(cache_dir=tmp_path).run([RD53_LAZY])
+        ok, failed = Session(isolate_failures=True).run([RD53, IMPOSSIBLE])
+        verified = Session(verify=True).run([RD53])[0]
+        disk_hit = Session(cache_dir=tmp_path).run([RD53_LAZY])[0]
+        assert disk_hit.disk_hit and verified.verification is not None
+        return {"ok": ok, "failed": failed, "verified": verified,
+                "disk_hit": disk_hit}
+
+    def test_round_trip(self, tmp_path):
+        from repro.api import SweepEntry
+
+        for name, entry in self._entries(tmp_path).items():
+            record = json.loads(json.dumps(entry.to_record()))
+            assert SweepEntry.from_record(entry.job, record) == entry, name
+
+    def test_key_order(self, tmp_path):
+        entries = self._entries(tmp_path)
+        assert list(entries["ok"].to_record()) == self.HEAD + ["result"]
+        assert list(entries["failed"].to_record()) == self.HEAD + ["error"]
+        assert list(entries["verified"].to_record()) == \
+            self.HEAD + ["result", "verification"]
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +426,21 @@ class TestHTTPEndpoint:
         assert "400" in str(exc_info.value)
         with pytest.raises(ServiceError):
             client._get("/nonsense")
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_invalid_content_length_is_a_400(self, http_service, length):
+        client, _ = http_service
+        host, port = client.base_url[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST /compile HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
 
     def test_unreachable_service(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)

@@ -9,6 +9,7 @@ two-server cluster merges every shard's spans under one trace id.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import make_server
 from repro.telemetry import (
+    EventLog,
     Span,
     SpanRecorder,
     child_span,
@@ -143,20 +145,33 @@ class TestSpanRecorder:
         assert recorder.snapshot() == [span]
 
     def test_concurrent_recording_is_safe(self):
+        # Both owners of the shared ring, with a tiny switch interval
+        # so a lost counter update would show.
         recorder = SpanRecorder(capacity=64)
+        log = EventLog(capacity=64)
 
         def spin():
             for _ in range(100):
                 with recorder.span("op"):
-                    pass
+                    log.info("op")
 
         threads = [threading.Thread(target=spin, daemon=True)
                    for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert recorder.stats()["recorded"] == 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert recorder.stats() == {"capacity": 64, "buffered": 64,
+                                    "recorded": 400, "evicted": 336}
+        events = log.stats()
+        assert (events["recorded"], events["dropped"]) == (400, 336)
+        assert events["by_level"]["INFO"] == 400
 
 
 class TestChildSpan:
@@ -390,7 +405,7 @@ class TestFleetTrace:
             result = coordinator.run(jobs)
             assert len(result) == len(jobs)
 
-            payload = coordinator.collect_trace()
+            payload = coordinator.topology.fleet_trace()
             assert payload["trace_id"] == coordinator.trace_id
             workers = {span.get("worker") for span in payload["spans"]}
             assert workers == set(urls)  # spans from every shard

@@ -550,7 +550,7 @@ class TestRemoteBackends:
             coordinator = ClusterCoordinator(urls)
             trials = []
             small_run(backend=coordinator, on_trial=trials.append).run()
-            merged = coordinator.collect_trace()
+            merged = coordinator.topology.fleet_trace()
             assert merged["trace_id"] == coordinator.trace_id
             assert merged["count"] > 0
             assert {span["trace_id"] for span in merged["spans"]} == \

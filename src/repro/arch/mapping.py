@@ -115,7 +115,7 @@ class Layout:
             free = [site for site in range(topology.num_sites)
                     if site not in self._virtual_at]
             return free[:limit]
-        if getattr(topology, "_grid_like", False):
+        if topology.is_lattice:
             found = self._ring_search(anchor_sites, limit)
             if found:
                 return found
@@ -128,7 +128,6 @@ class Layout:
     def _ring_search(self, anchor_sites: Sequence[int], limit: int) -> List[int]:
         """Expand Manhattan rings around the anchor centroid on a grid."""
         topology = self._topology
-        index = topology._coordinate_index()
         coords = [topology.coordinate(site) for site in anchor_sites]
         center_row = int(round(sum(r for r, _ in coords) / len(coords)))
         center_col = int(round(sum(c for _, c in coords) / len(coords)))
@@ -141,7 +140,7 @@ class Layout:
         while len(found) < limit and radius <= 2 * grid_span:
             ring = self._ring_coordinates(center_row, center_col, radius)
             for coord in ring:
-                site = index.get(coord)
+                site = topology.site_at(coord)
                 if site is not None and site not in self._virtual_at:
                     found.append(site)
             radius += 1

@@ -10,10 +10,9 @@ compiler can maintain its running communication-cost estimate ``S``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.exceptions import RoutingError
 from repro.arch.topology import Topology
 
 
@@ -74,19 +73,13 @@ class SwapRouter:
         The qubit at ``site_a`` is moved along a shortest path until it sits
         next to ``site_b``; the qubit at ``site_b`` stays put.  For adjacent
         (or identical) sites no swaps are needed.
-
-        Raises:
-            RoutingError: If no path exists (cannot happen for connected
-                topologies, kept for defensive clarity).
         """
         topology = self._topology
         if site_a == site_b or topology.are_adjacent(site_a, site_b):
             return Route(source=site_a, destination=site_b,
                          path=(site_a, site_b) if site_a != site_b else (site_a,),
                          swaps=())
-        path = self._shortest_path(site_a, site_b)
-        if len(path) < 2:
-            raise RoutingError(f"no route between sites {site_a} and {site_b}")
+        path = topology.shortest_path(site_a, site_b)
         # Move the source qubit along the path, stopping one hop short of
         # the destination.
         swaps = tuple(
@@ -100,25 +93,3 @@ class SwapRouter:
             return 0
         distance = self._topology.distance(site_a, site_b)
         return max(distance - 1, 0)
-
-    def _shortest_path(self, site_a: int, site_b: int) -> List[int]:
-        topology = self._topology
-        if getattr(topology, "_grid_like", False):
-            return self._grid_path(site_a, site_b)
-        return topology.shortest_path(site_a, site_b)
-
-    def _grid_path(self, site_a: int, site_b: int) -> List[int]:
-        """L-shaped path on a lattice, built from coordinates (no graph search)."""
-        topology = self._topology
-        index = topology._coordinate_index()
-        row_a, col_a = topology.coordinate(site_a)
-        row_b, col_b = topology.coordinate(site_b)
-        path = [site_a]
-        row, col = row_a, col_a
-        while col != col_b:
-            col += 1 if col_b > col else -1
-            path.append(index[(row, col)])
-        while row != row_b:
-            row += 1 if row_b > row else -1
-            path.append(index[(row, col)])
-        return path

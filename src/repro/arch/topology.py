@@ -4,17 +4,15 @@ The paper evaluates NISQ machines with 2-D lattice nearest-neighbour
 connectivity, an ideal fully-connected machine (Figure 5), and
 fault-tolerant machines whose logical qubits sit on a 2-D grid with
 routing channels.  A :class:`Topology` provides sites, adjacency,
-coordinates and all-pairs distances used by the router and by the
-locality-aware allocation heuristic.
+coordinates and hop distances used by the router and by the
+locality-aware allocation heuristic.  Every machine is either a lattice
+or all-to-all, so each of these answers is plain coordinate arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ArchitectureError
 
@@ -22,39 +20,27 @@ Coordinate = Tuple[int, int]
 
 
 class Topology:
-    """A coupling graph over physical sites.
+    """Physical sites on a 2-D lattice or with all-to-all coupling.
+
+    Build one with :meth:`line`, :meth:`grid`, :meth:`square_grid_for` or
+    :meth:`fully_connected`.
 
     Args:
-        graph: Undirected connectivity graph whose nodes are site indices.
-        coordinates: Optional map from site to (row, column) used for
-            geometric distance estimates and braid routing.
+        coordinates: (row, column) of each site, indexed by site number.
         name: Human-readable topology name.
+        is_lattice: True for nearest-neighbour coupling on the coordinate
+            lattice, False for all-to-all coupling.
     """
 
-    def __init__(
-        self,
-        graph: "nx.Graph",
-        coordinates: Optional[Dict[int, Coordinate]] = None,
-        name: str = "custom",
-    ) -> None:
-        if graph.number_of_nodes() == 0:
-            raise ArchitectureError("topology must contain at least one site")
-        expected = set(range(graph.number_of_nodes()))
-        if set(graph.nodes) != expected:
-            raise ArchitectureError(
-                "topology sites must be numbered 0..N-1 contiguously"
-            )
-        if not nx.is_connected(graph):
-            raise ArchitectureError("topology must be connected")
+    def __init__(self, coordinates: Sequence[Coordinate], name: str,
+                 is_lattice: bool) -> None:
         self.name = name
-        self._graph = graph
-        self._coordinates = dict(coordinates) if coordinates else {
-            site: (0, site) for site in graph.nodes
+        self.is_lattice = is_lattice
+        self._coordinates: Tuple[Coordinate, ...] = tuple(coordinates)
+        self.num_sites = len(self._coordinates)
+        self._site_at: Dict[Coordinate, int] = {
+            coord: site for site, coord in enumerate(self._coordinates)
         }
-        # Per-source BFS results, filled lazily (avoids an O(N^2) table for
-        # the multi-thousand-site machines of Figures 9 and 10).
-        self._distance_cache: Dict[int, Dict[int, int]] = {}
-        self._grid_like = False  # set by the grid()/line() constructors
 
     # ------------------------------------------------------------------
     # Constructors
@@ -64,31 +50,16 @@ class Topology:
         """A 1-D chain of ``num_sites`` qubits."""
         if num_sites < 1:
             raise ArchitectureError("num_sites must be positive")
-        graph = nx.path_graph(num_sites)
-        coords = {site: (0, site) for site in range(num_sites)}
-        topology = cls(graph, coords, name=f"line-{num_sites}")
-        topology._grid_like = True
-        return topology
+        coords = [(0, site) for site in range(num_sites)]
+        return cls(coords, f"line-{num_sites}", is_lattice=True)
 
     @classmethod
     def grid(cls, rows: int, cols: int) -> "Topology":
         """A 2-D lattice with nearest-neighbour connectivity."""
         if rows < 1 or cols < 1:
             raise ArchitectureError("grid dimensions must be positive")
-        graph = nx.Graph()
-        coords: Dict[int, Coordinate] = {}
-        for row in range(rows):
-            for col in range(cols):
-                site = row * cols + col
-                graph.add_node(site)
-                coords[site] = (row, col)
-                if col > 0:
-                    graph.add_edge(site, site - 1)
-                if row > 0:
-                    graph.add_edge(site, site - cols)
-        topology = cls(graph, coords, name=f"grid-{rows}x{cols}")
-        topology._grid_like = True
-        return topology
+        coords = [(row, col) for row in range(rows) for col in range(cols)]
+        return cls(coords, f"grid-{rows}x{cols}", is_lattice=True)
 
     @classmethod
     def square_grid_for(cls, num_qubits: int) -> "Topology":
@@ -109,72 +80,77 @@ class Topology:
         """All-to-all connectivity (no routing cost)."""
         if num_sites < 1:
             raise ArchitectureError("num_sites must be positive")
-        graph = nx.complete_graph(num_sites)
         side = max(1, math.isqrt(num_sites))
-        coords = {site: divmod(site, side) for site in range(num_sites)}
-        return cls(graph, coords, name=f"full-{num_sites}")
-
-    @classmethod
-    def from_edges(cls, num_sites: int, edges: Iterable[Tuple[int, int]],
-                   name: str = "custom") -> "Topology":
-        """Build a topology from an explicit edge list."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_sites))
-        graph.add_edges_from(edges)
-        return cls(graph, name=name)
+        coords = [divmod(site, side) for site in range(num_sites)]
+        return cls(coords, f"full-{num_sites}", is_lattice=False)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
-    def num_sites(self) -> int:
-        """Number of physical sites."""
-        return self._graph.number_of_nodes()
-
-    @property
-    def graph(self) -> "nx.Graph":
-        """The underlying connectivity graph."""
-        return self._graph
-
-    @property
     def is_fully_connected(self) -> bool:
         """True when every pair of sites is directly coupled."""
-        n = self.num_sites
-        return self._graph.number_of_edges() == n * (n - 1) // 2
+        return not self.is_lattice or self.num_sites <= 2
 
     def coordinate(self, site: int) -> Coordinate:
         """(row, column) coordinate of ``site``."""
         self._check_site(site)
         return self._coordinates[site]
 
+    def site_at(self, coord: Coordinate) -> Optional[int]:
+        """The site at ``coord``, or None when no site sits there."""
+        return self._site_at.get(coord)
+
     def neighbors(self, site: int) -> Tuple[int, ...]:
         """Sites directly coupled to ``site``."""
         self._check_site(site)
-        return tuple(sorted(self._graph.neighbors(site)))
+        if not self.is_lattice:
+            return tuple(s for s in range(self.num_sites) if s != site)
+        row, col = self._coordinates[site]
+        around = ((row - 1, col), (row, col - 1), (row, col + 1),
+                  (row + 1, col))
+        return tuple(sorted(self._site_at[c] for c in around
+                            if c in self._site_at))
 
     def are_adjacent(self, a: int, b: int) -> bool:
-        """True when ``a`` and ``b`` are directly coupled (or identical)."""
-        if a == b:
-            return True
-        return self._graph.has_edge(a, b)
+        """True when ``a`` and ``b`` are directly coupled (or identical).
+
+        Sites outside the machine are never adjacent to anything.
+        """
+        if not (0 <= a < self.num_sites and 0 <= b < self.num_sites):
+            return False
+        return self.distance(a, b) <= 1
 
     def distance(self, a: int, b: int) -> int:
         """Hop distance between two sites (0 for the same site)."""
         self._check_site(a)
         self._check_site(b)
-        if a == b:
-            return 0
-        if self._graph.has_edge(a, b):
-            return 1
-        if self._grid_like:
-            return self.manhattan_distance(a, b)
-        return self._distance_from(a)[b]
+        if self.is_lattice:
+            row_a, col_a = self._coordinates[a]
+            row_b, col_b = self._coordinates[b]
+            return abs(row_a - row_b) + abs(col_a - col_b)
+        return 0 if a == b else 1
 
     def shortest_path(self, a: int, b: int) -> List[int]:
-        """One shortest site path from ``a`` to ``b`` inclusive."""
-        self._check_site(a)
-        self._check_site(b)
-        return nx.shortest_path(self._graph, a, b)
+        """One shortest site path from ``a`` to ``b`` inclusive.
+
+        On a lattice this is the L-shaped path that walks the column
+        first, then the row.
+        """
+        if not self.is_lattice:
+            self._check_site(a)
+            self._check_site(b)
+            return [a] if a == b else [a, b]
+        row, col = self.coordinate(a)
+        row_b, col_b = self.coordinate(b)
+        path = [a]
+        while col != col_b:
+            col += 1 if col_b > col else -1
+            path.append(self._site_at[(row, col)])
+        while row != row_b:
+            row += 1 if row_b > row else -1
+            path.append(self._site_at[(row, col)])
+        return path
 
     def manhattan_distance(self, a: int, b: int) -> int:
         """Coordinate (Manhattan) distance between two sites."""
@@ -192,34 +168,19 @@ class Topology:
         rows = [self.coordinate(s)[0] for s in sites]
         cols = [self.coordinate(s)[1] for s in sites]
         target = (sum(rows) / len(rows), sum(cols) / len(cols))
-        by_coordinate = self._coordinate_index()
         rounded = (int(round(target[0])), int(round(target[1])))
-        if rounded in by_coordinate:
-            return by_coordinate[rounded]
+        if rounded in self._site_at:
+            return self._site_at[rounded]
         best_site = sites[0]
         best_cost = float("inf")
-        for site, (row, col) in self._coordinates.items():
+        for site, (row, col) in enumerate(self._coordinates):
             cost = abs(row - target[0]) + abs(col - target[1])
             if cost < best_cost:
                 best_cost = cost
                 best_site = site
         return best_site
 
-    def _coordinate_index(self) -> Dict[Coordinate, int]:
-        index = getattr(self, "_coordinate_index_cache", None)
-        if index is None:
-            index = {coord: site for site, coord in self._coordinates.items()}
-            self._coordinate_index_cache = index
-        return index
-
     # ------------------------------------------------------------------
-    def _distance_from(self, source: int) -> Dict[int, int]:
-        cached = self._distance_cache.get(source)
-        if cached is None:
-            cached = nx.single_source_shortest_path_length(self._graph, source)
-            self._distance_cache[source] = cached
-        return cached
-
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.num_sites:
             raise ArchitectureError(

@@ -11,9 +11,6 @@ from repro.ir.classical_sim import (
 from repro.ir.dag import (
     ParallelismProfile,
     asap_layers,
-    build_dependency_dag,
-    critical_path,
-    interaction_graph,
     parallelism_profile,
 )
 from repro.ir.decompose import (
@@ -78,12 +75,10 @@ __all__ = [
     "Statement",
     "asap_layers",
     "bits_to_int",
-    "build_dependency_dag",
     "check_uncomputable",
     "clifford_t_counts",
     "cnot_count",
     "concatenate",
-    "critical_path",
     "decompose_circuit",
     "decompose_gate",
     "decompose_swap",
@@ -92,7 +87,6 @@ __all__ = [
     "flatten_program",
     "gate_spec",
     "int_to_bits",
-    "interaction_graph",
     "inverse_gate_name",
     "inverse_module",
     "invert_statements",

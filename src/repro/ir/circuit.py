@@ -3,7 +3,7 @@
 A :class:`Circuit` is the post-compilation representation: an ordered list
 of :class:`~repro.ir.gates.Gate` instances acting on integer qubit indices.
 It is the unit consumed by the classical reversible simulator, the
-state-vector simulator and the dependency-DAG analysis.
+state-vector simulator and the gate-parallelism analysis (:mod:`repro.ir.dag`).
 """
 
 from __future__ import annotations

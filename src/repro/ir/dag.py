@@ -1,40 +1,17 @@
-"""Dependency-DAG analysis of flat circuits.
+"""Gate-level parallelism of flat circuits.
 
 Gates that share a qubit are data-dependent; gates on disjoint qubits can
-run in parallel.  The DAG view provides circuit depth, the critical path,
-per-layer parallelism and an ASAP layering, all of which feed the gate
-scheduler and the evaluation metrics.
+run in parallel.  :func:`asap_layers` groups gates by earliest start and
+:func:`parallelism_profile` summarises the layer widths.  The circuit's
+critical-path length is :meth:`~repro.ir.circuit.Circuit.depth`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List
 
 from repro.ir.circuit import Circuit
-from repro.ir.gates import Gate
-
-
-def build_dependency_dag(circuit: Circuit) -> "nx.DiGraph":
-    """Build the gate dependency DAG.
-
-    Nodes are gate positions (integers); an edge u -> v means gate v must
-    run after gate u because they share at least one qubit and v appears
-    later in program order.  Only the most recent writer per qubit is
-    linked, so the graph is the transitive reduction along each wire.
-    """
-    graph = nx.DiGraph()
-    last_on_wire: Dict[int, int] = {}
-    for index, gate in enumerate(circuit):
-        graph.add_node(index, gate=gate)
-        predecessors = {last_on_wire[q] for q in gate.qubits if q in last_on_wire}
-        for pred in predecessors:
-            graph.add_edge(pred, index)
-        for q in gate.qubits:
-            last_on_wire[q] = index
-    return graph
 
 
 def asap_layers(circuit: Circuit) -> List[List[int]]:
@@ -56,14 +33,6 @@ def asap_layers(circuit: Circuit) -> List[List[int]]:
     for index, layer in layer_of.items():
         layers[layer].append(index)
     return layers
-
-
-def critical_path(circuit: Circuit) -> List[int]:
-    """Return gate indices along one longest dependency chain."""
-    graph = build_dependency_dag(circuit)
-    if graph.number_of_nodes() == 0:
-        return []
-    return nx.dag_longest_path(graph)
 
 
 @dataclass(frozen=True)
@@ -95,21 +64,3 @@ def parallelism_profile(circuit: Circuit) -> ParallelismProfile:
         max_width=max(len(layer) for layer in layers),
         average_width=total / len(layers),
     )
-
-
-def interaction_graph(circuit: Circuit) -> "nx.Graph":
-    """Weighted qubit-interaction graph (edge weight = #two-qubit gates)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
-    for gate in circuit:
-        if gate.num_qubits < 2:
-            continue
-        qubits: Tuple[int, ...] = gate.qubits
-        for i in range(len(qubits)):
-            for j in range(i + 1, len(qubits)):
-                a, b = qubits[i], qubits[j]
-                if graph.has_edge(a, b):
-                    graph[a][b]["weight"] += 1
-                else:
-                    graph.add_edge(a, b, weight=1)
-    return graph

@@ -24,8 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
-
 from repro.exceptions import IRError, QubitBindingError, ValidationError
 from repro.ir.gates import gate_spec
 
@@ -338,23 +336,6 @@ class Program:
         self.name = name or entry.name
 
     # ------------------------------------------------------------------
-    def call_graph(self) -> "nx.DiGraph":
-        """Return the static call graph (module name -> module name)."""
-        graph = nx.DiGraph()
-        seen = set()
-
-        def visit(module: QModule) -> None:
-            if id(module) in seen:
-                return
-            seen.add(id(module))
-            graph.add_node(module.name, module=module)
-            for child in module.child_modules():
-                graph.add_edge(module.name, child.name)
-                visit(child)
-
-        visit(self.entry)
-        return graph
-
     def modules(self) -> Tuple[QModule, ...]:
         """Every distinct module reachable from the entry, entry first."""
         ordered: List[QModule] = []
@@ -397,11 +378,25 @@ class Program:
         """Validate every module and check the call graph is acyclic."""
         for module in self.modules():
             module.validate()
-        graph = self.call_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValidationError(
-                f"program {self.name!r} has a cyclic (recursive) call graph"
-            )
+        # Modules are keyed by identity, not name: two distinct modules
+        # may share a name without calling each other.
+        finished = set()
+        on_stack = set()
+
+        def visit(module: QModule) -> None:
+            if id(module) in finished:
+                return
+            if id(module) in on_stack:
+                raise ValidationError(
+                    f"program {self.name!r} has a cyclic (recursive) call graph"
+                )
+            on_stack.add(id(module))
+            for child in module.child_modules():
+                visit(child)
+            on_stack.discard(id(module))
+            finished.add(id(module))
+
+        visit(self.entry)
 
     def __repr__(self) -> str:
         return f"Program({self.name!r}, modules={len(self.modules())})"

@@ -1,16 +1,10 @@
-"""Tests for Clifford+T decomposition and dependency-DAG analysis."""
+"""Tests for Clifford+T decomposition and gate-parallelism analysis."""
 
 import pytest
 
 from repro.exceptions import UnknownGateError
 from repro.ir.circuit import Circuit
-from repro.ir.dag import (
-    asap_layers,
-    build_dependency_dag,
-    critical_path,
-    interaction_graph,
-    parallelism_profile,
-)
+from repro.ir.dag import asap_layers, parallelism_profile
 from repro.ir.decompose import (
     clifford_t_counts,
     cnot_count,
@@ -78,20 +72,10 @@ class TestDag:
         circuit.x(0)
         return circuit
 
-    def test_dag_edges_follow_shared_qubits(self):
-        graph = build_dependency_dag(self._chain())
-        assert graph.has_edge(0, 1)
-        assert graph.has_edge(0, 2)
-        assert not graph.has_edge(1, 2)
-
     def test_asap_layers(self):
         layers = asap_layers(self._chain())
         assert layers[0] == [0]
         assert sorted(layers[1]) == [1, 2]
-
-    def test_critical_path_length_matches_depth(self):
-        circuit = self._chain()
-        assert len(critical_path(circuit)) == circuit.depth()
 
     def test_parallelism_profile(self):
         profile = parallelism_profile(self._chain())
@@ -99,16 +83,7 @@ class TestDag:
         assert profile.depth == 2
         assert profile.max_width == 2
 
-    def test_interaction_graph_weights(self):
-        circuit = Circuit(3)
-        circuit.cx(0, 1)
-        circuit.cx(0, 1)
-        circuit.ccx(0, 1, 2)
-        graph = interaction_graph(circuit)
-        assert graph[0][1]["weight"] == 3
-        assert graph[1][2]["weight"] == 1
-
     def test_empty_circuit(self):
         profile = parallelism_profile(Circuit(2))
         assert profile.depth == 0
-        assert critical_path(Circuit(2)) == []
+        assert Circuit(2).depth() == 0

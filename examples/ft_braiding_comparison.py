@@ -12,13 +12,8 @@ Run with:  python examples/ft_braiding_comparison.py
 
 from __future__ import annotations
 
-from repro import compile_program
+from repro import MachineSpec, Session
 from repro.analysis import format_table, normalized_aqv
-from repro.experiments.runner import (
-    compile_with_autosize,
-    ft_machine_factory,
-    nisq_machine_factory,
-)
 from repro.workloads import sha2_program
 
 
@@ -27,13 +22,16 @@ def main() -> None:
     print(f"SHA2 (word width 4, 2 rounds): {program.static_gate_count()} "
           f"forward gates, {len(program.modules())} modules\n")
 
-    for label, factory in (("NISQ lattice (swap chains)", nisq_machine_factory()),
-                           ("FT surface code (braiding)", ft_machine_factory())):
+    session = Session()
+    for label, machine in (
+            ("NISQ lattice (swap chains)",
+             MachineSpec.nisq_autosize(start_qubits=64)),
+            ("FT surface code (braiding)",
+             MachineSpec.ft_autosize(start_qubits=64))):
         results = {}
         rows = []
         for policy in ("lazy", "eager", "square"):
-            result = compile_with_autosize(program, policy, factory,
-                                           start_qubits=64)
+            result = session.compile(program, machine, policy)
             results[policy] = result
             rows.append({
                 "policy": policy,

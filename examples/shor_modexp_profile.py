@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import sys
 
-from repro import NISQMachine, compile_program
+from repro import MachineSpec, Session
 from repro.analysis import ascii_plot, format_table, usage_curve
-from repro.experiments.runner import compile_with_autosize, nisq_machine_factory
 from repro.workloads import modexp_program
 
 
@@ -25,11 +24,12 @@ def main(width: int = 3, exponent_bits: int = 3) -> None:
           f"{program.static_gate_count()} forward gates, "
           f"{len(program.modules())} modules, {program.num_levels()} levels\n")
 
+    session = Session()
+    machine = MachineSpec.nisq_autosize(start_qubits=64)
     curves = []
     rows = []
     for policy in ("eager", "lazy", "square"):
-        result = compile_with_autosize(program, policy, nisq_machine_factory(),
-                                       start_qubits=64)
+        result = session.compile(program, machine, policy)
         curves.append(usage_curve(result, label=policy))
         rows.append({
             "policy": policy,

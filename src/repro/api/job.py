@@ -269,10 +269,9 @@ def autosize_compile(program: Program,
                      max_qubits: int = 1 << 16) -> CompilationResult:
     """Compile, growing the machine until the program fits.
 
-    The single implementation of the paper's machine-size search, shared
-    by :func:`execute_job` (for autosizing specs) and the legacy
-    :func:`repro.experiments.runner.compile_with_autosize` helper: start
-    at ``max(start_qubits, entry params + 4)`` and double on
+    The single implementation of the paper's machine-size search, run
+    by :func:`execute_job` for autosizing specs: start at
+    ``max(start_qubits, entry params + 4)`` and double on
     :class:`~repro.exceptions.ResourceExhaustedError` up to ``max_qubits``
     (beyond which the error propagates).
 
@@ -464,9 +463,7 @@ class CompileJob:
 def execute_job(job: CompileJob) -> CompilationResult:
     """Run one job to completion (the worker-side entry point).
 
-    Autosizing specs run the shared :func:`autosize_compile` search, so
-    results are identical to the legacy
-    :func:`repro.experiments.runner.compile_with_autosize` helper.
+    Autosizing specs run the shared :func:`autosize_compile` search.
     """
     program = job.load_program()
     spec = job.machine
@@ -475,16 +472,6 @@ def execute_job(job: CompileJob) -> CompilationResult:
     return autosize_compile(program, spec.build, job.config,
                             start_qubits=spec.start_qubits,
                             max_qubits=spec.max_qubits)
-
-
-def execute_job_to_dict(job: CompileJob) -> Dict[str, object]:
-    """Execute a job and return the result in serialized form.
-
-    Shipping :meth:`~repro.core.result.CompilationResult.to_dict` output
-    between processes is cheaper than pickling the nested dataclasses,
-    especially with ``record_schedule=False`` where the dict is tiny.
-    """
-    return execute_job(job).to_dict()
 
 
 def job_failure(job: CompileJob, error: Exception) -> JobFailure:

@@ -65,10 +65,6 @@ class Layout:
             if site not in self._virtual_at
         )
 
-    def occupied_sites(self) -> Tuple[int, ...]:
-        """Sites currently holding a virtual qubit."""
-        return tuple(sorted(self._virtual_at))
-
     # ------------------------------------------------------------------
     def place(self, virtual: int, site: int) -> None:
         """Assign ``virtual`` to an empty ``site``.

@@ -55,13 +55,6 @@ class AllocationPolicy(abc.ABC):
     def allocate(self, request: AllocationRequest) -> List[int]:
         """Return ``request.count`` virtual qubit ids, allocating as needed."""
 
-    def _new_qubit_on_free_site(self, request: AllocationRequest,
-                                anchors: Sequence[int]) -> int:
-        """Create a fresh qubit on the free site nearest to ``anchors``."""
-        layout = request.scheduler.layout
-        site = layout.nearest_free_site(anchors)
-        return request.create_qubit(site)
-
 
 class LifoAllocation(AllocationPolicy):
     """Baseline allocation: pop the heap LIFO, else take the next free site.

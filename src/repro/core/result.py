@@ -9,7 +9,7 @@ from repro.core.cost_model import ReclamationCosts
 from repro.ir.circuit import Circuit
 from repro.ir.gates import make_gate
 from repro.scheduler.events import ScheduledGate
-from repro.scheduler.tracker import UsageSegment
+from repro.scheduler.tracker import UsageSegment, usage_series
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,7 @@ class CompilationResult:
 
     def usage_series(self) -> List[Tuple[int, int]]:
         """Piecewise-constant (time, live qubits) curve (Figure 1)."""
-        events: List[Tuple[int, int]] = []
-        for segment in self.usage_segments:
-            if segment.duration <= 0:
-                continue
-            events.append((segment.start, 1))
-            events.append((segment.end, -1))
-        events.sort()
-        series: List[Tuple[int, int]] = [(0, 0)]
-        live = 0
-        for time, delta in events:
-            live += delta
-            if series and series[-1][0] == time:
-                series[-1] = (time, live)
-            else:
-                series.append((time, live))
-        return series
+        return usage_series(self.usage_segments)
 
     def to_circuit(self, physical: bool = False) -> Circuit:
         """Rebuild the scheduled gate stream as a flat :class:`Circuit`.

@@ -18,13 +18,8 @@ from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentResult,
     benchmark_overrides,
-    compile_on_machine,
-    compile_policy_suite,
-    compile_with_autosize,
-    ft_machine_factory,
     get_session,
     load_scaled_benchmark,
-    nisq_machine_factory,
 )
 
 #: Registry of experiment runners keyed by the figure/table they regenerate.
@@ -45,11 +40,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "benchmark_overrides",
-    "compile_on_machine",
-    "compile_policy_suite",
-    "compile_with_autosize",
-    "ft_machine_factory",
     "get_session",
     "load_scaled_benchmark",
-    "nisq_machine_factory",
 ]

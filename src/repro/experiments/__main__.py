@@ -1,13 +1,27 @@
-"""Command-line entry point: ``python -m repro.experiments <name> [...]``.
+"""Command-line entry point: ``python -m repro.experiments <command> [...]``.
 
-All commands compile through one shared :class:`~repro.api.Session`, so
+Each command is an argparse subcommand that declares only the flags it
+reads, so ``python -m repro.experiments <command> --help`` lists them and
+a flag given to a command that would ignore it is a usage error.  The
+commands:
+
+* the nine tables/figures of the paper and ``all`` of them;
+* ``sweep``, ``compile`` and ``verify`` for ad-hoc jobs (``verify``
+  exits non-zero on any static-checker finding), ``profile`` for a
+  per-phase profile of fresh compiles, and ``tune`` to search the
+  policy space;
+* ``serve`` to expose a session over HTTP (see :mod:`repro.service`),
+  and ``cluster-sweep``, ``cluster-stats``, ``metrics``, ``trace`` and
+  ``logs`` to drive or inspect one server or a fleet of them;
+* ``bench list|compare|trend`` over the ``BENCH_*.json`` trajectory
+  (``compare`` exits non-zero on a regression).
+
+Local commands compile through one shared :class:`~repro.api.Session`, so
 ``--jobs N`` parallelises any experiment across N worker processes and
-overlapping experiments (e.g. ``all``) reuse each other's results.
-
-With ``--cache-dir`` the session is backed by a persistent
+overlapping experiments (e.g. ``all``) reuse each other's results.  With
+``--cache-dir`` the session is backed by a persistent
 :class:`~repro.service.cache.DiskCache`, so rerunning a sweep after a
-process restart serves repeated jobs from disk instead of recompiling;
-``serve`` exposes the same session over HTTP (see :mod:`repro.service`).
+process restart serves repeated jobs from disk instead of recompiling.
 
 Examples::
 
@@ -66,19 +80,27 @@ def _machine_spec(args: argparse.Namespace) -> MachineSpec:
                        start_qubits=args.start_qubits)
 
 
-def _run_experiment(name: str, session: Session,
-                    args: argparse.Namespace) -> tuple[str, list]:
-    runner, formatter = EXPERIMENTS[name]
-    kwargs = {"session": session}
-    if name in ("figure1", "figure9", "figure10"):
-        kwargs["scale"] = args.scale
-    if name == "figure8c":
-        kwargs["shots"] = args.shots
-    started = time.perf_counter()
-    experiment = runner(**kwargs)
-    elapsed = time.perf_counter() - started
-    text = formatter(experiment) + f"\n[{name} completed in {elapsed:.1f}s]\n"
-    return text, experiment.rows
+def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
+    """The benchmark x policy grid of `sweep`, `verify`, `cluster-sweep`."""
+    return SweepSpec(
+        benchmarks=tuple(args.benchmarks) or tuple(benchmark_names()),
+        machines=(_machine_spec(args),),
+        policies=tuple(args.policies or DEFAULT_POLICIES),
+        scales=(args.scale,),
+    )
+
+
+def _session(args: argparse.Namespace, verify: bool = False) -> Session:
+    return Session(jobs=args.jobs, cache_dir=args.cache_dir, verify=verify)
+
+
+def _export(rows: list, path: str | None) -> None:
+    """Write ``rows`` to ``--export PATH`` when one was given."""
+    if path:
+        from repro.analysis.report import export_rows
+
+        export_rows(rows, path=path)
+        print(f"[exported {len(rows)} rows to {path}]")
 
 
 def _cache_note(session: Session) -> str:
@@ -88,37 +110,133 @@ def _cache_note(session: Session) -> str:
     return f", {session.disk_hits} disk hits"
 
 
-def _run_sweep(session: Session, args: argparse.Namespace) -> tuple[str, list]:
-    benchmarks = tuple(args.names) or tuple(benchmark_names())
-    spec = SweepSpec(
-        benchmarks=benchmarks,
-        machines=(_machine_spec(args),),
-        policies=tuple(args.policies or DEFAULT_POLICIES),
-        scales=(args.scale,),
-    )
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """Regenerate one table/figure, or `all` of them in name order."""
+    session = _session(args)
+    names = sorted(EXPERIMENTS) if args.command == "all" else [args.command]
+    exported: list = []
+    for name in names:
+        runner, formatter = EXPERIMENTS[name]
+        kwargs = {"session": session}
+        if name in ("figure1", "figure9", "figure10"):
+            kwargs["scale"] = args.scale
+        if name == "figure8c":
+            kwargs["shots"] = args.shots
+        started = time.perf_counter()
+        experiment = runner(**kwargs)
+        elapsed = time.perf_counter() - started
+        print(formatter(experiment)
+              + f"\n[{name} completed in {elapsed:.1f}s]\n")
+        exported.extend(experiment.rows)
+    _export(exported, args.export)
+    return 0
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    session = _session(args)
+    spec = _sweep_spec(args)
     started = time.perf_counter()
     sweep = session.run(spec)
     elapsed = time.perf_counter() - started
-    title = (f"Sweep: {len(benchmarks)} benchmark(s) x "
+    title = (f"Sweep: {len(spec.benchmarks)} benchmark(s) x "
              f"{len(spec.policies)} policy(ies) at scale {args.scale}")
-    text = (sweep.table(title)
-            + f"\n[{len(sweep)} jobs completed in {elapsed:.1f}s, "
-            f"{sweep.cache_hits} cache hits{_cache_note(session)}]\n")
-    return text, sweep.rows()
+    print(sweep.table(title)
+          + f"\n[{len(sweep)} jobs completed in {elapsed:.1f}s, "
+          f"{sweep.cache_hits} cache hits{_cache_note(session)}]\n")
+    _export(sweep.rows(), args.export)
+    return 0
 
 
-def _run_cluster_sweep(args: argparse.Namespace) -> tuple[str, list]:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """Compile and statically verify; non-zero exit on any finding."""
+    session = _session(args, verify=True)
+    # Gate-stream rules (RV001-RV003) need the recorded schedule; force
+    # it on so `verify` never silently runs at reduced coverage.
+    spec = _sweep_spec(args).with_config(record_schedule=True)
+    started = time.perf_counter()
+    sweep = session.run(spec)
+    elapsed = time.perf_counter() - started
+    bad = sweep.verification_failures()
+    title = (f"Verify: {len(spec.benchmarks)} benchmark(s) x "
+             f"{len(spec.policies)} policy(ies) at scale {args.scale}")
+    text = sweep.table(title)
+    for entry in bad:
+        text += f"\n{entry.verification.summary()}\n"
+        for diagnostic in entry.verification.findings:
+            text += f"  {diagnostic.describe()}\n"
+    checked = sum(entry.verification.checked_gates for entry in sweep
+                  if entry.verification is not None)
+    findings = sum(len(entry.verification.findings) for entry in bad)
+    print(text + f"\n[{len(sweep)} result(s) verified in {elapsed:.1f}s: "
+          f"{checked} gates checked, {findings} finding(s)"
+          f"{_cache_note(session)}]\n")
+    _export(sweep.rows(), args.export)
+    return 1 if bad else 0
+
+
+def _cmd_compile(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_comparison
+    from repro.api import CompileJob
+    from repro.workloads.registry import benchmark_overrides
+
+    session = _session(args)
+    policies = tuple(args.policies or ["square"])
+    machine = _machine_spec(args)
+    overrides = benchmark_overrides(args.benchmark, args.scale)
+    sweep = session.run([
+        CompileJob.for_benchmark(args.benchmark, machine, policy,
+                                 overrides=overrides)
+        for policy in policies
+    ])
+    # Same row schema as `sweep`, so --export output from the two
+    # commands concatenates and diffs cleanly.
+    rows = sweep.rows()
+    print(format_comparison(
+        f"compile {args.benchmark} under {', '.join(policies)}", rows)
+        + f"\n[{len(sweep)} jobs, {sweep.cache_hits} cache hits"
+        f"{_cache_note(session)}]\n")
+    _export(rows, args.export)
+    return 0
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    """Profile fresh in-process compiles of the named benchmarks."""
+    from repro.profile import profile_benchmarks
+
+    benchmarks = tuple(args.benchmarks) or tuple(benchmark_names())
+    policies = tuple(args.policies or ["square"])
+    started = time.perf_counter()
+    report = profile_benchmarks(benchmarks, _machine_spec(args),
+                                policies=policies, scale=args.scale)
+    elapsed = time.perf_counter() - started
+    title = (f"Compile-path profile: {len(benchmarks)} benchmark(s) x "
+             f"{len(policies)} policy(ies) at scale {args.scale}")
+    print(report.table(title)
+          + f"[{len(report)} fresh compile(s) profiled in "
+          f"{elapsed:.1f}s]\n")
+    _export(report.hotspots(), args.export)
+    return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import serve
+
+    serve(args.host, args.port, jobs=args.jobs,
+          cache_dir=args.cache_dir,
+          cache_max_bytes=args.cache_max_bytes,
+          workers=args.workers, queue_size=args.queue_size,
+          tenants=args.tenants, store_dir=args.store_dir,
+          burst_half_life=args.burst_half_life,
+          verify=args.verify, log_path=args.log_path)
+    return 0
+
+
+def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
     """Shard a sweep across the given service endpoints, streaming
     per-entry progress lines as workers finish jobs."""
     from repro.cluster import ClusterCoordinator
 
-    benchmarks = tuple(args.names) or tuple(benchmark_names())
-    spec = SweepSpec(
-        benchmarks=benchmarks,
-        machines=(_machine_spec(args),),
-        policies=tuple(args.policies or DEFAULT_POLICIES),
-        scales=(args.scale,),
-    )
+    spec = _sweep_spec(args)
     total = len(spec)
 
     def progress(index: int, entry) -> None:
@@ -134,18 +252,19 @@ def _run_cluster_sweep(args: argparse.Namespace) -> tuple[str, list]:
     sweep = coordinator.run(spec, on_entry=progress)
     elapsed = time.perf_counter() - started
     fleet = coordinator.stats()
-    title = (f"Cluster sweep: {len(benchmarks)} benchmark(s) x "
+    title = (f"Cluster sweep: {len(spec.benchmarks)} benchmark(s) x "
              f"{len(spec.policies)} policy(ies) at scale {args.scale} "
              f"across {fleet['topology']['registered']} worker(s)")
-    text = (sweep.table(title)
-            + f"\n[{len(sweep)} jobs completed in {elapsed:.1f}s, "
-            f"{fleet['rounds_run']} dispatch round(s), "
-            f"{fleet['redispatched_jobs']} re-dispatched, "
-            f"{fleet['topology']['alive']} worker(s) alive]\n")
-    return text, sweep.rows()
+    print(sweep.table(title)
+          + f"\n[{len(sweep)} jobs completed in {elapsed:.1f}s, "
+          f"{fleet['rounds_run']} dispatch round(s), "
+          f"{fleet['redispatched_jobs']} re-dispatched, "
+          f"{fleet['topology']['alive']} worker(s) alive]\n")
+    _export(sweep.rows(), args.export)
+    return 0
 
 
-def _run_tune(args: argparse.Namespace) -> tuple[str, list]:
+def _cmd_tune(args: argparse.Namespace) -> int:
     """Search the policy/config space for the given benchmarks."""
     from repro.exceptions import TunerError
     from repro.tuner import (
@@ -157,9 +276,6 @@ def _run_tune(args: argparse.Namespace) -> tuple[str, list]:
         TuningRun,
     )
 
-    if not args.names:
-        raise SystemExit("tune needs benchmark names, e.g. "
-                         "`python -m repro.experiments tune RD53 MUL32`")
     scales = tuple(args.scales or ("quick", "laptop"))
     if args.strategy == "grid":
         strategy = GridSearch(scale=scales[-1])
@@ -176,7 +292,7 @@ def _run_tune(args: argparse.Namespace) -> tuple[str, list]:
         backend = ClusterCoordinator(args.endpoint, api_key=args.api_key)
         backend_label = f"{len(args.endpoint)}-worker cluster"
     else:
-        backend = Session(jobs=args.jobs, cache_dir=args.cache_dir)
+        backend = _session(args)
         backend_label = "local session"
 
     def progress(record: dict) -> None:
@@ -191,7 +307,7 @@ def _run_tune(args: argparse.Namespace) -> tuple[str, list]:
         SearchSpace.policy_space(),
         MultiObjective(*(args.objective or ["aqv"])),
         strategy,
-        args.names,
+        args.benchmarks,
         machine=_machine_spec(args),
         backend=backend,
         journal_path=args.journal,
@@ -207,7 +323,7 @@ def _run_tune(args: argparse.Namespace) -> tuple[str, list]:
         # Per-trial failure is a structured outcome, not a crash: the
         # leaderboard (with its error column) is still worth printing.
         best = None
-    title = (f"Tuning leaderboard: {len(args.names)} benchmark(s), "
+    title = (f"Tuning leaderboard: {len(args.benchmarks)} benchmark(s), "
              f"{args.strategy} over {len(run.space)} candidate(s) "
              f"via {backend_label}")
     text = (report.table(title)
@@ -237,10 +353,11 @@ def _run_tune(args: argparse.Namespace) -> tuple[str, list]:
 
             export_rows(report.leaderboard_rows(), path=args.export)
         text += f"[leaderboard exported to {args.export}]\n"
-    return text, report.leaderboard_rows()
+    print(text)
+    return 0
 
 
-def _run_cluster_stats(args: argparse.Namespace) -> str:
+def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     """Aggregate `/stats` across a fleet of compile servers."""
     from repro.analysis.report import format_comparison
     from repro.cluster import ClusterTopology
@@ -284,30 +401,41 @@ def _run_cluster_stats(args: argparse.Namespace) -> str:
             if not worker.get("reachable")]
     for worker in down:
         text += f"[{worker['url']} unreachable: {worker['error']}]\n"
-    return text
+    print(text)
+    return 0
 
 
-def _run_metrics(args: argparse.Namespace) -> str:
+def _cmd_metrics(args: argparse.Namespace) -> int:
     """Scrape `/metrics` from one server, or a merged fleet exposition.
 
     One ``--endpoint`` prints the worker's exposition verbatim (pipe it
     straight into promtool or a file_sd scrape); several endpoints
     print :meth:`~repro.cluster.ClusterTopology.fleet_metrics` — every
     sample gains a ``worker`` label plus a synthesized
-    ``repro_worker_up`` gauge per endpoint.
+    ``repro_worker_up`` gauge per endpoint.  No print()-added newline:
+    the exposition already ends with exactly one.
     """
     if len(args.endpoint) == 1:
         from repro.service.client import ServiceClient
 
-        return ServiceClient(args.endpoint[0],
+        text = ServiceClient(args.endpoint[0],
                              api_key=args.api_key).metrics_text()
-    from repro.cluster import ClusterTopology
+    else:
+        from repro.cluster import ClusterTopology
 
-    return ClusterTopology(args.endpoint,
-                           api_key=args.api_key).fleet_metrics()
+        text = ClusterTopology(args.endpoint,
+                               api_key=args.api_key).fleet_metrics()
+    sys.stdout.write(text)
+    return 0
 
 
-def _run_trace(args: argparse.Namespace) -> tuple[str, int]:
+def _report_unreachable(payload: dict) -> None:
+    for url, worker in sorted(payload.get("workers", {}).items()):
+        if not worker.get("reachable"):
+            print(f"[{url} unreachable: {worker.get('error')}]", flush=True)
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
     """Fetch one trace's spans + events and render the ASCII waterfall.
 
     One ``--endpoint`` renders that worker's view of the trace; several
@@ -321,7 +449,7 @@ def _run_trace(args: argparse.Namespace) -> tuple[str, int]:
     from repro.exceptions import ServiceError
     from repro.telemetry import render_waterfall
 
-    trace_id = args.names[0]
+    trace_id = args.trace_id
     if len(args.endpoint) == 1:
         from repro.service.client import ServiceClient
 
@@ -337,19 +465,17 @@ def _run_trace(args: argparse.Namespace) -> tuple[str, int]:
         topology = ClusterTopology(args.endpoint, api_key=args.api_key)
         payload = topology.fleet_trace(trace_id)
         spans = payload.get("spans") or []
-        for url, worker in sorted(payload.get("workers", {}).items()):
-            if not worker.get("reachable"):
-                print(f"[{url} unreachable: {worker.get('error')}]",
-                      flush=True)
+        _report_unreachable(payload)
         events = topology.fleet_logs(trace_id).get("events") or []
     if not spans and not events:
         print(f"[trace {trace_id}: no spans or events recorded on any "
               f"endpoint]", file=sys.stderr)
-        return "", 1
-    return render_waterfall(spans, events=events), 0
+        return 1
+    sys.stdout.write(render_waterfall(spans, events=events))
+    return 0
 
 
-def _run_logs(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_logs(args: argparse.Namespace) -> int:
     """Fetch structured log events from one server or a merged fleet.
 
     One ``--endpoint`` queries that worker's ``GET /logs``; several
@@ -378,11 +504,13 @@ def _run_logs(args: argparse.Namespace) -> tuple[str, int]:
         payload = ClusterTopology(args.endpoint,
                                   api_key=args.api_key).fleet_logs(
                                       trace, **filters)
-        for url, worker in sorted(payload.get("workers", {}).items()):
-            if not worker.get("reachable"):
-                print(f"[{url} unreachable: {worker.get('error')}]",
-                      flush=True)
+        _report_unreachable(payload)
     events = payload.get("events") or []
+    if not events:
+        scope = f"trace {args.trace}" if args.trace else "the given filters"
+        print(f"[no log events recorded for {scope} on any endpoint]",
+              file=sys.stderr)
+        return 1 if args.trace else 0
     lines = []
     for record in events:
         line = format_event(LogEvent.from_dict(record))
@@ -390,15 +518,11 @@ def _run_logs(args: argparse.Namespace) -> tuple[str, int]:
         if worker:
             line += f" worker={worker}"
         lines.append(line)
-    if not events:
-        scope = f"trace {args.trace}" if args.trace else "the given filters"
-        print(f"[no log events recorded for {scope} on any endpoint]",
-              file=sys.stderr)
-        return "", 1 if args.trace else 0
-    return "\n".join(lines) + f"\n[{len(events)} event(s)]\n", 0
+    sys.stdout.write("\n".join(lines) + f"\n[{len(events)} event(s)]\n")
+    return 0
 
 
-def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_bench(args: argparse.Namespace) -> int:
     """The benchmark-trajectory commands: list, compare, trend.
 
     ``list`` surveys the history journal; ``compare`` gates the current
@@ -410,9 +534,8 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
     from repro.analysis.report import format_comparison
     from repro.exceptions import BenchError
 
-    action = args.names[0]
     history = args.history or bench.HISTORY_DIR
-    if action == "list":
+    if args.action == "list":
         rows = []
         for suite in bench.list_suites(history):
             journal = bench.read_history(history, suite)
@@ -424,21 +547,24 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
                 "latest": records[-1]["generated_at"] if records else "-",
             })
         if not rows:
-            return f"[no bench history under {history}]\n", 0
-        return format_comparison(
+            sys.stdout.write(f"[no bench history under {history}]\n")
+            return 0
+        sys.stdout.write(format_comparison(
             f"bench history: {len(rows)} suite(s) under {history}", rows,
-            columns=["suite", "runs", "torn", "latest"]), 0
+            columns=["suite", "runs", "torn", "latest"]))
+        return 0
     if not args.suite:
-        raise SystemExit(f"bench {action} needs --suite, e.g. "
-                         f"`python -m repro.experiments bench {action} "
+        raise SystemExit(f"bench {args.action} needs --suite, e.g. "
+                         f"`python -m repro.experiments bench {args.action} "
                          f"--suite telemetry`")
-    if action == "trend":
+    if args.action == "trend":
         journal = bench.read_history(history, args.suite)
         text = bench.render_trend(args.suite, journal["records"],
                                   metrics=args.metric)
         if journal["torn_lines"]:
             text += f"[{journal['torn_lines']} torn line(s) skipped]\n"
-        return text, 0
+        sys.stdout.write(text)
+        return 0
     # compare: current snapshot vs the newest history record (or an
     # explicit --baseline snapshot).
     current_path = args.bench_file or f"BENCH_{args.suite}.json"
@@ -457,476 +583,246 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
         report = bench.compare(baseline, current)
     except BenchError as error:
         print(f"[bench compare failed: {error}]", file=sys.stderr)
-        return "", 2
-    return bench.render_compare(report), 0 if report["ok"] else 1
+        return 2
+    sys.stdout.write(bench.render_compare(report))
+    return 0 if report["ok"] else 1
 
 
-def _run_profile(args: argparse.Namespace) -> tuple[str, list]:
-    """Profile fresh in-process compiles of the named benchmarks."""
-    from repro.profile import profile_benchmarks
-
-    benchmarks = tuple(args.names) or tuple(benchmark_names())
-    policies = tuple(args.policies or ["square"])
-    started = time.perf_counter()
-    report = profile_benchmarks(benchmarks, _machine_spec(args),
-                                policies=policies, scale=args.scale)
-    elapsed = time.perf_counter() - started
-    title = (f"Compile-path profile: {len(benchmarks)} benchmark(s) x "
-             f"{len(policies)} policy(ies) at scale {args.scale}")
-    text = (report.table(title)
-            + f"[{len(report)} fresh compile(s) profiled in "
-            f"{elapsed:.1f}s]\n")
-    return text, report.hotspots()
+def _count(minimum: int):
+    """An argparse type for integer counts of at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return count
 
 
-def _run_verify(session: Session,
-                args: argparse.Namespace) -> tuple[str, list, int]:
-    """Compile and statically verify; non-zero exit on any finding."""
-    benchmarks = tuple(args.names) or tuple(benchmark_names())
-    # Gate-stream rules (RV001-RV003) need the recorded schedule; force
-    # it on so `verify` never silently runs at reduced coverage.
-    spec = SweepSpec(
-        benchmarks=benchmarks,
-        machines=(_machine_spec(args),),
-        policies=tuple(args.policies or DEFAULT_POLICIES),
-        scales=(args.scale,),
-    ).with_config(record_schedule=True)
-    started = time.perf_counter()
-    sweep = session.run(spec)
-    elapsed = time.perf_counter() - started
-    bad = sweep.verification_failures()
-    title = (f"Verify: {len(benchmarks)} benchmark(s) x "
-             f"{len(spec.policies)} policy(ies) at scale {args.scale}")
-    text = sweep.table(title)
-    for entry in bad:
-        text += f"\n{entry.verification.summary()}\n"
-        for diagnostic in entry.verification.findings:
-            text += f"  {diagnostic.describe()}\n"
-    checked = sum(entry.verification.checked_gates for entry in sweep
-                  if entry.verification is not None)
-    findings = sum(len(entry.verification.findings) for entry in bad)
-    text += (f"\n[{len(sweep)} result(s) verified in {elapsed:.1f}s: "
-             f"{checked} gates checked, {findings} finding(s)"
-             f"{_cache_note(session)}]\n")
-    return text, sweep.rows(), 1 if bad else 0
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: a flag group several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
-def _run_compile(session: Session, args: argparse.Namespace) -> tuple[str, list]:
-    if not args.names:
-        raise SystemExit("compile needs a benchmark name, e.g. "
-                         "`python -m repro.experiments compile RD53`")
-    if len(args.names) > 1:
-        raise SystemExit("compile takes one benchmark; use `sweep` for "
-                         "several")
-    benchmark = args.names[0]
-    policies = tuple(args.policies or ["square"])
-    from repro.workloads.registry import benchmark_overrides
-    from repro.api import CompileJob
-
-    machine = _machine_spec(args)
-    overrides = benchmark_overrides(benchmark, args.scale)
-    sweep = session.run([
-        CompileJob.for_benchmark(benchmark, machine, policy,
-                                 overrides=overrides)
-        for policy in policies
-    ])
-    # Same row schema as `sweep`, so --export output from the two
-    # commands concatenates and diffs cleanly.
-    rows = sweep.rows()
-    from repro.analysis.report import format_comparison
-
-    text = format_comparison(
-        f"compile {benchmark} under {', '.join(policies)}", rows)
-    text += f"\n[{len(sweep)} jobs, {sweep.cache_hits} cache hits" \
-            f"{_cache_note(session)}]\n"
-    return text, rows
+def _fleet_flags(required: bool) -> argparse.ArgumentParser:
+    """``--endpoint`` (repeatable) and ``--api-key`` for fleet commands."""
+    fleet = _flags()
+    fleet.add_argument("--endpoint", action="append", metavar="URL",
+                       required=required,
+                       help="compile-server URL; repeat for each worker "
+                            "in the fleet")
+    fleet.add_argument("--api-key", metavar="KEY",
+                       help="tenant API key sent as X-Repro-Key")
+    return fleet
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser():
+    """The CLI parser and its subcommand action (one per command)."""
+    local = _flags()
+    local.add_argument("--jobs", type=_count(1), default=1, metavar="N",
+                       help="worker processes for compilation (1 = serial)")
+    local.add_argument("--cache-dir", metavar="DIR",
+                       help="persistent result cache directory; repeated "
+                            "jobs are served from disk across runs")
+    export = _flags()
+    export.add_argument("--export", metavar="PATH",
+                        help="write result rows to PATH (.json or .csv)")
+    scale = _flags()
+    scale.add_argument("--scale", default="laptop", choices=list(SCALES),
+                       help="benchmark size scale for the large benchmarks")
+    machine = _flags()
+    machine.add_argument("--machine", default="nisq",
+                         choices=["nisq", "nisq-full", "ft", "ideal"],
+                         help="machine kind")
+    machine.add_argument("--machine-qubits", type=_count(1), metavar="N",
+                         help="fixed machine size (default: autosize)")
+    machine.add_argument("--grid", nargs=2, type=int,
+                         metavar=("ROWS", "COLS"),
+                         help="explicit lattice dimensions (nisq, ft)")
+    machine.add_argument("--start-qubits", type=int, default=64,
+                         metavar="N",
+                         help="initial machine size when autosizing")
+    sweep = _flags(machine, scale)
+    sweep.add_argument("--policies", "--policy", nargs="+", metavar="POLICY",
+                      help="policy presets (default: "
+                           f"{' '.join(DEFAULT_POLICIES)}; square for "
+                           "`compile` and `profile`)")
+    fleet = _fleet_flags(required=True)
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the tables and figures of the SQUARE paper, "
-                    "or run ad-hoc sweeps, through the repro.api service.",
+                    "or run ad-hoc sweeps, through the repro.api service. "
+                    "`<command> --help` lists the flags of one command.",
     )
-    parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["all", "sweep",
-                                                       "compile", "verify",
-                                                       "serve",
-                                                       "cluster-sweep",
-                                                       "tune",
-                                                       "cluster-stats",
-                                                       "metrics",
-                                                       "trace",
-                                                       "logs",
-                                                       "bench",
-                                                       "profile"],
-                        help="which table/figure to regenerate, `sweep` / "
-                             "`compile` for ad-hoc jobs, `verify` to "
-                             "compile and statically check results "
-                             "(non-zero exit on findings), `serve` to "
-                             "expose the session over HTTP, `cluster-sweep` "
-                             "to shard a sweep across running servers, "
-                             "`tune` to auto-search the policy space, "
-                             "`cluster-stats` to aggregate fleet telemetry, "
-                             "`metrics` to scrape the Prometheus "
-                             "exposition from one server or a whole fleet, "
-                             "`trace` to render a trace id's span "
-                             "waterfall (log events interleaved), `logs` "
-                             "to query structured events from one server "
-                             "or a merged fleet, `bench` to "
-                             "list/compare/trend the BENCH_*.json "
-                             "trajectory (compare exits non-zero on a "
-                             "regression), or `profile` to profile the "
-                             "compile path per phase")
-    parser.add_argument("names", nargs="*",
-                        help="benchmark names for `sweep`/`verify`/"
-                             "`profile` (default: all) and `compile`, "
-                             "the trace id for `trace`, or the action "
-                             "(list, compare, trend) for `bench`")
-    parser.add_argument("--scale", default="laptop", choices=list(SCALES),
-                        help="benchmark size scale for the large benchmarks")
-    parser.add_argument("--shots", type=int, default=2048,
-                        help="shots for the noise-simulation experiment")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for compilation (1 = serial)")
-    parser.add_argument("--export", metavar="PATH",
-                        help="write result rows to PATH (.json or .csv)")
-    parser.add_argument("--policies", "--policy", nargs="+", metavar="POLICY",
-                        help="policy presets for `sweep`/`compile`/"
-                             "`profile` "
-                             f"(default: {' '.join(DEFAULT_POLICIES)})")
-    parser.add_argument("--machine", default="nisq",
-                        choices=["nisq", "nisq-full", "ft", "ideal"],
-                        help="machine kind for `sweep`/`compile`")
-    parser.add_argument("--machine-qubits", type=int, metavar="N",
-                        help="fixed machine size (default: autosize)")
-    parser.add_argument("--grid", nargs=2, type=int, metavar=("ROWS", "COLS"),
-                        help="explicit lattice dimensions (NISQ/FT)")
-    parser.add_argument("--start-qubits", type=int, default=64, metavar="N",
-                        help="initial machine size when autosizing")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="persistent result cache directory; repeated "
-                             "jobs are served from disk across runs")
-    parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                        help="bind address for `serve`")
-    parser.add_argument("--port", type=int, default=8731, metavar="PORT",
-                        help="TCP port for `serve` (0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker threads draining the job queue "
-                             "(`serve` only)")
-    parser.add_argument("--queue-size", type=int, default=64, metavar="N",
-                        help="job queue capacity before submissions get a "
-                             "503 back-pressure error (`serve` only)")
-    parser.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
-                        help="disk cache size cap; overflow evicts "
-                             "least-recently-used results (`serve` only)")
-    parser.add_argument("--tenants", metavar="PATH",
-                        help="tenant registry JSON file (API keys, roles, "
-                             "quotas) for `serve`; keyless requests map to "
-                             "the anonymous tenant")
-    parser.add_argument("--store-dir", metavar="DIR",
-                        help="durable job-journal directory for `serve`; "
-                             "restarting on the same directory resumes "
-                             "queued work and re-serves finished results")
-    parser.add_argument("--burst-half-life", type=float, default=None,
-                        metavar="SECONDS",
-                        help="fair-share burst-score half-life for `serve` "
-                             "(default 30; lower forgives floods faster)")
-    parser.add_argument("--verify", action="store_true",
-                        help="run the static compilation verifier over "
-                             "every result (`serve` only; job payloads "
-                             "carry the verification report)")
-    parser.add_argument("--log-path", metavar="PATH",
-                        help="rotating JSONL event-log sink for `serve` "
-                             "(the in-memory ring and GET /logs work "
-                             "either way)")
-    parser.add_argument("--api-key", metavar="KEY",
-                        help="tenant API key sent as X-Repro-Key by "
-                             "`cluster-sweep`, `cluster-stats`, `metrics`, "
-                             "`trace`, `logs` and `tune`")
-    parser.add_argument("--endpoint", action="append", metavar="URL",
-                        help="compile-server URL for `cluster-sweep`, "
-                             "`cluster-stats`, `metrics`, `trace`, `logs` "
-                             "and `tune`; repeat for each worker in the "
-                             "fleet")
-    parser.add_argument("--trace", metavar="ID",
-                        help="trace-id filter for `logs` (omit to query "
-                             "events across all traces)")
-    parser.add_argument("--level", metavar="LEVEL",
-                        help="minimum severity for `logs`: DEBUG, INFO, "
-                             "WARNING or ERROR")
-    parser.add_argument("--tenant", metavar="NAME",
-                        help="tenant-name filter for `logs`")
-    parser.add_argument("--since", type=float, metavar="TS",
-                        help="only events after this wall-clock unix "
-                             "timestamp (`logs`)")
-    parser.add_argument("--limit", type=int, metavar="N",
-                        help="keep only the newest N events (`logs`)")
-    parser.add_argument("--suite", metavar="NAME",
-                        help="benchmark suite for `bench compare` / "
-                             "`bench trend`, e.g. telemetry")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="baseline snapshot for `bench compare` "
-                             "(default: the newest history record)")
-    parser.add_argument("--bench-file", metavar="PATH",
-                        help="current snapshot for `bench compare` "
-                             "(default: BENCH_<suite>.json)")
-    parser.add_argument("--history", metavar="DIR",
-                        help="bench history journal directory "
-                             "(default: bench_history)")
-    parser.add_argument("--metric", action="append", metavar="NAME",
-                        help="dotted metric name(s) for `bench trend`; "
-                             "repeat for several columns")
-    parser.add_argument("--strategy", default="halving",
-                        choices=["halving", "grid", "random"],
-                        help="search strategy for `tune` (halving races "
-                             "candidates up the --scales ladder)")
-    parser.add_argument("--trials", type=int, metavar="N",
-                        help="candidate sample size for `tune` "
-                             "(default: the full policy grid)")
-    parser.add_argument("--seed", type=int, default=0, metavar="S",
-                        help="seed for `tune` candidate sampling")
-    parser.add_argument("--objective", action="append", metavar="OBJ",
-                        help="tuning objective(s), e.g. `aqv`, `max:gates`, "
-                             "`qubits*2` (default: aqv); repeat for "
-                             "multi-objective Pareto runs")
-    parser.add_argument("--scales", nargs="+", metavar="SCALE",
-                        help="benchmark scale ladder for `tune` "
-                             "(default: quick laptop)")
-    parser.add_argument("--journal", metavar="PATH",
-                        help="append-only JSONL trial journal for `tune`; "
-                             "rerun with the same path to resume a killed "
-                             "run without recompiling")
-    parser.add_argument("--export-best", metavar="PATH",
-                        help="write the winning preset-compatible config "
-                             "dict to PATH (`tune` only)")
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
 
-    if args.experiment != "serve":
-        if args.host != "127.0.0.1" or args.port != 8731:
-            parser.error("--host/--port only apply to `serve`")
-        if args.workers != 2 or args.queue_size != 64 \
-                or args.cache_max_bytes is not None:
-            parser.error("--workers/--queue-size/--cache-max-bytes only "
-                         "apply to `serve`")
-        if args.tenants or args.store_dir \
-                or args.burst_half_life is not None:
-            parser.error("--tenants/--store-dir/--burst-half-life only "
-                         "apply to `serve`")
-        if args.verify:
-            parser.error("--verify only applies to `serve`; use the "
-                         "`verify` command for local sweeps")
-        if args.log_path:
-            parser.error("--log-path only applies to `serve`")
-    if args.experiment not in ("cluster-sweep", "cluster-stats", "tune",
-                               "metrics", "trace", "logs"):
-        if args.endpoint:
-            parser.error("--endpoint only applies to `cluster-sweep`, "
-                         "`cluster-stats`, `metrics`, `trace`, `logs` "
-                         "and `tune`")
-        if args.api_key:
-            parser.error("--api-key only applies to `cluster-sweep`, "
-                         "`cluster-stats`, `metrics`, `trace`, `logs` "
-                         "and `tune`")
-    if args.experiment != "logs":
-        for flag, given in (("--trace", args.trace),
-                            ("--level", args.level),
-                            ("--tenant", args.tenant),
-                            ("--since", args.since is not None),
-                            ("--limit", args.limit is not None)):
-            if given:
-                parser.error(f"{flag} only applies to `logs`")
-    if args.experiment != "bench":
-        for flag, given in (("--suite", args.suite),
-                            ("--baseline", args.baseline),
-                            ("--bench-file", args.bench_file),
-                            ("--history", args.history),
-                            ("--metric", args.metric)):
-            if given:
-                parser.error(f"{flag} only applies to `bench`")
-    if args.experiment != "tune":
-        for flag, given in (("--strategy", args.strategy != "halving"),
-                            ("--trials", args.trials is not None),
-                            ("--seed", args.seed != 0),
-                            ("--objective", args.objective),
-                            ("--scales", args.scales),
-                            ("--journal", args.journal),
-                            ("--export-best", args.export_best)):
-            if given:
-                parser.error(f"{flag} only applies to `tune`")
-    if args.experiment == "cluster-stats":
-        if not args.endpoint:
-            parser.error("cluster-stats needs at least one --endpoint URL "
-                         "(repeat the flag for each worker)")
-        print(_run_cluster_stats(args))
-        return 0
-    if args.experiment == "metrics":
-        if not args.endpoint:
-            parser.error("metrics needs at least one --endpoint URL "
-                         "(one prints that worker's exposition verbatim; "
-                         "several print the merged fleet exposition)")
-        # No trailing print()-added newline padding: the exposition is
-        # machine-readable and already ends with exactly one newline.
-        sys.stdout.write(_run_metrics(args))
-        return 0
-    if args.experiment == "trace":
-        if not args.endpoint:
-            parser.error("trace needs at least one --endpoint URL "
-                         "(one renders that worker's view; several "
-                         "render the merged fleet waterfall)")
-        if len(args.names) != 1:
-            parser.error("trace takes exactly one trace id, e.g. "
-                         "`python -m repro.experiments trace <id> "
-                         "--endpoint http://127.0.0.1:8731` "
-                         "(cluster-sweep prints its id when it starts)")
-        text, code = _run_trace(args)
-        sys.stdout.write(text)
-        return code
-    if args.experiment == "logs":
-        if not args.endpoint:
-            parser.error("logs needs at least one --endpoint URL "
-                         "(one queries that worker's /logs; several "
-                         "merge the fleet's events)")
-        if args.names:
-            parser.error("logs takes no positional names; filter with "
-                         "--trace/--tenant/--level/--since/--limit")
-        text, code = _run_logs(args)
-        sys.stdout.write(text)
-        return code
-    if args.experiment == "bench":
-        if len(args.names) != 1 or args.names[0] not in ("list", "compare",
-                                                         "trend"):
-            parser.error("bench takes exactly one action: list, compare "
-                         "or trend, e.g. `python -m repro.experiments "
-                         "bench compare --suite telemetry`")
-        text, code = _run_bench(args)
-        sys.stdout.write(text)
-        return code
-    if args.experiment == "profile":
-        if args.jobs != 1 or args.cache_dir:
-            parser.error("--jobs/--cache-dir do not apply to `profile`; "
-                         "phase timings only exist on fresh in-process "
-                         "compiles")
-        text, rows = _run_profile(args)
-        print(text)
-        if args.export:
-            from repro.analysis.report import export_rows
+    def command(name: str, func, summary: str, parents=(), **kwargs):
+        sub = commands.add_parser(name, help=summary, description=summary,
+                                  parents=list(parents), allow_abbrev=False,
+                                  **kwargs)
+        sub.set_defaults(func=func)
+        return sub
 
-            export_rows(rows, path=args.export)
-            print(f"[exported {len(rows)} rows to {args.export}]")
-        return 0
-    if args.experiment == "tune":
-        if args.endpoint and (args.jobs != 1 or args.cache_dir):
-            parser.error("--jobs/--cache-dir do not apply to a cluster "
-                         "`tune`; compilation (and caching) happens on "
-                         "the servers")
-        if args.scale != "laptop":
-            parser.error("tune races its own --scales ladder; "
-                         "--scale does not apply")
-        if args.policies:
-            parser.error("--policies does not apply to `tune`; the "
-                         "search space is every registered allocation x "
-                         "reclamation pair")
+    for name in sorted(EXPERIMENTS) + ["all"]:
+        sub = command(name, _cmd_experiments,
+                      "regenerate every table and figure" if name == "all"
+                      else f"regenerate {name} of the paper",
+                      (local, scale, export))
+        if name in ("figure8c", "all"):
+            sub.add_argument("--shots", type=_count(1), default=2048,
+                             help="shots for the noise-simulation experiment")
+
+    benchmarks = {"nargs": "*", "metavar": "BENCHMARK",
+                  "help": "registered benchmark names (default: all)"}
+    command("sweep", _cmd_sweep, "compile a benchmark x policy sweep",
+            (local, sweep, export)).add_argument("benchmarks", **benchmarks)
+    command("compile", _cmd_compile, "compile one benchmark",
+            (local, sweep, export)).add_argument("benchmark")
+    command("verify", _cmd_verify,
+            "compile and statically verify a sweep (non-zero exit on "
+            "findings)",
+            (local, sweep, export)).add_argument("benchmarks", **benchmarks)
+    command("profile", _cmd_profile,
+            "profile fresh in-process compiles per phase",
+            (sweep, export)).add_argument("benchmarks", **benchmarks)
+
+    serve = command("serve", _cmd_serve, "expose a session over HTTP",
+                    (local,))
+    serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
+                       help="bind address")
+    serve.add_argument("--port", type=int, default=8731, metavar="PORT",
+                       help="TCP port (0 = ephemeral)")
+    serve.add_argument("--workers", type=_count(1), default=2, metavar="N",
+                       help="worker threads draining the job queue")
+    serve.add_argument("--queue-size", type=_count(1), default=64,
+                       metavar="N",
+                       help="job queue capacity before submissions get a "
+                            "503 back-pressure error")
+    serve.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
+                       help="disk cache size cap; overflow evicts "
+                            "least-recently-used results")
+    serve.add_argument("--tenants", metavar="PATH",
+                       help="tenant registry JSON file (API keys, roles, "
+                            "quotas); keyless requests map to the "
+                            "anonymous tenant")
+    serve.add_argument("--store-dir", metavar="DIR",
+                       help="durable job-journal directory; restarting on "
+                            "the same directory resumes queued work and "
+                            "re-serves finished results")
+    serve.add_argument("--burst-half-life", type=float, metavar="SECONDS",
+                       help="fair-share burst-score half-life (default 30; "
+                            "lower forgives floods faster)")
+    serve.add_argument("--verify", action="store_true",
+                       help="run the static compilation verifier over "
+                            "every result (job payloads carry the "
+                            "verification report)")
+    serve.add_argument("--log-path", metavar="PATH",
+                       help="rotating JSONL event-log sink (the in-memory "
+                            "ring and GET /logs work either way)")
+
+    command("cluster-sweep", _cmd_cluster_sweep,
+            "shard a sweep across running servers",
+            (sweep, fleet, export)).add_argument("benchmarks", **benchmarks)
+
+    tune = command("tune", _cmd_tune,
+                   "search every allocation x reclamation pair",
+                   (machine, local, _fleet_flags(required=False), export))
+    tune.add_argument("benchmarks", nargs="+", metavar="BENCHMARK")
+    tune.add_argument("--strategy", default="halving",
+                      choices=["halving", "grid", "random"],
+                      help="search strategy (halving races candidates up "
+                           "the --scales ladder)")
+    tune.add_argument("--trials", type=_count(1), metavar="N",
+                      help="candidate sample size (default: the full "
+                           "policy grid)")
+    tune.add_argument("--seed", type=int, default=0, metavar="S",
+                      help="seed for candidate sampling")
+    tune.add_argument("--objective", action="append", metavar="OBJ",
+                      help="tuning objective(s), e.g. `aqv`, `max:gates`, "
+                           "`qubits*2` (default: aqv); repeat for "
+                           "multi-objective Pareto runs")
+    tune.add_argument("--scales", nargs="+", metavar="SCALE",
+                      help="benchmark scale ladder (default: quick laptop)")
+    tune.add_argument("--journal", metavar="PATH",
+                      help="append-only JSONL trial journal; rerun with "
+                           "the same path to resume a killed run without "
+                           "recompiling")
+    tune.add_argument("--export-best", metavar="PATH",
+                      help="write the winning preset-compatible config "
+                           "dict to PATH")
+
+    command("cluster-stats", _cmd_cluster_stats,
+            "aggregate /stats across a fleet", (fleet,))
+    command("metrics", _cmd_metrics,
+            "scrape the Prometheus exposition of one server or a fleet",
+            (fleet,))
+    command("trace", _cmd_trace,
+            "render a trace id's span waterfall, log events interleaved",
+            (fleet,)).add_argument("trace_id", metavar="ID")
+    logs = command("logs", _cmd_logs,
+                   "query structured log events from one server or a fleet",
+                   (fleet,))
+    logs.add_argument("--trace", metavar="ID",
+                      help="trace-id filter (omit to query events across "
+                           "all traces)")
+    logs.add_argument("--level", metavar="LEVEL",
+                      help="minimum severity: DEBUG, INFO, WARNING or ERROR")
+    logs.add_argument("--tenant", metavar="NAME", help="tenant-name filter")
+    logs.add_argument("--since", type=float, metavar="TS",
+                      help="only events after this wall-clock unix "
+                           "timestamp")
+    logs.add_argument("--limit", type=_count(0), metavar="N",
+                      help="keep only the newest N events")
+
+    bench = command("bench", _cmd_bench,
+                    "list/compare/trend the BENCH_*.json trajectory "
+                    "(compare exits non-zero on a regression)",
+                    usage="%(prog)s {list,compare,trend} [options] "
+                          "(exactly one action)")
+    bench.add_argument("action", choices=["list", "compare", "trend"])
+    bench.add_argument("--suite", metavar="NAME",
+                       help="benchmark suite for compare / trend, e.g. "
+                            "telemetry")
+    bench.add_argument("--baseline", metavar="PATH",
+                       help="baseline snapshot for compare (default: the "
+                            "newest history record)")
+    bench.add_argument("--bench-file", metavar="PATH",
+                       help="current snapshot for compare (default: "
+                            "BENCH_<suite>.json)")
+    bench.add_argument("--history", metavar="DIR",
+                       help="bench history journal directory (default: "
+                            "bench_history)")
+    bench.add_argument("--metric", action="append", metavar="NAME",
+                       help="dotted metric name(s) for trend; repeat for "
+                            "several columns")
+    return parser, commands
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line; usage errors exit 2 before any work runs."""
+    parser, commands = _build_parser()
+    args, stray = parser.parse_known_args(argv)
+    # Stray arguments are reported against the command's own usage line.
+    command = commands.choices[args.command]
+    if stray:
+        command.error(f"unrecognized arguments: {' '.join(stray)}")
+    if args.command == "tune":
         if args.trials is not None and args.strategy == "grid":
-            parser.error("--trials does not apply to --strategy grid "
-                         "(the grid is exhaustive); use random or "
-                         "halving to cap the candidate count")
-        if args.trials is not None and args.trials < 1:
-            parser.error(f"--trials must be >= 1, got {args.trials}")
-        text, _ = _run_tune(args)
-        print(text)
-        return 0
-    if args.experiment == "cluster-sweep":
-        if not args.endpoint:
-            parser.error("cluster-sweep needs at least one --endpoint URL "
-                         "(repeat the flag for each worker)")
-        if args.jobs != 1 or args.cache_dir:
-            parser.error("--jobs/--cache-dir do not apply to "
-                         "`cluster-sweep`; compilation (and caching) "
-                         "happens on the servers")
-        text, rows = _run_cluster_sweep(args)
-        print(text)
-        if args.export:
-            from repro.analysis.report import export_rows
+            command.error("--trials does not apply to --strategy grid "
+                          "(the grid is exhaustive); use random or "
+                          "halving to cap the candidate count")
+        if args.endpoint and (args.jobs != 1 or args.cache_dir):
+            command.error("--jobs/--cache-dir do not apply to a cluster "
+                          "`tune`; compilation (and caching) happens on "
+                          "the servers")
+    return args
 
-            export_rows(rows, path=args.export)
-            print(f"[exported {len(rows)} rows to {args.export}]")
-        return 0
-    if args.experiment == "serve":
-        for flag, given in (("--export", args.export),
-                            ("--scale", args.scale != "laptop"),
-                            ("benchmark names", args.names),
-                            ("--policies", args.policies),
-                            ("--machine", args.machine != "nisq"),
-                            ("--machine-qubits",
-                             args.machine_qubits is not None),
-                            ("--grid", args.grid),
-                            ("--start-qubits", args.start_qubits != 64)):
-            if given:
-                parser.error(f"{flag} does not apply to `serve`; clients "
-                             f"choose per request")
-        from repro.service import serve
 
-        serve(args.host, args.port, jobs=args.jobs,
-              cache_dir=args.cache_dir,
-              cache_max_bytes=args.cache_max_bytes,
-              workers=args.workers, queue_size=args.queue_size,
-              tenants=args.tenants, store_dir=args.store_dir,
-              burst_half_life=args.burst_half_life,
-              verify=args.verify, log_path=args.log_path)
-        return 0
-
-    if args.experiment not in ("sweep", "compile", "verify"):
-        ignored = []
-        if args.names:
-            ignored.append("benchmark names")
-        if args.policies:
-            ignored.append("--policies")
-        if args.machine != "nisq":
-            ignored.append("--machine")
-        if args.machine_qubits is not None:
-            ignored.append("--machine-qubits")
-        if args.grid:
-            ignored.append("--grid")
-        if args.start_qubits != 64:
-            ignored.append("--start-qubits")
-        if ignored:
-            parser.error(
-                f"{', '.join(ignored)} only apply to `sweep`, `compile` "
-                f"and `verify`; {args.experiment!r} runs its fixed "
-                f"benchmark/policy/machine grid"
-            )
-
-    session = Session(jobs=args.jobs, cache_dir=args.cache_dir,
-                      verify=(args.experiment == "verify"))
-    exported_rows: list = []
-    exit_code = 0
-    if args.experiment == "sweep":
-        text, rows = _run_sweep(session, args)
-        print(text)
-        exported_rows = rows
-    elif args.experiment == "verify":
-        text, rows, exit_code = _run_verify(session, args)
-        print(text)
-        exported_rows = rows
-    elif args.experiment == "compile":
-        text, rows = _run_compile(session, args)
-        print(text)
-        exported_rows = rows
-    else:
-        names = (sorted(EXPERIMENTS) if args.experiment == "all"
-                 else [args.experiment])
-        for name in names:
-            text, rows = _run_experiment(name, session, args)
-            print(text)
-            exported_rows.extend(rows)
-
-    if args.export:
-        from repro.analysis.report import export_rows
-
-        export_rows(exported_rows, path=args.export)
-        print(f"[exported {len(exported_rows)} rows to {args.export}]")
-    return exit_code
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

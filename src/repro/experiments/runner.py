@@ -6,30 +6,15 @@ Every experiment module expands its benchmark x policy grid into a
 share one memo cache and one executor), then post-processes the
 :class:`~repro.core.result.CompilationResult` objects into the rows or
 series of the corresponding table / figure.
-
-The ``compile_*`` helpers at the bottom predate the :mod:`repro.api`
-service and are kept as thin compatibility shims for existing examples
-and scripts; new code should submit jobs to a ``Session`` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.api import MachineSpec, Session, autosize_compile
-from repro.arch.ft import FTMachine
-from repro.arch.machine import Machine
-from repro.arch.nisq import NISQMachine
-from repro.core.compiler import SquareCompiler, preset
-from repro.core.result import CompilationResult
-from repro.ir.program import Program
-from repro.workloads.registry import (
-    LAPTOP_SCALE_OVERRIDES,
-    QUICK_SCALE_OVERRIDES,
-    benchmark_overrides,
-    load_scaled_benchmark,
-)
+from repro.api import MachineSpec, Session
+from repro.workloads.registry import benchmark_overrides, load_scaled_benchmark
 
 #: Policies evaluated throughout Section V, in presentation order.
 DEFAULT_POLICIES: Sequence[str] = ("lazy", "eager", "square-laa", "square")
@@ -71,73 +56,3 @@ def nisq_lattice_spec(start_qubits: int = 32) -> MachineSpec:
 def ft_lattice_spec(start_qubits: int = 32) -> MachineSpec:
     """Autosized surface-code FT machines (Figure 10)."""
     return MachineSpec.ft_autosize(start_qubits=start_qubits)
-
-
-# ----------------------------------------------------------------------
-# Pre-``repro.api`` compatibility helpers
-# ----------------------------------------------------------------------
-def compile_on_machine(
-    program: Program,
-    machine: Machine,
-    policy: str,
-    **config_overrides,
-) -> CompilationResult:
-    """Compile one program under one named policy preset.
-
-    Compatibility shim over :class:`~repro.core.compiler.SquareCompiler`;
-    prefer ``Session.compile`` for new code.
-    """
-    config = preset(policy, **config_overrides)
-    return SquareCompiler(machine, config).compile(program)
-
-
-def compile_with_autosize(
-    program: Program,
-    policy: str,
-    machine_factory: Callable[[int], Machine],
-    start_qubits: int = 32,
-    max_qubits: int = 1 << 16,
-    **config_overrides,
-) -> CompilationResult:
-    """Compile, growing the machine until the program fits.
-
-    Lazy compilations can need many more qubits than SQUARE or Eager; the
-    paper sweeps machine sizes, and this helper finds the smallest
-    power-of-two-ish machine that accommodates the policy.  Delegates to
-    the shared :func:`repro.api.autosize_compile` search (the same one
-    autosizing :class:`~repro.api.MachineSpec` jobs run through).
-    """
-    return autosize_compile(program, machine_factory,
-                            preset(policy, **config_overrides),
-                            start_qubits=start_qubits,
-                            max_qubits=max_qubits)
-
-
-def compile_policy_suite(
-    program: Program,
-    machine_factory: Callable[[int], Machine],
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    start_qubits: int = 32,
-    **config_overrides,
-) -> Dict[str, CompilationResult]:
-    """Compile a program under every policy, auto-sizing the machine."""
-    results: Dict[str, CompilationResult] = {}
-    for policy in policies:
-        results[policy] = compile_with_autosize(
-            program, policy, machine_factory, start_qubits=start_qubits,
-            **config_overrides,
-        )
-    return results
-
-
-def nisq_machine_factory(rows: Optional[int] = None, cols: Optional[int] = None
-                         ) -> Callable[[int], Machine]:
-    """Factory producing lattice NISQ machines of at least ``n`` qubits."""
-    if rows is not None and cols is not None:
-        return lambda _n: NISQMachine.grid(rows, cols)
-    return lambda n: NISQMachine.with_qubits(n)
-
-
-def ft_machine_factory() -> Callable[[int], Machine]:
-    """Factory producing surface-code FT machines of at least ``n`` qubits."""
-    return lambda n: FTMachine.with_qubits(n)

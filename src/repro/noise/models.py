@@ -66,15 +66,6 @@ class NoiseModel:
         t_us = duration_units * self.parameters.gate_time_us
         return 1.0 - math.exp(-t_us / self.parameters.t1_us)
 
-    def dephase_probability(self, duration_units: int) -> float:
-        """Probability of a phase flip while idling for ``duration`` units."""
-        import math
-
-        if duration_units <= 0:
-            return 0.0
-        t_us = duration_units * self.parameters.gate_time_us
-        return 0.5 * (1.0 - math.exp(-t_us / self.parameters.t2_us))
-
 
 #: The three rows of Table IV.
 TABLE_IV_DEVICES: Mapping[str, NoiseParameters] = {

@@ -11,7 +11,7 @@ advances their clocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class LivenessTracker:
         """Ids of currently live qubits."""
         return tuple(self._open)
 
-    def is_live(self, qubit: int) -> bool:
-        """True when the qubit has an open usage segment."""
-        return qubit in self._open
-
     # ------------------------------------------------------------------
     def allocate(self, qubit: int, time: int) -> None:
         """Open a usage segment for ``qubit`` at ``time``.
@@ -121,24 +117,29 @@ class LivenessTracker:
         return sum(segment.duration for segment in self._segments)
 
     def usage_series(self) -> List[Tuple[int, int]]:
-        """Piecewise-constant (time, live-qubit-count) series.
+        """Piecewise-constant (time, live-qubit-count) series (Figure 1)."""
+        return usage_series(self._segments)
 
-        This is the curve plotted in Figure 1; the area under it equals the
-        active quantum volume.
-        """
-        events: List[Tuple[int, int]] = []
-        for segment in self._segments:
-            if segment.duration <= 0:
-                continue
-            events.append((segment.start, 1))
-            events.append((segment.end, -1))
-        events.sort()
-        series: List[Tuple[int, int]] = [(0, 0)]
-        live = 0
-        for time, delta in events:
-            live += delta
-            if series and series[-1][0] == time:
-                series[-1] = (time, live)
-            else:
-                series.append((time, live))
-        return series
+
+def usage_series(segments: Iterable[UsageSegment]) -> List[Tuple[int, int]]:
+    """Piecewise-constant (time, live-qubit-count) series of ``segments``.
+
+    This is the curve plotted in Figure 1; the area under it equals the
+    active quantum volume.
+    """
+    events: List[Tuple[int, int]] = []
+    for segment in segments:
+        if segment.duration <= 0:
+            continue
+        events.append((segment.start, 1))
+        events.append((segment.end, -1))
+    events.sort()
+    series: List[Tuple[int, int]] = [(0, 0)]
+    live = 0
+    for time, delta in events:
+        live += delta
+        if series and series[-1][0] == time:
+            series[-1] = (time, live)
+        else:
+            series.append((time, live))
+    return series

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import MachineSpec, Session
 from repro.experiments import EXPERIMENTS, figure1, figure5, figure8, figure9, figure10, table3, table4
 from repro.experiments.runner import (
     benchmark_overrides,
-    compile_with_autosize,
     load_scaled_benchmark,
-    nisq_machine_factory,
 )
 from repro.exceptions import ExperimentError
 
@@ -29,8 +27,8 @@ class TestRunnerHelpers:
 
     def test_autosize_grows_machine(self):
         program = load_scaled_benchmark("ADDER32", "quick")
-        result = compile_with_autosize(program, "lazy", nisq_machine_factory(),
-                                       start_qubits=8)
+        result = Session().compile(program, MachineSpec.nisq_autosize(
+            start_qubits=8), "lazy")
         assert result.num_qubits_used > 8
 
 

@@ -7,9 +7,10 @@ the verifier's acceptance gate cares about:
   verification (one linear pass over the recorded schedule, segments
   and mapping replay);
 * **verify overhead ratio** — total verification time divided by total
-  compile time over the same results.  The verifier only earns its
-  place as an always-on safety net if this stays a small fraction; the
-  ISSUE acceptance bar is < 20 %, asserted here.
+  compile time over the same results, each the fastest of a few
+  interleaved runs.
+  The verifier only earns its place as an always-on safety net if this
+  stays a small fraction; the acceptance bar is < 20 %, asserted here.
 
 The measured sweep compiles a cross-section of the registry (small
 oracles through mid-size arithmetic) under all three reclamation
@@ -38,6 +39,9 @@ POLICIES = ("eager", "lazy", "square")
 #: Acceptance bar: verification must cost less than this fraction of
 #: compile time (ISSUE 7 criterion).
 MAX_OVERHEAD_RATIO = 0.20
+
+#: Timed runs per side; the fastest is kept.
+REPEATS = 5
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_verify.json"
 
@@ -82,16 +86,33 @@ def _verify_all(results):
     return [verify_result(result) for result in results]
 
 
+def _best_of_repeats():
+    """Compile the sweep and verify its results ``REPEATS`` times, each
+    verification right after its compile so host-speed drift hits both
+    sides alike; returns the reports and both sides' fastest seconds."""
+    compile_seconds = verify_seconds = float("inf")
+    for _ in range(REPEATS):
+        results, seconds = _compile_suite()
+        compile_seconds = min(compile_seconds, seconds)
+        started = time.perf_counter()
+        reports = _verify_all(results)
+        verify_seconds = min(verify_seconds, time.perf_counter() - started)
+    return reports, compile_seconds, verify_seconds
+
+
 def test_bench_verifier_overhead(benchmark):
-    """Verifier gates/sec and verify-vs-compile overhead ratio."""
-    results, compile_seconds = _compile_suite()
-    reports = run_once(benchmark, _verify_all, results)
+    """Verifier gates/sec and verify-vs-compile overhead ratio.
+
+    Both sides are the fastest of ``REPEATS`` interleaved runs, so one
+    scheduler hiccup on either side cannot fake a breach of the bar.
+    """
+    reports, compile_seconds, verify_seconds = run_once(benchmark,
+                                                        _best_of_repeats)
 
     for report in reports:
         assert not report.findings, report.summary()
         assert not report.skipped_rules, report.skipped_rules
 
-    verify_seconds = benchmark.stats.stats.mean
     checked_gates = sum(report.checked_gates for report in reports)
     gates_per_second = checked_gates / verify_seconds
     overhead = verify_seconds / compile_seconds

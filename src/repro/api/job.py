@@ -280,6 +280,12 @@ def autosize_compile(program: Program,
     search tries exactly ``max_qubits`` rather than compiling on a
     machine larger than the caller allowed, and only re-raises after
     that capped attempt fails.
+
+    A rung whose machine is smaller than the program's
+    :meth:`~repro.ir.program.Program.live_qubit_floor` is still built
+    and attempted, but its compile fails right after validation, before
+    the program walk, so the ladder, the chosen machine and the number
+    of attempts are the same as if it had been walked.
     """
     qubits = min(max(start_qubits, program.entry.num_params + 4), max_qubits)
     while True:

@@ -16,6 +16,7 @@ number of conflicts per gate (the ``S`` estimate for FT machines).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -48,10 +49,12 @@ def manhattan_route(start: Tuple[int, int], end: Tuple[int, int]) -> List[Segmen
 def route_vertices(start: Tuple[int, int], end: Tuple[int, int]
                    ) -> FrozenSet[Tuple[int, int]]:
     """All lattice coordinates an L-shaped route passes through (inclusive)."""
-    vertices = {start, end}
-    for a, b in manhattan_route(start, end):
-        vertices.add(a)
-        vertices.add(b)
+    row, col = start
+    end_row, end_col = end
+    step = 1 if end_col >= col else -1
+    vertices = [(row, c) for c in range(col, end_col + step, step)]
+    step = 1 if end_row >= row else -1
+    vertices += [(r, end_col) for r in range(row, end_row + step, step)]
     return frozenset(vertices)
 
 
@@ -73,14 +76,6 @@ class Braid:
     finish: int
     vertices: FrozenSet[Tuple[int, int]]
     endpoints: Tuple[Tuple[int, int], Tuple[int, int]]
-
-    def overlaps_time(self, start: int, finish: int) -> bool:
-        """True when the braid's window intersects [start, finish)."""
-        return self.start < finish and start < self.finish
-
-    def crosses(self, vertices: FrozenSet[Tuple[int, int]]) -> bool:
-        """True when the braid's route shares a coordinate with ``vertices``."""
-        return not self.vertices.isdisjoint(vertices)
 
 
 @dataclass(frozen=True)
@@ -117,6 +112,11 @@ class BraidTracker:
         self._braid_duration = braid_duration
         self._prune_window = prune_window
         self._active: List[Braid] = []
+        # The same braids sorted by start time.  Every braid lasts
+        # braid_duration, so only those starting within one duration of
+        # a new braid's start can overlap it in time.
+        self._starts: List[int] = []
+        self._by_start: List[Braid] = []
         self._latest_finish = 0
         self.total_braids = 0
         self.total_crossings = 0
@@ -135,6 +135,8 @@ class BraidTracker:
     def reset(self) -> None:
         """Forget all braids and statistics."""
         self._active.clear()
+        self._starts.clear()
+        self._by_start.clear()
         self._latest_finish = 0
         self.total_braids = 0
         self.total_crossings = 0
@@ -151,25 +153,38 @@ class BraidTracker:
         coord_a = self._topology.coordinate(site_a)
         coord_b = self._topology.coordinate(site_b)
         vertices = route_vertices(coord_a, coord_b)
+        duration = self._braid_duration
         start = earliest_start
-        finish = start + self._braid_duration
+        finish = start + duration
 
-        conflicts = [
-            braid for braid in self._active
-            if braid.overlaps_time(start, finish) and braid.crosses(vertices)
-        ]
-        if conflicts:
-            start = max(braid.finish for braid in conflicts)
-            finish = start + self._braid_duration
+        # A conflict overlaps [start, finish) in time, so it starts in
+        # (start - duration, finish), and shares a coordinate; the braid
+        # waits for the last one to complete.
+        starts = self._starts
+        crossings = 0
+        cleared = start
+        for index in range(bisect_right(starts, start - duration),
+                           bisect_left(starts, finish)):
+            braid = self._by_start[index]
+            if not braid.vertices.isdisjoint(vertices):
+                crossings += 1
+                if braid.finish > cleared:
+                    cleared = braid.finish
+        if crossings:
+            start = cleared
+            finish = start + duration
 
         braid = Braid(start=start, finish=finish, vertices=vertices,
                       endpoints=(coord_a, coord_b))
         self._active.append(braid)
+        index = bisect_right(starts, start)
+        starts.insert(index, start)
+        self._by_start.insert(index, braid)
         self._latest_finish = max(self._latest_finish, finish)
         self.total_braids += 1
-        self.total_crossings += len(conflicts)
+        self.total_crossings += crossings
         self._prune()
-        return BraidRequest(start=start, finish=finish, crossings=len(conflicts),
+        return BraidRequest(start=start, finish=finish, crossings=crossings,
                             vertices=vertices)
 
     def average_crossings(self) -> float:
@@ -185,3 +200,6 @@ class BraidTracker:
             return
         if len(self._active) > 256:
             self._active = [b for b in self._active if b.finish >= horizon]
+            kept = bisect_left(self._starts, horizon - self._braid_duration)
+            del self._starts[:kept]
+            del self._by_start[:kept]

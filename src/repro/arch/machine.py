@@ -31,7 +31,9 @@ class CommunicationResult:
     """Outcome of resolving one two-qubit interaction.
 
     Attributes:
-        swaps: Swap steps the scheduler must apply before the gate (NISQ).
+        swaps: Swap steps the scheduler must apply before the gate (NISQ),
+            as a chain along a path of distinct sites: each step starts
+            at the site where the previous one ended.
         extra_latency: Additional latency (time units) beyond the swap chain
             itself, e.g. braid queueing delay on an FT machine.
         cost_units: The communication quantity fed to the CER cost model's

@@ -9,7 +9,7 @@ exactly why locality-aware allocation pays off.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
 from repro.arch.topology import Topology
@@ -26,6 +26,8 @@ class Layout:
         self._topology = topology
         self._site_of: Dict[int, int] = {}
         self._virtual_at: Dict[int, int] = {}
+        # Every site below this one is occupied (the lowest-free-site hint).
+        self._lowest_free = 0
 
     # ------------------------------------------------------------------
     @property
@@ -40,7 +42,7 @@ class Layout:
 
     @property
     def num_free_sites(self) -> int:
-        """Number of sites never assigned to a virtual qubit."""
+        """Number of sites no virtual qubit occupies."""
         return self._topology.num_sites - len(self._virtual_at)
 
     def site_of(self, virtual: int) -> int:
@@ -50,6 +52,11 @@ class Layout:
         except KeyError:
             raise ArchitectureError(f"virtual qubit {virtual} is not placed") from None
 
+    def sites_of(self, virtuals: Iterable[int]) -> List[int]:
+        """Sites of the placed qubits among ``virtuals``, in order."""
+        site_of = self._site_of
+        return [site_of[v] for v in virtuals if v in site_of]
+
     def virtual_at(self, site: int) -> Optional[int]:
         """Virtual qubit occupying ``site`` or None if the site is empty."""
         return self._virtual_at.get(site)
@@ -58,12 +65,10 @@ class Layout:
         """True when ``virtual`` currently occupies a site."""
         return virtual in self._site_of
 
-    def free_sites(self) -> Tuple[int, ...]:
-        """All sites that have never held a virtual qubit, ascending."""
-        return tuple(
-            site for site in range(self._topology.num_sites)
-            if site not in self._virtual_at
-        )
+    def lowest_free_site(self) -> Optional[int]:
+        """The lowest-numbered free site, or None when every site is taken."""
+        found = self._lowest_free_sites(1)
+        return found[0] if found else None
 
     # ------------------------------------------------------------------
     def place(self, virtual: int, site: int) -> None:
@@ -80,6 +85,8 @@ class Layout:
         self._topology._check_site(site)
         self._site_of[virtual] = site
         self._virtual_at[site] = virtual
+        if site == self._lowest_free:
+            self._advance_lowest_free()
 
     def nearest_free_site(self, anchor_sites: Sequence[int]) -> int:
         """The free site closest (total distance) to ``anchor_sites``.
@@ -100,85 +107,120 @@ class Layout:
                            limit: int = 32) -> List[int]:
         """Up to ``limit`` free sites, closest to ``anchor_sites`` first.
 
-        On grid topologies the search expands rings around the anchor
-        centroid, so it stays fast even on multi-thousand-site machines.
+        On a lattice the search expands Manhattan rings around the
+        rounded anchor centroid, nearest ring first, and returns sites in
+        that visiting order; it stays fast on multi-thousand-site
+        machines.  On an all-to-all machine every free site is one hop
+        from every anchor it is not, so free anchor sites come first (the
+        most often named first) and then the lowest-numbered free sites.
         With no anchors the lowest-numbered free sites are returned.
         """
         if limit < 1:
             return []
-        topology = self._topology
         if not anchor_sites:
-            free = [site for site in range(topology.num_sites)
-                    if site not in self._virtual_at]
-            return free[:limit]
-        if topology.is_lattice:
-            found = self._ring_search(anchor_sites, limit)
-            if found:
-                return found
-        free = [site for site in range(topology.num_sites)
-                if site not in self._virtual_at]
-        free.sort(key=lambda site: sum(
-            topology.distance(site, anchor) for anchor in anchor_sites))
-        return free[:limit]
+            return self._lowest_free_sites(limit)
+        if self._topology.is_lattice:
+            return self._ring_search(anchor_sites, limit)
+        free_anchors = sorted({site for site in anchor_sites
+                               if site not in self._virtual_at})
+        totals = self._topology.distance_sums(anchor_sites, free_anchors)
+        free_anchors = [site for _, site in sorted(zip(totals, free_anchors))]
+        found = free_anchors[:limit]
+        for site in self._lowest_free_sites(limit + len(found)):
+            if len(found) == limit:
+                break
+            if site not in free_anchors:
+                found.append(site)
+        return found
 
     def _ring_search(self, anchor_sites: Sequence[int], limit: int) -> List[int]:
-        """Expand Manhattan rings around the anchor centroid on a grid."""
+        """Expand Manhattan rings around the anchor centroid on a lattice.
+
+        Ring ``r`` visits its coordinates in the order (offset 0..r-1,
+        each in turn on the north-east, south-east, south-west and
+        north-west edge); rings past the farthest lattice corner hold no
+        site and are not walked.
+        """
         topology = self._topology
-        coords = [topology.coordinate(site) for site in anchor_sites]
-        center_row = int(round(sum(r for r, _ in coords) / len(coords)))
-        center_col = int(round(sum(c for _, c in coords) / len(coords)))
+        topology._check_sites(anchor_sites)
+        rows = topology.site_rows
+        cols = topology.site_cols
+        count = len(anchor_sites)
+        # Centre and lattice corners in lattice_sites coordinates.
+        row = int(round(sum([rows[s] for s in anchor_sites]) / count)) - topology.row0
+        col = int(round(sum([cols[s] for s in anchor_sites]) / count)) - topology.col0
+        height = topology.height
+        width = topology.width
+        last = topology.num_sites - 1
+        max_radius = min(2 * (max(rows[last], cols[last]) + 1),
+                         max(row, height - 1 - row) + max(col, width - 1 - col))
+        sites = topology.lattice_sites
+        occupied = self._virtual_at
         found: List[int] = []
-        radius = 0
-        # The ring radius is bounded by the grid diameter; stop as soon as
-        # enough free sites are found or the whole grid has been covered.
-        corner_row, corner_col = topology.coordinate(topology.num_sites - 1)
-        grid_span = max(corner_row, corner_col) + 1
-        while len(found) < limit and radius <= 2 * grid_span:
-            ring = self._ring_coordinates(center_row, center_col, radius)
-            for coord in ring:
-                site = topology.site_at(coord)
-                if site is not None and site not in self._virtual_at:
-                    found.append(site)
-            radius += 1
+        if 0 <= row < height and 0 <= col < width:
+            site = sites[row * width + col]
+            if site >= 0 and site not in occupied:
+                found.append(site)
+        for radius in range(1, max_radius + 1):
+            if len(found) >= limit:
+                break
+            for offset in range(radius):
+                for r, c in ((row - radius + offset, col + offset),
+                             (row + offset, col + radius - offset),
+                             (row + radius - offset, col - offset),
+                             (row - offset, col - radius + offset)):
+                    if 0 <= r < height and 0 <= c < width:
+                        site = sites[r * width + c]
+                        if site >= 0 and site not in occupied:
+                            found.append(site)
         return found[:limit]
 
-    @staticmethod
-    def _ring_coordinates(center_row: int, center_col: int, radius: int):
-        if radius == 0:
-            yield (center_row, center_col)
-            return
-        for offset in range(radius):
-            yield (center_row - radius + offset, center_col + offset)
-            yield (center_row + offset, center_col + radius - offset)
-            yield (center_row + radius - offset, center_col - offset)
-            yield (center_row - offset, center_col - radius + offset)
+    def _lowest_free_sites(self, limit: int) -> List[int]:
+        occupied = self._virtual_at
+        found: List[int] = []
+        for site in range(self._lowest_free, self._topology.num_sites):
+            if site not in occupied:
+                found.append(site)
+                if len(found) == limit:
+                    break
+        return found
+
+    def _advance_lowest_free(self) -> None:
+        site = self._lowest_free
+        occupied = self._virtual_at
+        while site in occupied:
+            site += 1
+        self._lowest_free = site
 
     def swap(self, site_a: int, site_b: int) -> None:
         """Exchange the occupants of two sites (either may be empty)."""
-        occupant_a = self._virtual_at.pop(site_a, None)
-        occupant_b = self._virtual_at.pop(site_b, None)
-        if occupant_a is not None:
-            self._virtual_at[site_b] = occupant_a
-            self._site_of[occupant_a] = site_b
-        if occupant_b is not None:
-            self._virtual_at[site_a] = occupant_b
-            self._site_of[occupant_b] = site_a
+        self.move_along((site_a, site_b))
 
-    def area_spread(self, virtual_qubits: Iterable[int]) -> float:
-        """Mean pairwise-to-centroid distance of the given qubits' sites.
+    def move_along(self, path: Sequence[int]) -> List[Optional[int]]:
+        """Swap along ``path``: the occupant of ``path[0]`` ends on
+        ``path[-1]`` and every other occupant moves back one site, as
+        ``swap(path[i], path[i + 1])`` for each ``i`` in turn would do.
 
-        Used by the allocation heuristic as an estimate of how spread out
-        the active working set is (the "area expansion" consideration).
+        The sites of ``path`` must be distinct.
+
+        Returns:
+            The occupant of each site of ``path`` before the move.
         """
-        sites = [self._site_of[v] for v in virtual_qubits if v in self._site_of]
-        if len(sites) < 2:
-            return 0.0
-        coords = [self._topology.coordinate(s) for s in sites]
-        mean_row = sum(r for r, _ in coords) / len(coords)
-        mean_col = sum(c for _, c in coords) / len(coords)
-        return sum(
-            abs(r - mean_row) + abs(c - mean_col) for r, c in coords
-        ) / len(coords)
+        virtual_at = self._virtual_at
+        site_of = self._site_of
+        occupants = [virtual_at.pop(site, None) for site in path]
+        lowest_free = self._lowest_free
+        for site, virtual in zip(path, occupants[1:] + occupants[:1]):
+            if virtual is None:
+                if site < lowest_free:
+                    lowest_free = site
+            else:
+                virtual_at[site] = virtual
+                site_of[virtual] = site
+        self._lowest_free = lowest_free
+        if lowest_free in virtual_at:
+            self._advance_lowest_free()
+        return occupants
 
     def __repr__(self) -> str:
         return (

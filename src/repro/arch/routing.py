@@ -11,14 +11,14 @@ compiler can maintain its running communication-cost estimate ``S``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.arch.topology import Topology
 
 
-@dataclass(frozen=True)
-class SwapStep:
-    """One SWAP along a routing chain.
+class SwapStep(NamedTuple):
+    """One SWAP along a routing chain (a named pair: cheap to build and
+    unpack, since a route makes one per hop).
 
     Attributes:
         site_a: First physical site of the swap.
@@ -82,9 +82,7 @@ class SwapRouter:
         path = topology.shortest_path(site_a, site_b)
         # Move the source qubit along the path, stopping one hop short of
         # the destination.
-        swaps = tuple(
-            SwapStep(path[i], path[i + 1]) for i in range(len(path) - 2)
-        )
+        swaps = tuple(map(SwapStep, path[:-2], path[1:-1]))
         return Route(source=site_a, destination=site_b, path=tuple(path), swaps=swaps)
 
     def swap_distance(self, site_a: int, site_b: int) -> int:

@@ -12,6 +12,9 @@ or all-to-all, so each of these answers is plain coordinate arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ArchitectureError
@@ -41,6 +44,24 @@ class Topology:
         self._site_at: Dict[Coordinate, int] = {
             coord: site for site, coord in enumerate(self._coordinates)
         }
+        #: Row and column of each site, indexed by site number.
+        self.site_rows: Tuple[int, ...] = tuple(r for r, _ in self._coordinates)
+        self.site_cols: Tuple[int, ...] = tuple(c for _, c in self._coordinates)
+        #: Lattice sites by position: the site at (row, col) is
+        #: ``lattice_sites[(row - row0) * width + col - col0]`` (-1 where
+        #: no site sits) for ``row0 <= row < row0 + height`` and
+        #: ``col0 <= col < col0 + width``.  Empty for all-to-all machines.
+        self.lattice_sites: List[int] = []
+        self.row0 = self.col0 = self.height = self.width = 0
+        if is_lattice and self.num_sites:
+            self.row0 = min(self.site_rows)
+            self.col0 = min(self.site_cols)
+            self.height = max(self.site_rows) - self.row0 + 1
+            self.width = max(self.site_cols) - self.col0 + 1
+            self.lattice_sites = [-1] * (self.height * self.width)
+            for site, (row, col) in enumerate(self._coordinates):
+                self.lattice_sites[(row - self.row0) * self.width
+                                   + col - self.col0] = site
 
     # ------------------------------------------------------------------
     # Constructors
@@ -119,16 +140,20 @@ class Topology:
         """
         if not (0 <= a < self.num_sites and 0 <= b < self.num_sites):
             return False
-        return self.distance(a, b) <= 1
+        if not self.is_lattice:
+            return True
+        rows = self.site_rows
+        cols = self.site_cols
+        return abs(rows[a] - rows[b]) + abs(cols[a] - cols[b]) <= 1
 
     def distance(self, a: int, b: int) -> int:
         """Hop distance between two sites (0 for the same site)."""
         self._check_site(a)
         self._check_site(b)
         if self.is_lattice:
-            row_a, col_a = self._coordinates[a]
-            row_b, col_b = self._coordinates[b]
-            return abs(row_a - row_b) + abs(col_a - col_b)
+            rows = self.site_rows
+            cols = self.site_cols
+            return abs(rows[a] - rows[b]) + abs(cols[a] - cols[b])
         return 0 if a == b else 1
 
     def shortest_path(self, a: int, b: int) -> List[int]:
@@ -141,22 +166,54 @@ class Topology:
             self._check_site(a)
             self._check_site(b)
             return [a] if a == b else [a, b]
-        row, col = self.coordinate(a)
-        row_b, col_b = self.coordinate(b)
-        path = [a]
-        while col != col_b:
-            col += 1 if col_b > col else -1
-            path.append(self._site_at[(row, col)])
-        while row != row_b:
-            row += 1 if row_b > row else -1
-            path.append(self._site_at[(row, col)])
-        return path
+        self._check_site(a)
+        self._check_site(b)
+        # Walk lattice_sites indexes: +-1 along a row, +-width along a column.
+        width = self.width
+        start = self._lattice_index(a)
+        end = self._lattice_index(b)
+        corner = start + end % width - start % width
+        col_step = 1 if corner > start else -1
+        row_step = width if end > corner else -width
+        indexes = chain(range(start + col_step, corner + col_step, col_step),
+                        range(corner + row_step, end + row_step, row_step))
+        sites = self.lattice_sites
+        return [a] + [sites[index] for index in indexes]
 
-    def manhattan_distance(self, a: int, b: int) -> int:
-        """Coordinate (Manhattan) distance between two sites."""
-        ra, ca = self.coordinate(a)
-        rb, cb = self.coordinate(b)
-        return abs(ra - rb) + abs(ca - cb)
+    def distance_sums(self, anchors: Sequence[int],
+                      sites: Sequence[int]) -> List[int]:
+        """Each site's total hop distance to ``anchors``.
+
+        A repeated anchor counts once per repeat, and the totals are
+        exact integers.  The anchors are read once: on a lattice their
+        rows and columns are sorted with prefix sums, so each site costs
+        two bisections however many anchors there are.
+        """
+        self._check_sites(anchors)
+        self._check_sites(sites)
+        count = len(anchors)
+        if not self.is_lattice:
+            repeats = Counter(anchors)
+            return [count - repeats[site] for site in sites]
+        site_rows = self.site_rows
+        site_cols = self.site_cols
+        rows = sorted([site_rows[a] for a in anchors])
+        cols = sorted([site_cols[a] for a in anchors])
+        row_prefix = list(accumulate(rows, initial=0))
+        col_prefix = list(accumulate(cols, initial=0))
+        # sum |x - v| over sorted v = x * (2k - n) - 2 * prefix[k] + total,
+        # where k values lie below x.
+        base = row_prefix[-1] + col_prefix[-1]
+        totals = []
+        for site in sites:
+            row = site_rows[site]
+            col = site_cols[site]
+            below_row = bisect_left(rows, row)
+            below_col = bisect_left(cols, col)
+            totals.append(row * (2 * below_row - count) - 2 * row_prefix[below_row]
+                          + col * (2 * below_col - count) - 2 * col_prefix[below_col]
+                          + base)
+        return totals
 
     def centroid_site(self, sites: Sequence[int]) -> int:
         """Site closest to the coordinate centroid of ``sites``.
@@ -165,9 +222,11 @@ class Topology:
         """
         if not sites:
             return 0
-        rows = [self.coordinate(s)[0] for s in sites]
-        cols = [self.coordinate(s)[1] for s in sites]
-        target = (sum(rows) / len(rows), sum(cols) / len(cols))
+        self._check_sites(sites)
+        site_rows = self.site_rows
+        site_cols = self.site_cols
+        target = (sum([site_rows[s] for s in sites]) / len(sites),
+                  sum([site_cols[s] for s in sites]) / len(sites))
         rounded = (int(round(target[0])), int(round(target[1])))
         if rounded in self._site_at:
             return self._site_at[rounded]
@@ -181,6 +240,15 @@ class Topology:
         return best_site
 
     # ------------------------------------------------------------------
+    def _lattice_index(self, site: int) -> int:
+        return ((self.site_rows[site] - self.row0) * self.width
+                + self.site_cols[site] - self.col0)
+
+    def _check_sites(self, sites: Sequence[int]) -> None:
+        if sites:
+            self._check_site(min(sites))
+            self._check_site(max(sites))
+
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.num_sites:
             raise ArchitectureError(

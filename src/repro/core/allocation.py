@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ResourceExhaustedError
+from repro.arch.topology import Topology
 from repro.core.heap import AncillaHeap
 from repro.scheduler.asap import GateScheduler
 
@@ -73,13 +74,13 @@ class LifoAllocation(AllocationPolicy):
             if not request.heap.is_empty():
                 allocated.append(request.heap.pop())
                 continue
-            free = layout.free_sites()
-            if not free:
+            site = layout.lowest_free_site()
+            if site is None:
                 raise ResourceExhaustedError(
                     f"module {request.module_name!r}: machine is out of qubits "
                     f"(requested {request.count})"
                 )
-            allocated.append(request.create_qubit(free[0]))
+            allocated.append(request.create_qubit(site))
         return allocated
 
 
@@ -115,7 +116,8 @@ class LocalityAwareAllocation(AllocationPolicy):
     def allocate(self, request: AllocationRequest) -> List[int]:
         """Pick ``count`` qubits minimising the LAA score."""
         allocated: List[int] = []
-        anchors = self._anchor_sites(request)
+        layout = request.scheduler.layout
+        anchors = tuple(layout.sites_of(request.interacting_qubits))
         for _ in range(request.count):
             heap_choice = self._best_heap_candidate(request, anchors)
             new_choice = self._best_new_candidate(request, anchors)
@@ -133,25 +135,21 @@ class LocalityAwareAllocation(AllocationPolicy):
                 site, _score = new_choice
                 qubit = request.create_qubit(site)
             allocated.append(qubit)
-            anchors = anchors + (request.scheduler.layout.site_of(qubit),)
+            anchors = anchors + (layout.site_of(qubit),)
         return allocated
 
     # ------------------------------------------------------------------
-    def _anchor_sites(self, request: AllocationRequest) -> Tuple[int, ...]:
-        layout = request.scheduler.layout
-        sites = [
-            layout.site_of(q)
-            for q in request.interacting_qubits
-            if layout.is_placed(q)
-        ]
-        return tuple(sites)
+    @staticmethod
+    def _communication_scores(topology: Topology, anchors: Sequence[int],
+                              sites: Sequence[int]) -> List[float]:
+        """Each site's mean hop distance to ``anchors`` (0.0 with none).
 
-    def _communication_score(self, request: AllocationRequest, site: int,
-                             anchors: Sequence[int]) -> float:
+        The integer distance total is exact before the one division.
+        """
         if not anchors:
-            return 0.0
-        topology = request.scheduler.layout.topology
-        return sum(topology.distance(site, anchor) for anchor in anchors) / len(anchors)
+            return [0.0] * len(sites)
+        count = len(anchors)
+        return [total / count for total in topology.distance_sums(anchors, sites)]
 
     def _best_heap_candidate(
         self, request: AllocationRequest, anchors: Sequence[int]
@@ -160,17 +158,21 @@ class LocalityAwareAllocation(AllocationPolicy):
             return None
         scheduler = request.scheduler
         layout = scheduler.layout
+        qubits = request.heap.qubits
+        communication = self._communication_scores(
+            layout.topology, anchors, [layout.site_of(q) for q in qubits])
         frontier = scheduler.frontier_time(request.interacting_qubits)
         swap_duration = max(scheduler.machine.swap_duration, 1)
+        weight = self.serialization_weight
+        qubit_time = scheduler.qubit_time
         best: Optional[Tuple[int, float]] = None
-        for qubit in request.heap:
-            site = layout.site_of(qubit)
-            comm = self._communication_score(request, site, anchors)
-            wait = max(scheduler.qubit_time(qubit) - frontier, 0)
-            serialization = self.serialization_weight * wait / swap_duration
-            score = comm + serialization
-            if best is None or score < best[1]:
+        best_score = 0.0
+        for qubit, comm in zip(qubits, communication):
+            wait = max(qubit_time(qubit) - frontier, 0)
+            score = comm + weight * wait / swap_duration
+            if best is None or score < best_score:
                 best = (qubit, score)
+                best_score = score
         return best
 
     def _best_new_candidate(
@@ -179,21 +181,21 @@ class LocalityAwareAllocation(AllocationPolicy):
     ) -> Optional[Tuple[int, float]]:
         layout = request.scheduler.layout
         topology = layout.topology
-        live_sites = [
-            layout.site_of(q) for q in request.live_qubits if layout.is_placed(q)
-        ]
+        live_sites = layout.sites_of(request.live_qubits)
         search_anchors = tuple(anchors) if anchors else tuple(live_sites)
         free = layout.nearest_free_sites(search_anchors, limit=max_candidates)
         if not free:
             return None
-        centroid = topology.centroid_site(live_sites) if live_sites else None
+        scores = self._communication_scores(topology, anchors, free)
+        if live_sites:
+            centroid = topology.centroid_site(live_sites)
+            expansion = topology.distance_sums((centroid,), free)
+            scores = [comm + self.area_weight * hops
+                      for comm, hops in zip(scores, expansion)]
         best: Optional[Tuple[int, float]] = None
-        for site in free:
-            comm = self._communication_score(request, site, anchors)
-            expansion = 0.0
-            if centroid is not None:
-                expansion = self.area_weight * topology.distance(site, centroid)
-            score = comm + expansion
-            if best is None or score < best[1]:
+        best_score = 0.0
+        for site, score in zip(free, scores):
+            if best is None or score < best_score:
                 best = (site, score)
+                best_score = score
         return best

@@ -194,7 +194,15 @@ class SquareCompiler:
     # Public API
     # ------------------------------------------------------------------
     def compile(self, program: Program) -> CompilationResult:
-        """Compile ``program`` and return the scheduled-resource summary."""
+        """Compile ``program`` and return the scheduled-resource summary.
+
+        Raises:
+            ResourceExhaustedError: If the program runs out of machine
+                qubits.  A qubit budget (``max_qubits`` or the machine
+                size) below :meth:`Program.live_qubit_floor` fails right
+                after validation, before any gate is scheduled: no policy
+                can fit it.
+        """
         started = _time.perf_counter()
         # Exclusive-attribution phase profile (see PhaseTimer): the
         # walk runs under "mapping_routing", and _allocate_ancillas /
@@ -207,6 +215,14 @@ class SquareCompiler:
         program.validate()
         if timer is not None:
             timer.pop()
+        self._qubit_budget = self.config.max_qubits or self.machine.num_qubits
+        capacity = min(self._qubit_budget, self.machine.num_qubits)
+        floor = program.live_qubit_floor()
+        if capacity < floor:
+            raise ResourceExhaustedError(
+                f"program {program.name!r} holds at least {floor} qubits "
+                f"live at once; {self.machine.name} offers {capacity}"
+            )
         self.machine.reset_communication_state()
         self._tracker = LivenessTracker()
         self._scheduler = GateScheduler(
@@ -216,10 +232,10 @@ class SquareCompiler:
         self._heap = AncillaHeap()
         self._comm = CommunicationEstimator()
         self._next_virtual = 0
-        self._qubit_budget = self.config.max_qubits or self.machine.num_qubits
         self._reclamation_log: List[ReclamationEvent] = []
         self._uncompute_gates = 0
         self._static_cache: Dict[int, int] = {}
+        self._partner_cache: Dict[int, Dict[Qubit, List[Qubit]]] = {}
 
         entry = program.entry
         if timer is not None:
@@ -423,24 +439,13 @@ class SquareCompiler:
         (all bound parameters) for ancillas with no direct interaction in
         this module's own statements.
         """
-        ancilla_set = set(module.ancillas)
-        per_ancilla: Dict[Qubit, List[int]] = {}
-        for block in (module.compute, module.store):
-            for stmt in block:
-                operands = stmt.qubits if isinstance(stmt, GateStmt) else stmt.args
-                involved = [q for q in operands if q in ancilla_set]
-                if not involved:
-                    continue
-                partners = [
-                    frame.binding[q] for q in operands
-                    if q not in ancilla_set and q in frame.binding
-                ]
-                for ancilla in involved:
-                    bucket = per_ancilla.setdefault(ancilla, [])
-                    for virtual in partners:
-                        if virtual not in bucket:
-                            bucket.append(virtual)
-        fallback = [frame.binding[q] for q in module.params if q in frame.binding]
+        partners = self._partner_cache.get(id(module))
+        if partners is None:
+            partners = self._partner_cache[id(module)] = _ancilla_partners(module)
+        binding = frame.binding
+        per_ancilla = {ancilla: [binding[q] for q in params]
+                       for ancilla, params in partners.items()}
+        fallback = [binding[q] for q in module.params if q in binding]
         return per_ancilla, fallback
 
     def _process_free(self, module: QModule, frame: _Frame, record: CallRecord,
@@ -612,6 +617,23 @@ class SquareCompiler:
             else:
                 total += stmt.module.static_gate_count(self._static_cache)
         return total
+
+
+def _ancilla_partners(module: QModule) -> Dict[Qubit, List[Qubit]]:
+    """For each ancilla that shares a Compute or Store gate or call with
+    a parameter, those parameters in order of first appearance."""
+    ancilla_set = set(module.ancillas)
+    partners: Dict[Qubit, List[Qubit]] = {}
+    for block in (module.compute, module.store):
+        for stmt in block:
+            operands = stmt.qubits if isinstance(stmt, GateStmt) else stmt.args
+            involved = [q for q in operands if q in ancilla_set]
+            for ancilla in involved:
+                bucket = partners.setdefault(ancilla, [])
+                for qubit in operands:
+                    if qubit not in ancilla_set and qubit not in bucket:
+                        bucket.append(qubit)
+    return partners
 
 
 def compile_program(

@@ -10,11 +10,13 @@ usage segments reflect actual scheduled times.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CompilationError
 from repro.arch.machine import CommunicationResult, Machine
 from repro.arch.mapping import Layout
+from repro.arch.routing import SwapStep
 from repro.scheduler.events import GateExecution, ScheduledGate
 from repro.scheduler.tracker import LivenessTracker
 
@@ -42,7 +44,7 @@ class GateScheduler:
         self._record = record_schedule
         self.events: List[ScheduledGate] = []
         self._qubit_time: Dict[int, int] = {}
-        self._site_time: Dict[int, int] = {}
+        self._site_time: List[int] = [0] * machine.topology.num_sites
         self.makespan = 0
         self.gate_count = 0
         self.swap_count = 0
@@ -55,7 +57,7 @@ class GateScheduler:
     def register_qubit(self, virtual: int, site: int) -> None:
         """Place a freshly created virtual qubit on ``site``."""
         self.layout.place(virtual, site)
-        self._qubit_time[virtual] = self._site_time.get(site, 0)
+        self._qubit_time[virtual] = self._site_time[site]
 
     def qubit_time(self, virtual: int) -> int:
         """Current availability time of a virtual qubit."""
@@ -63,7 +65,7 @@ class GateScheduler:
 
     def frontier_time(self, virtual_qubits: Sequence[int]) -> int:
         """Earliest time a gate on ``virtual_qubits`` could start."""
-        return max((self._qubit_time.get(q, 0) for q in virtual_qubits), default=0)
+        return max(map(self._qubit_time.get, virtual_qubits, repeat(0)), default=0)
 
     def current_time(self) -> int:
         """The makespan so far (used as the allocation timestamp)."""
@@ -80,11 +82,11 @@ class GateScheduler:
             of swaps inserted and the communication cost units.
         """
         qubits = tuple(virtual_qubits)
-        for qubit in qubits:
-            if not self.layout.is_placed(qubit):
-                raise CompilationError(
-                    f"gate {name!r} references unplaced virtual qubit {qubit}"
-                )
+        if len(self.layout.sites_of(qubits)) != len(qubits):
+            unplaced = next(q for q in qubits if not self.layout.is_placed(q))
+            raise CompilationError(
+                f"gate {name!r} references unplaced virtual qubit {unplaced}"
+            )
         total_swaps = 0
         total_cost = 0.0
         extra_latency = 0
@@ -115,48 +117,88 @@ class GateScheduler:
         """Make ``moving`` adjacent to ``stationary``, applying swaps."""
         site_a = self.layout.site_of(moving)
         site_b = self.layout.site_of(stationary)
-        earliest = self.frontier_time((moving, stationary))
+        qubit_time = self._qubit_time
+        earliest = max(qubit_time.get(moving, 0), qubit_time.get(stationary, 0))
         result = self.machine.resolve_interaction(site_a, site_b, earliest)
-        for step in result.swaps:
-            self._apply_swap(step.site_a, step.site_b)
+        if result.swaps:
+            self._apply_swaps(result.swaps)
         return result
 
-    def _apply_swap(self, site_a: int, site_b: int) -> None:
-        """Swap the occupants of two adjacent sites and advance their clocks."""
-        occupant_a = self.layout.virtual_at(site_a)
-        occupant_b = self.layout.virtual_at(site_b)
-        involved = [q for q in (occupant_a, occupant_b) if q is not None]
-        start = max(
-            self.frontier_time(involved),
-            self._site_time.get(site_a, 0),
-            self._site_time.get(site_b, 0),
-        )
-        finish = start + self.machine.swap_duration
-        self.layout.swap(site_a, site_b)
-        for qubit in involved:
-            self._qubit_time[qubit] = finish
-            self.tracker.record_gate(qubit, start, finish)
-        self._site_time[site_a] = finish
-        self._site_time[site_b] = finish
+    def _apply_swaps(self, swaps: Sequence[SwapStep]) -> None:
+        """Walk a swap chain in one pass.
+
+        The chain moves the occupant of its first site step by step; each
+        step is one SWAP gate that starts once both sites and both
+        occupants are free, and every other occupant ends one site back.
+
+        Raises:
+            CompilationError: If a step does not start where the previous
+                one ended.
+        """
+        path = [swaps[0][0]]
+        for site_a, site_b in swaps:
+            if site_a != path[-1]:
+                raise CompilationError(
+                    f"swap step {(site_a, site_b)} does not continue the "
+                    f"chain at site {path[-1]}"
+                )
+            path.append(site_b)
+        occupants = self.layout.move_along(path)
+        qubit_time = self._qubit_time
+        site_time = self._site_time
+        record_gate = self.tracker.record_gate
+        duration = self.machine.swap_duration
+        moving = occupants[0]
+        # Before each step, `finish` is when the previous step released
+        # the moving qubit and the site it now occupies.
+        finish = site_time[path[0]]
+        if moving is not None:
+            finish = max(finish, qubit_time.get(moving, 0))
+        first_start = None
+        for index in range(1, len(path)):
+            site = path[index]
+            occupant = occupants[index]
+            start = site_time[site]
+            if finish > start:
+                start = finish
+            if occupant is not None:
+                busy = qubit_time.get(occupant, 0)
+                if busy > start:
+                    start = busy
+            if first_start is None:
+                first_start = start
+            finish = start + duration
+            site_time[path[index - 1]] = finish
+            site_time[site] = finish
+            if occupant is not None:
+                qubit_time[occupant] = finish
+                record_gate(occupant, start, finish)
+            if self._record:
+                self.events.append(ScheduledGate(
+                    name="swap",
+                    virtual_qubits=tuple(q for q in (moving, occupant)
+                                         if q is not None),
+                    sites=(path[index - 1], site),
+                    start=start,
+                    finish=finish,
+                    routed=True,
+                ))
+        if moving is not None:
+            qubit_time[moving] = finish
+            record_gate(moving, first_start, finish)
         self.makespan = max(self.makespan, finish)
-        self.swap_count += 1
-        if self._record:
-            self.events.append(ScheduledGate(
-                name="swap",
-                virtual_qubits=tuple(involved),
-                sites=(site_a, site_b),
-                start=start,
-                finish=finish,
-                routed=True,
-            ))
+        self.swap_count += len(swaps)
 
     def _commit(self, name: str, qubits: Tuple[int, ...], start: int,
                 finish: int, routed: bool) -> None:
-        sites = tuple(self.layout.site_of(q) for q in qubits)
+        sites = tuple(self.layout.sites_of(qubits))
+        qubit_time = self._qubit_time
+        site_time = self._site_time
+        record_gate = self.tracker.record_gate
         for qubit, site in zip(qubits, sites):
-            self._qubit_time[qubit] = finish
-            self._site_time[site] = finish
-            self.tracker.record_gate(qubit, start, finish)
+            qubit_time[qubit] = finish
+            site_time[site] = finish
+            record_gate(qubit, start, finish)
         self.makespan = max(self.makespan, finish)
         if self._record:
             self.events.append(ScheduledGate(

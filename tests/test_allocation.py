@@ -1,9 +1,12 @@
 """Tests for the allocation policies (LIFO baseline and LAA)."""
 
+import random
+
 import pytest
 
 from repro.exceptions import ResourceExhaustedError
 from repro.arch.nisq import NISQMachine
+from repro.arch.topology import Topology
 from repro.core.allocation import (
     AllocationRequest,
     LifoAllocation,
@@ -110,3 +113,42 @@ class TestLocalityAwareAllocation:
         with pytest.raises(ResourceExhaustedError):
             LocalityAwareAllocation().allocate(
                 _request(scheduler, heap, create, count=1, interacting=[0]))
+
+
+def reference_communication_score(topology, site, anchors):
+    """LAA's communication term, one ``distance`` call per anchor."""
+    if not anchors:
+        return 0.0
+    return sum(topology.distance(site, anchor) for anchor in anchors) / len(anchors)
+
+
+@pytest.mark.parametrize("topology", [
+    Topology.grid(6, 6), Topology.grid(3, 7), Topology.grid(7, 2),
+    Topology.line(9), Topology.fully_connected(11)], ids=str)
+def test_communication_score_matches_reference(topology):
+    rng = random.Random(topology.num_sites)
+    for _ in range(200):
+        # Anchors repeat whenever a new ancilla lands on an anchor's site.
+        anchors = [rng.randrange(topology.num_sites)
+                   for _ in range(rng.choice([0, 1, 2, 3, 5, 9, 40]))]
+        sites = list(range(topology.num_sites))
+        rng.shuffle(sites)
+        scores = LocalityAwareAllocation._communication_scores(
+            topology, anchors, sites)
+        for site, score in zip(sites, scores, strict=True):
+            expected = reference_communication_score(topology, site, anchors)
+            assert score == expected
+            assert type(score) is type(expected)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 5])
+def test_lifo_takes_the_lowest_free_site_after_swaps(grid):
+    rng = random.Random(grid)
+    _, scheduler, heap, create = _environment(grid=grid)
+    layout = scheduler.layout
+    sites = range(grid * grid)
+    while layout.num_free_sites:
+        lowest = min(s for s in sites if layout.virtual_at(s) is None)
+        qubit = LifoAllocation().allocate(_request(scheduler, heap, create))[0]
+        assert layout.site_of(qubit) == lowest
+        layout.swap(rng.choice(sites), rng.choice(sites))

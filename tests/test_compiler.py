@@ -8,7 +8,10 @@ the resulting metrics, for every policy preset.
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.api import CompileJob, autosize_compile, execute_job
 from repro.exceptions import CompilationError, ResourceExhaustedError
 from repro.arch.ft import FTMachine
 from repro.arch.machine import IdealMachine
@@ -22,9 +25,17 @@ from repro.core.compiler import (
 )
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
-from repro.ir.program import Program, QModule
+from repro.ir.program import CallStmt, Program, QModule
+from repro.scheduler.asap import GateScheduler
+from repro.workloads.registry import (
+    benchmark_names,
+    benchmark_overrides,
+    load_benchmark,
+)
+from repro.workloads.synthetic import SyntheticGenerator, SyntheticSpec
 
 from tests.conftest import build_two_level_program
+from tests.test_golden import MACHINES, POLICIES, _corpus
 
 ALL_POLICIES = tuple(POLICY_PRESETS)
 
@@ -224,3 +235,83 @@ class TestPolicyBehaviour:
         sites = result.entry_param_sites()
         assert len(sites) == 5
         assert len(set(sites)) == 5
+
+
+class TestLiveQubitFloor:
+    """Program.live_qubit_floor is a lower bound no compile can beat."""
+
+    def test_floor_bounds_peak_live_on_the_golden_matrix(self):
+        checked = 0
+        for name in benchmark_names():
+            overrides = benchmark_overrides(name, "quick")
+            floor = load_benchmark(name, **overrides).live_qubit_floor()
+            for policy in POLICIES:
+                for machine in MACHINES:
+                    job = CompileJob.for_benchmark(name, machine, policy,
+                                                   overrides=overrides)
+                    try:
+                        result = execute_job(job)
+                    except ResourceExhaustedError:
+                        continue
+                    assert result.peak_live_qubits >= floor, job
+                    checked += 1
+        assert checked == sum(digest != "ResourceExhaustedError"
+                              for digest in _corpus().values())
+
+    def test_budget_below_the_floor_fails_before_any_gate(self, monkeypatch,
+                                                         two_level_program):
+        floor = two_level_program.live_qubit_floor()
+        assert floor == 5 + 1 + 1  # entry params, main and fun1 ancillas
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was scheduled")
+
+        monkeypatch.setattr(GateScheduler, "schedule_gate", no_gates)
+        for policy in ALL_POLICIES:
+            with pytest.raises(ResourceExhaustedError, match="at least 7"):
+                compile_program(two_level_program,
+                                NISQMachine.fully_connected(floor - 1), policy)
+            with pytest.raises(ResourceExhaustedError, match="at least 7"):
+                compile_program(two_level_program, NISQMachine.grid(5, 5),
+                                policy, max_qubits=floor - 1)
+
+    def test_calls_only_in_explicit_uncompute_do_not_count(self):
+        big = QModule("big", num_inputs=1, num_outputs=1, num_ancilla=10)
+        big.cx(big.inputs[0], big.ancillas[0])
+        big.begin_store()
+        big.cx(big.ancillas[0], big.outputs[0])
+        mid = QModule("mid", num_inputs=1, num_outputs=1, num_ancilla=1)
+        mid.cx(mid.inputs[0], mid.ancillas[0])
+        mid.begin_store()
+        mid.cx(mid.ancillas[0], mid.outputs[0])
+        mid.set_explicit_uncompute([CallStmt(big, (mid.ancillas[0],
+                                                   mid.inputs[0]))])
+        top = QModule("top", num_inputs=1, num_outputs=1, num_ancilla=1)
+        top.call(mid, top.inputs[0], top.ancillas[0])
+        top.begin_store()
+        top.cx(top.ancillas[0], top.outputs[0])
+        program = Program(top)
+        assert program.live_qubit_floor() == 2 + 1 + 1
+        # Lazy never runs mid's Uncompute, so it fits on exactly the floor.
+        result = compile_program(program, NISQMachine.fully_connected(4), "lazy")
+        assert result.peak_live_qubits == 4
+        # A Compute call to the same module does count.
+        mid.compute.append(CallStmt(big, (mid.ancillas[0], mid.inputs[0])))
+        assert program.live_qubit_floor() == 2 + 1 + 1 + 10
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(levels=st.integers(1, 4), callees=st.integers(1, 3),
+           inputs=st.integers(2, 6), ancilla=st.integers(1, 4),
+           gates=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_floor_never_exceeds_peak_live(self, levels, callees, inputs,
+                                           ancilla, gates, seed):
+        program = SyntheticGenerator(SyntheticSpec(
+            "floor", levels=levels, max_callees=callees, max_inputs=inputs,
+            max_ancilla=ancilla, max_gates=gates, seed=seed)).generate()
+        floor = program.live_qubit_floor()
+        for policy in ("eager", "lazy", "square-laa", "square"):
+            result = autosize_compile(program, NISQMachine.with_qubits,
+                                      POLICY_PRESETS[policy], start_qubits=4)
+            assert result.peak_live_qubits >= floor
+            assert result.num_qubits_used >= floor

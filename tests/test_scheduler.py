@@ -1,11 +1,14 @@
 """Tests for the gate scheduler and the liveness tracker."""
 
+import random
+
 import pytest
 
 from repro.exceptions import CompilationError
 from repro.arch.ft import FTMachine
 from repro.arch.machine import IdealMachine
 from repro.arch.nisq import NISQMachine
+from repro.arch.routing import SwapStep
 from repro.arch.topology import Topology
 from repro.scheduler.asap import GateScheduler
 from repro.scheduler.tracker import LivenessTracker
@@ -156,3 +159,88 @@ class TestGateScheduler:
         scheduler.register_qubit(1, 8)
         scheduler.schedule_gate("cx", [0, 1])
         assert scheduler.average_comm_cost() > 0
+
+
+def reference_apply_swap(scheduler, site_a, site_b):
+    """One SWAP gate: swap two sites' occupants and advance their clocks."""
+    occupant_a = scheduler.layout.virtual_at(site_a)
+    occupant_b = scheduler.layout.virtual_at(site_b)
+    involved = [q for q in (occupant_a, occupant_b) if q is not None]
+    start = max(scheduler.frontier_time(involved),
+                scheduler._site_time[site_a], scheduler._site_time[site_b])
+    finish = start + scheduler.machine.swap_duration
+    scheduler.layout.swap(site_a, site_b)
+    for qubit in involved:
+        scheduler._qubit_time[qubit] = finish
+        scheduler.tracker.record_gate(qubit, start, finish)
+    scheduler._site_time[site_a] = finish
+    scheduler._site_time[site_b] = finish
+    scheduler.makespan = max(scheduler.makespan, finish)
+    scheduler.swap_count += 1
+    scheduler.events.append(("swap", tuple(involved), (site_a, site_b),
+                             start, finish))
+
+
+def _seeded_scheduler(machine, seed):
+    """A scheduler with a random occupancy, random clocks and live qubits."""
+    rng = random.Random(seed)
+    scheduler = GateScheduler(machine, LivenessTracker(), record_schedule=True)
+    num_sites = machine.topology.num_sites
+    sites = list(range(num_sites))
+    rng.shuffle(sites)
+    for virtual, site in enumerate(sites[:rng.randint(1, num_sites)]):
+        scheduler.register_qubit(virtual, site)
+        if rng.random() < 0.8:
+            scheduler.tracker.allocate(virtual, 0)
+        if rng.random() < 0.3:
+            scheduler.tracker.record_gate(virtual, 1, rng.randrange(2, 9))
+        scheduler._qubit_time[virtual] = rng.randrange(40)
+    for site in range(num_sites):
+        scheduler._site_time[site] = rng.randrange(40)
+    scheduler.makespan = 30
+    return scheduler, rng
+
+
+@pytest.mark.parametrize("machine", [
+    NISQMachine.grid(5, 5), NISQMachine.grid(3, 6), NISQMachine.grid(6, 2),
+    NISQMachine(Topology.line(8)), NISQMachine.fully_connected(9)], ids=str)
+def test_swap_chain_matches_per_step_reference(machine):
+    topology = machine.topology
+    for seed in range(60):
+        chained, rng = _seeded_scheduler(machine, seed)
+        stepped, _ = _seeded_scheduler(machine, seed)
+        placed = [s for s in range(topology.num_sites)
+                  if chained.layout.virtual_at(s) is not None]
+        source = rng.choice(placed)
+        if topology.is_lattice:
+            path = topology.shortest_path(source, rng.randrange(topology.num_sites))
+        else:  # every pair is coupled: any simple path is a chain
+            others = [s for s in range(topology.num_sites) if s != source]
+            path = [source] + rng.sample(others, rng.randint(1, 5))
+        if len(path) < 2:
+            continue
+        chain = tuple(SwapStep(a, b) for a, b in zip(path, path[1:]))
+        chained._apply_swaps(chain)
+        for step in chain:
+            reference_apply_swap(stepped, step.site_a, step.site_b)
+
+        assert chained._qubit_time == stepped._qubit_time
+        assert chained._site_time == stepped._site_time
+        assert (chained.makespan, chained.swap_count) == (
+            stepped.makespan, stepped.swap_count)
+        assert [(e.name, e.virtual_qubits, e.sites, e.start, e.finish)
+                for e in chained.events] == [e[:5] for e in stepped.events]
+        assert all(e.routed for e in chained.events)
+        assert ({s: chained.layout.virtual_at(s) for s in range(topology.num_sites)}
+                == {s: stepped.layout.virtual_at(s)
+                    for s in range(topology.num_sites)})
+        assert chained.layout.lowest_free_site() == stepped.layout.lowest_free_site()
+        assert ([vars(seg) for seg in chained.tracker._open.values()]
+                == [vars(seg) for seg in stepped.tracker._open.values()])
+
+
+def test_broken_swap_chain_is_rejected():
+    scheduler = GateScheduler(NISQMachine(Topology.line(5)))
+    scheduler.register_qubit(0, 0)
+    with pytest.raises(CompilationError):
+        scheduler._apply_swaps((SwapStep(0, 1), SwapStep(2, 3)))

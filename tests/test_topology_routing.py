@@ -1,5 +1,6 @@
 """Tests for topologies, swap routing, layout and braid routing."""
 
+import random
 from collections import deque
 
 import pytest
@@ -7,10 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
-from repro.arch.braid import BraidTracker, manhattan_route
+from repro.arch.braid import Braid, BraidTracker, manhattan_route, route_vertices
 from repro.arch.mapping import Layout
 from repro.arch.routing import SwapRouter
 from repro.arch.topology import Topology
+
+
+#: Square, non-square and line lattices and an all-to-all machine.
+TOPOLOGIES = (Topology.grid(6, 6), Topology.grid(3, 7), Topology.grid(7, 2),
+              Topology.line(9), Topology.fully_connected(11))
 
 
 class TestTopology:
@@ -28,7 +34,8 @@ class TestTopology:
     def test_grid_distance_is_manhattan(self):
         grid = Topology.grid(4, 4)
         assert grid.distance(0, 15) == 6
-        assert grid.manhattan_distance(0, 15) == 6
+        assert grid.distance_sums([15], [0, 15]) == [6, 0]
+        assert grid.distance_sums([15, 15, 0], [0]) == [12]
 
     def test_fully_connected(self):
         full = Topology.fully_connected(7)
@@ -184,12 +191,49 @@ class TestLayout:
         distances = [topology.distance(site, 12) for site in sites]
         assert distances == sorted(distances)
 
-    def test_area_spread(self):
-        layout = Layout(Topology.grid(3, 3))
+    def test_sites_of_and_centroid_spread(self):
+        topology = Topology.grid(3, 3)
+        layout = Layout(topology)
         layout.place(0, 0)
         layout.place(1, 8)
-        assert layout.area_spread([0, 1]) > 0
-        assert layout.area_spread([0]) == 0.0
+        sites = layout.sites_of([0, 5, 1])
+        assert sites == [0, 8]
+        centroid = topology.centroid_site(sites)
+        assert centroid == 4
+        assert topology.distance_sums(sites, [centroid]) == [4]
+        assert topology.distance_sums([0], [topology.centroid_site([0])]) == [0]
+
+    def test_lowest_free_site_hint_follows_place_and_swaps(self):
+        # Reference model: a site -> occupant dict, swapped one pair at a time.
+        rng = random.Random(7)
+        for topology in TOPOLOGIES:
+            layout = Layout(topology)
+            sites = range(topology.num_sites)
+            occupants = {s: None for s in sites}
+            for virtual in range(3 * topology.num_sites):
+                free = [s for s in sites if occupants[s] is None]
+                action = rng.random()
+                if action < 0.4 and free:
+                    site = rng.choice(free)
+                    layout.place(virtual, site)
+                    occupants[site] = virtual
+                    path = []
+                elif action < 0.7:
+                    path = [rng.choice(sites), rng.choice(sites)]
+                    layout.swap(*path)
+                else:
+                    path = rng.sample(sites, rng.randint(2, min(5, len(sites))))
+                    layout.move_along(path)
+                for site_a, site_b in zip(path, path[1:]):
+                    occupants[site_a], occupants[site_b] = (
+                        occupants[site_b], occupants[site_a])
+                assert occupants == {s: layout.virtual_at(s) for s in sites}
+                free = [s for s in sites if occupants[s] is None]
+                assert layout.lowest_free_site() == (free[0] if free else None)
+                assert layout.num_free_sites == len(free)
+                assert layout.nearest_free_sites([], limit=3) == free[:3]
+                assert all(layout.site_of(v) == s
+                           for s, v in occupants.items() if v is not None)
 
 
 class TestBraidTracker:
@@ -223,3 +267,167 @@ class TestBraidTracker:
         tracker.reset()
         assert tracker.total_braids == 0
         assert tracker.average_crossings() == 0.0
+
+
+# ----------------------------------------------------------------------
+# Reference implementations: the straightforward per-coordinate and
+# per-pair versions the compile hot path replaced.  The rewritten
+# kernels must return exactly what these return.
+# ----------------------------------------------------------------------
+def reference_ring_coordinates(center_row, center_col, radius):
+    if radius == 0:
+        yield (center_row, center_col)
+        return
+    for offset in range(radius):
+        yield (center_row - radius + offset, center_col + offset)
+        yield (center_row + offset, center_col + radius - offset)
+        yield (center_row + radius - offset, center_col - offset)
+        yield (center_row - offset, center_col - radius + offset)
+
+
+def reference_nearest_free_sites(layout, anchor_sites, limit):
+    topology = layout.topology
+    free = [site for site in range(topology.num_sites)
+            if layout.virtual_at(site) is None]
+    if limit < 1:
+        return []
+    if not anchor_sites:
+        return free[:limit]
+    if topology.is_lattice:
+        coords = [topology.coordinate(site) for site in anchor_sites]
+        center_row = int(round(sum(r for r, _ in coords) / len(coords)))
+        center_col = int(round(sum(c for _, c in coords) / len(coords)))
+        corner_row, corner_col = topology.coordinate(topology.num_sites - 1)
+        grid_span = max(corner_row, corner_col) + 1
+        found = []
+        radius = 0
+        while len(found) < limit and radius <= 2 * grid_span:
+            for coord in reference_ring_coordinates(center_row, center_col,
+                                                    radius):
+                site = topology.site_at(coord)
+                if site is not None and layout.virtual_at(site) is None:
+                    found.append(site)
+            radius += 1
+        if found:
+            return found[:limit]
+    free.sort(key=lambda site: sum(
+        topology.distance(site, anchor) for anchor in anchor_sites))
+    return free[:limit]
+
+
+def reference_shortest_path(topology, a, b):
+    if not topology.is_lattice:
+        return [a] if a == b else [a, b]
+    row, col = topology.coordinate(a)
+    row_b, col_b = topology.coordinate(b)
+    path = [a]
+    while col != col_b:
+        col += 1 if col_b > col else -1
+        path.append(topology.site_at((row, col)))
+    while row != row_b:
+        row += 1 if row_b > row else -1
+        path.append(topology.site_at((row, col)))
+    return path
+
+
+def reference_route_vertices(start, end):
+    vertices = {start, end}
+    for a, b in manhattan_route(start, end):
+        vertices.add(a)
+        vertices.add(b)
+    return frozenset(vertices)
+
+
+class ReferenceBraidTracker:
+    """Conflict scan of a braid tracker, one overlap and one crossing
+    test per active braid."""
+
+    def __init__(self, topology, braid_duration, prune_window):
+        self.topology = topology
+        self.braid_duration = braid_duration
+        self.prune_window = prune_window
+        self.active = []
+        self.latest_finish = 0
+
+    def request(self, site_a, site_b, earliest_start):
+        coord_a = self.topology.coordinate(site_a)
+        coord_b = self.topology.coordinate(site_b)
+        vertices = reference_route_vertices(coord_a, coord_b)
+        start = earliest_start
+        finish = start + self.braid_duration
+        conflicts = [braid for braid in self.active
+                     if braid.start < finish and start < braid.finish
+                     and not braid.vertices.isdisjoint(vertices)]
+        if conflicts:
+            start = max(braid.finish for braid in conflicts)
+            finish = start + self.braid_duration
+        self.active.append(Braid(start=start, finish=finish, vertices=vertices,
+                                 endpoints=(coord_a, coord_b)))
+        self.latest_finish = max(self.latest_finish, finish)
+        horizon = self.latest_finish - self.prune_window
+        if horizon > 0 and len(self.active) > 256:
+            self.active = [b for b in self.active if b.finish >= horizon]
+        return start, finish, len(conflicts), vertices
+
+
+def random_layout(topology, rng, fill):
+    layout = Layout(topology)
+    sites = list(range(topology.num_sites))
+    rng.shuffle(sites)
+    for virtual, site in enumerate(sites[:int(fill * len(sites))]):
+        layout.place(virtual, site)
+    return layout
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
+    def test_nearest_free_sites_match_reference(self, topology):
+        rng = random.Random(topology.num_sites)
+        for trial in range(150):
+            layout = random_layout(topology, rng, rng.random())
+            occupied = [s for s in range(topology.num_sites)
+                        if layout.virtual_at(s) is not None]
+            # Anchors are mostly occupied sites, sometimes a free one (as
+            # the machine centre is when entry parameters are placed),
+            # sometimes repeated.
+            anchors = rng.sample(occupied, min(len(occupied), rng.randint(0, 6)))
+            if rng.random() < 0.3:
+                anchors.append(rng.randrange(topology.num_sites))
+            if anchors and rng.random() < 0.3:
+                anchors.append(anchors[0])
+            for limit in (0, 1, 5, 32):
+                assert (layout.nearest_free_sites(anchors, limit)
+                        == reference_nearest_free_sites(layout, anchors, limit))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
+    def test_shortest_path_matches_reference(self, topology):
+        for a in range(topology.num_sites):
+            for b in range(topology.num_sites):
+                assert (topology.shortest_path(a, b)
+                        == reference_shortest_path(topology, a, b))
+
+    @pytest.mark.parametrize("prune_window", [40, 4])
+    @pytest.mark.parametrize("topology", TOPOLOGIES[:4], ids=str)
+    def test_braid_conflicts_match_reference(self, topology, prune_window):
+        rng = random.Random(topology.num_sites)
+        tracker = BraidTracker(topology, braid_duration=3,
+                               prune_window=prune_window)
+        reference = ReferenceBraidTracker(topology, 3, prune_window)
+        clock = 0
+        for _ in range(1500):
+            clock += rng.randrange(3)
+            a = rng.randrange(topology.num_sites)
+            b = rng.randrange(topology.num_sites)
+            earliest = clock + rng.randrange(8)
+            got = tracker.request(a, b, earliest)
+            assert ((got.start, got.finish, got.crossings, got.vertices)
+                    == reference.request(a, b, earliest))
+            assert tracker.active_braids == tuple(reference.active)
+        assert tracker.total_crossings > 0
+
+    def test_route_vertices_match_reference(self):
+        points = [(r, c) for r in range(4) for c in range(5)]
+        for start in points:
+            for end in points:
+                assert (route_vertices(start, end)
+                        == reference_route_vertices(start, end))

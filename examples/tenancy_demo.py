@@ -15,8 +15,8 @@ Walks the tenancy story end to end, over real HTTP:
 5. durability: crash the server (journal frozen, no graceful drain) with
    a sweep RUNNING and compiles QUEUED, restart a fresh process on the
    same store directory, and verify every pre-crash ticket completes,
-   the pre-crash DONE result is byte-identical, and ``/stats`` reports
-   the recovery.
+   the pre-crash DONE result is byte-identical, one tenant's recovered
+   jobs run in submission order, and ``/stats`` reports the recovery.
 
 Every step asserts what it claims, so CI runs this file as the tenancy
 smoke test (under a hard timeout: a wedged recovery fails the build
@@ -192,6 +192,13 @@ def main() -> None:
     assert requeued["retries"] == 1, requeued
     print(f"resumed      : all {1 + len(queued)} pre-crash jobs "
           f"completed after restart ({running} requeued once)")
+    # Recovery re-pushes the backlog microseconds apart; alice's two
+    # equal-priority jobs must still run in submission order.
+    first, second = (alice2.poll(ticket)["started_at"]
+                     for ticket in queued[:2])
+    assert first < second, \
+        "one tenant's recovered jobs must run in submission order"
+    print("fifo         : alice's recovered jobs ran in submission order")
     stop_server(server2)
 
     print("tenancy demo OK")

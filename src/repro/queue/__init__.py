@@ -2,29 +2,29 @@
 
 This package is the layer between a network transport and the blocking
 compilation backend (:class:`~repro.api.session.Session`): submissions
-return a ticket immediately, a worker pool drains a bounded priority
+return a ticket immediately, a worker pool drains a bounded fair-share
 queue, and clients poll the ticket for status and results — the shape
 that lets one server absorb large sweeps without blocking small
 requests.
 
 * :mod:`repro.queue.jobs` — :class:`QueuedJob` lifecycle records
   (QUEUED → RUNNING → DONE/FAILED/CANCELLED).
-* :mod:`repro.queue.queue` — :class:`JobQueue`, bounded and
-  priority-aware, rejecting with
+* :mod:`repro.queue.queue` — :class:`JobQueue`, bounded and popped in
+  :class:`~repro.tenancy.fairshare.FairShareScheduler` composite-score
+  order (score ties in submission order), rejecting with
   :class:`~repro.exceptions.BackPressureError` when full (and with
   :class:`~repro.exceptions.QuotaExceededError` when one tenant's
-  ``max_queued`` cap is hit); an optional
-  :class:`~repro.tenancy.fairshare.FairShareScheduler` replaces raw
-  priority pops with fair-share composite scoring.
+  ``max_queued`` cap is hit).
 * :mod:`repro.queue.workers` — :class:`WorkerPool` threads draining the
   queue with per-job failure isolation and graceful shutdown.
 * :mod:`repro.queue.manager` — :class:`JobManager` tying them together:
   submit/status/result/cancel/list plus retention-based GC and the
   per-entry progress stream (``record_entry``/``entries_since``) that
-  long-poll endpoints and cluster coordinators consume; hand it a
-  :class:`~repro.tenancy.store.JobStore` and every lifecycle event is
-  journaled and replayed on restart (QUEUED resumes, orphaned RUNNING
-  requeues, DONE serves byte-identically).
+  long-poll endpoints and cluster coordinators consume; every
+  lifecycle event goes to its :class:`~repro.tenancy.store.JobStore`,
+  and a durable one (:class:`~repro.tenancy.store.JsonlJobStore`) is
+  replayed on restart (QUEUED resumes, orphaned RUNNING requeues, DONE
+  serves byte-identically).
 
 :mod:`repro.service` mounts a :class:`JobManager` behind its HTTP
 endpoints (``/jobs``, ``/jobs/<id>``, ``/jobs/<id>/cancel``); the

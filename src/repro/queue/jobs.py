@@ -84,8 +84,8 @@ class QueuedJob:
             through it.
         retries: Times the job has been requeued after being orphaned
             RUNNING by a server crash (durable-store recovery).
-        enqueued_at: Scheduler-clock enqueue stamp (set by the queue
-            when a fair-share scheduler is installed); the age basis.
+        enqueued_at: Scheduler-clock enqueue stamp (set by the queue's
+            fair-share scheduler at push); the age basis.
         response: The endpoint-shaped result payload once ``DONE``.
         error: Structured error record (``{"error_type", "message"}``
             shape, normally :meth:`~repro.core.result.JobFailure.to_dict`

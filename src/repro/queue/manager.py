@@ -16,16 +16,19 @@ the critical cancellation guarantee cheap to state: a job observed
 is discarded from the queue, so its payload *never runs*; once a worker
 has moved it to ``RUNNING`` the cancel is refused.
 
-Two optional collaborators extend the core for multi-tenant production
+Three collaborators, each with a default, serve multi-tenant production
 use (see :mod:`repro.tenancy`):
 
-* a **scheduler** (:class:`~repro.tenancy.fairshare.FairShareScheduler`)
-  replaces raw priority-int pop order with a fair-share composite score;
-* a **store** (:class:`~repro.tenancy.store.JobStore`) journals every
+* the **scheduler** (:class:`~repro.tenancy.fairshare.FairShareScheduler`)
+  orders the queue's pops by a fair-share composite score;
+* the **store** (:class:`~repro.tenancy.store.JobStore`) journals every
   accepted submission, lifecycle transition and streamed entry, and is
   replayed at construction time: QUEUED jobs re-enqueue, orphaned
   RUNNING jobs requeue (at most ``max_requeues`` times, then FAILED),
   and terminal jobs are served byte-identically to before the restart.
+  The default base-class store persists nothing and replays nothing;
+* the **event log** (:class:`~repro.telemetry.events.EventLog`) narrates
+  queue and lifecycle transitions as structured events.
 
 Finished records are kept for polling and then garbage-collected by a
 retention cap (oldest-finished first) — which also ``forget``s them
@@ -54,8 +57,11 @@ from repro.queue.jobs import (
 )
 from repro.queue.queue import JobQueue
 from repro.queue.workers import WorkerPool
+from repro.telemetry.events import EventLog
 from repro.telemetry.spans import current_span
 from repro.telemetry.timing import EwmaRate
+from repro.tenancy.fairshare import FairShareScheduler
+from repro.tenancy.store import JobStore
 
 #: Per-tenant lifecycle counter keys (the ``tenants`` stats section).
 _TENANT_COUNTERS = ("submitted", "completed", "failed", "cancelled",
@@ -76,27 +82,30 @@ class JobManager:
         retention: Maximum number of *finished* records kept for
             polling; the oldest-finished beyond it are dropped.
         name: Thread-name prefix for the pool.
-        scheduler: Optional fair-share scheduler installed on the queue
-            (see :class:`~repro.tenancy.fairshare.FairShareScheduler`).
-        store: Optional durable :class:`~repro.tenancy.store.JobStore`;
-            its journal is replayed *before* the worker pool starts, so
-            recovered QUEUED work is already waiting when workers spin
-            up.
+        scheduler: The queue's fair-share scheduler (default: a
+            :class:`~repro.tenancy.fairshare.FairShareScheduler` on
+            ``clock``).
+        store: The :class:`~repro.tenancy.store.JobStore` (default: the
+            no-persistence base class); its journal is replayed *before*
+            the worker pool starts, so recovered QUEUED work is already
+            waiting when workers spin up.
         max_requeues: How many times a job orphaned RUNNING by a crash
             is requeued before being marked FAILED instead (guards
             against a poison job crash-looping the server forever).
-        events: Optional :class:`~repro.telemetry.events.EventLog`
-            shared with the queue: push/pop/shed and job lifecycle
-            transitions are narrated as structured events.
-        clock: Monotonic time source for the entries/sec EWMA gauge;
-            injectable so frozen-clock tests get deterministic rates.
+        events: The :class:`~repro.telemetry.events.EventLog` shared
+            with the queue (default: a private log): push/pop/shed and
+            job lifecycle transitions are narrated as structured events.
+        clock: Monotonic time source for the entries/sec EWMA gauge and
+            the default scheduler; injectable so frozen-clock tests get
+            deterministic rates.
     """
 
     def __init__(self, runner: Callable[[QueuedJob], Dict[str, object]], *,
                  workers: int = 2, queue_size: int = 64,
                  retention: int = 256, name: str = "repro",
-                 scheduler=None, store=None, max_requeues: int = 1,
-                 events=None,
+                 scheduler: Optional[FairShareScheduler] = None,
+                 store: Optional[JobStore] = None, max_requeues: int = 1,
+                 events: Optional[EventLog] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if retention < 0:
             raise ServiceError(f"retention must be >= 0, got {retention}")
@@ -106,14 +115,14 @@ class JobManager:
         self._runner = runner
         self.retention = retention
         self.max_requeues = max_requeues
-        self.scheduler = scheduler
-        self.store = store
+        self.scheduler = scheduler or FairShareScheduler(clock=clock)
+        self.store = store or JobStore()
+        self.events = events or EventLog()
         self._lock = threading.Lock()
         self._jobs: "OrderedDict[str, QueuedJob]" = OrderedDict()
         self._ids = itertools.count(1)
-        self.events = events
-        self.queue = JobQueue(capacity=queue_size, scheduler=scheduler,
-                              events=events)
+        self.queue = JobQueue(capacity=queue_size, scheduler=self.scheduler,
+                              events=self.events)
         self.submitted = 0
         self.completed = 0
         self.failed = 0
@@ -127,8 +136,7 @@ class JobManager:
         self._tenant_counters: Dict[str, Dict[str, int]] = {}
         self._entry_rate = EwmaRate(half_life=30.0, clock=clock)
         self._crashed = False
-        if store is not None:
-            self._recover()
+        self._recover()
         # Started last: workers may pop as soon as this line runs.
         self.pool = WorkerPool(self._run_job, self.queue, workers=workers,
                                name=name)
@@ -147,7 +155,7 @@ class JobManager:
         is what ``GET /jobs/<id>`` serves, byte-identical to pre-crash.
         """
         snapshot = self.store.load_burst()
-        if snapshot and self.scheduler is not None:
+        if snapshot:
             # Seed the journaled burst scores, decayed by the downtime.
             # Wall clock by design: the snapshot stamp predates this
             # process, so a monotonic delta would be meaningless.
@@ -226,7 +234,7 @@ class JobManager:
             kind: Work type (``"compile"`` or ``"sweep"``).
             payload: The JSON-compatible work descriptor.
             priority: Higher runs sooner (one input to the fair-share
-                score when a scheduler is installed).
+                score).
             tenant: The submitting
                 :class:`~repro.tenancy.tenants.Tenant`, or None for
                 pre-tenancy callers; drives quotas and fair share.
@@ -262,35 +270,29 @@ class JobManager:
                 raise
             self.submitted += 1
             self._tenant_bump(tenant, "submitted")
-            if self.store is not None:
-                self.store.record_submit(job)
-                if self.scheduler is not None:
-                    # Journal the burst-score table alongside the
-                    # submission that just charged it, stamped with wall
-                    # time — the only clock that survives a restart — so
-                    # a flooding tenant cannot reset its penalty by
-                    # crashing the server.
-                    self.store.record_burst(
-                        self.scheduler.burst.scores(),
-                        time.time())  # lint: wall-clock (journal stamp)
+            self.store.record_submit(job)
+            # Journal the burst-score table alongside the submission
+            # that just charged it, stamped with wall time — the only
+            # clock that survives a restart — so a flooding tenant
+            # cannot reset its penalty by crashing the server.
+            self.store.record_burst(
+                self.scheduler.burst.scores(),
+                time.time())  # lint: wall-clock (journal stamp)
             self._gc_locked()
             return job
 
     def _emit(self, level: str, message: str, job: QueuedJob,
               fields: Optional[Mapping[str, object]] = None) -> None:
-        """Narrate one job lifecycle event (no-op without an event log).
+        """Narrate one job lifecycle event.
 
         Correlation is explicit — lifecycle transitions happen on
         worker threads after the job's span has closed, so nothing can
         be pulled from the span context here.
         """
-        if self.events is None:
-            return
-        tenant = getattr(job, "tenant", None)
+        tenant = job.tenant
         self.events.emit(level, message, component="manager",
                          tenant=tenant.name if tenant is not None else None,
-                         job_id=job.job_id,
-                         trace_id=getattr(job, "trace_id", None),
+                         job_id=job.job_id, trace_id=job.trace_id,
                          fields=fields)
 
     def _tenant_bump(self, tenant, key: str) -> None:
@@ -383,8 +385,7 @@ class JobManager:
         with self._lock:
             self.entries_recorded += 1
             self._entry_rate.mark()
-            if self.store is not None:
-                self.store.record_entry(job.job_id, record)
+            self.store.record_entry(job.job_id, record)
 
     def entries_since(self, job_id: str, since: int = 0,
                       timeout: Optional[float] = None) -> Dict[str, object]:
@@ -431,8 +432,7 @@ class JobManager:
             job.transition(CANCELLED)
             self.cancelled += 1
             self._tenant_bump(job.tenant, "cancelled")
-            if self.store is not None:
-                self.store.record_transition(job)
+            self.store.record_transition(job)
         self._emit("INFO", "job cancelled", job)
         return job, True
 
@@ -445,8 +445,7 @@ class JobManager:
             if job.state != QUEUED:
                 return  # lost the race against a cancel
             job.transition(RUNNING)
-            if self.store is not None:
-                self.store.record_transition(job)
+            self.store.record_transition(job)
         try:
             response = self._runner(job)
         except ReproError as error:
@@ -459,8 +458,7 @@ class JobManager:
                 job.transition(DONE)
                 self.completed += 1
                 self._tenant_bump(job.tenant, "completed")
-                if self.store is not None:
-                    self.store.record_transition(job)
+                self.store.record_transition(job)
             self._emit("INFO", "job done", job,
                        fields={"kind": job.kind,
                                "entries": len(job.entries)})
@@ -491,8 +489,7 @@ class JobManager:
             job.transition(FAILED)
             self.failed += 1
             self._tenant_bump(job.tenant, "failed")
-            if self.store is not None:
-                self.store.record_transition(job)
+            self.store.record_transition(job)
         self._emit("ERROR", f"job failed: {type(error).__name__}", job,
                    fields={"kind": job.kind, "message": str(error)})
 
@@ -520,7 +517,7 @@ class JobManager:
         for job_id in dropped_ids:
             del self._jobs[job_id]
         self.gc_dropped += len(dropped_ids)
-        if dropped_ids and self.store is not None:
+        if dropped_ids:
             self.store.forget(dropped_ids)
         return len(dropped_ids)
 
@@ -548,11 +545,9 @@ class JobManager:
                     job.transition(CANCELLED)
                     self.cancelled += 1
                     self._tenant_bump(job.tenant, "cancelled")
-                    if self.store is not None:
-                        self.store.record_transition(job)
+                    self.store.record_transition(job)
         joined = self.pool.close(timeout)
-        if self.store is not None:
-            self.store.close()
+        self.store.close()
         return joined
 
     def crash(self) -> None:
@@ -567,8 +562,7 @@ class JobManager:
         in-memory state that a real crash would have lost anyway).
         """
         self._crashed = True
-        if self.store is not None:
-            self.store.close()
+        self.store.close()
         self.queue.close(drain=False)
 
     # ------------------------------------------------------------------
@@ -582,7 +576,7 @@ class JobManager:
             tenants = {name: dict(bucket)
                        for name, bucket in self._tenant_counters.items()}
             entries_per_second = self._entry_rate.rate()
-        stats = {
+        return {
             "queue": self.queue.stats(),
             "pool": self.pool.stats(),
             "submitted": self.submitted,
@@ -596,19 +590,16 @@ class JobManager:
             "entries_per_second": entries_per_second,
             "states": states,
             "tenants": tenants,
-        }
-        if self.scheduler is not None:
-            stats["fair_share"] = self.scheduler.stats()
-        if self.store is not None:
-            stats["store"] = self.store.stats()
-            stats["recovery"] = {
+            "fair_share": self.scheduler.stats(),
+            "store": self.store.stats(),
+            "recovery": {
                 "resumed_queued": self.resumed_queued,
                 "requeued_running": self.requeued_running,
                 "recovered_terminal": self.recovered_terminal,
                 "orphans_failed": self.orphans_failed,
                 "max_requeues": self.max_requeues,
-            }
-        return stats
+            },
+        }
 
     def __repr__(self) -> str:
         return (f"JobManager(workers={self.pool.workers}, "

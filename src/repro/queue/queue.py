@@ -1,4 +1,4 @@
-"""Bounded, priority-aware, thread-safe job queue with back-pressure.
+"""Bounded, fair-share-ordered, thread-safe job queue with back-pressure.
 
 The queue is the service's pressure valve: submissions beyond
 ``capacity`` are rejected *immediately* with a structured
@@ -10,15 +10,12 @@ global cap sit *per-tenant* quotas: a job whose tenant already has
 other tenant keeps submitting — one noisy tenant back-pressures only
 itself.
 
-Pop order has two modes:
-
-* **Raw priority** (default, no scheduler): higher ``priority`` pops
-  first; within a priority, submission order (FIFO) wins.
-* **Fair share** (a :class:`~repro.tenancy.fairshare.FairShareScheduler`
-  installed): the waiting job with the highest *composite* score pops —
-  role weight, queue age, deadline urgency, and the tenant's decaying
-  burst penalty all factor in, recomputed at every pop so the backlog
-  keeps reordering as bursts decay and jobs age.
+Pop order is fair share: the waiting job with the highest
+:class:`~repro.tenancy.fairshare.FairShareScheduler` composite score
+pops — priority, role weight, queue age, deadline urgency, and the
+tenant's decaying burst penalty all factor in.  Every waiting job is
+scored at one ``now`` per pop, so the backlog keeps reordering as bursts
+decay and jobs age, and score ties pop in submission order (FIFO).
 
 Workers block in :meth:`JobQueue.pop` until a job or shutdown arrives;
 :meth:`JobQueue.close` wakes every worker, and a closed, drained queue
@@ -27,10 +24,8 @@ pops ``None`` — the worker-pool shutdown signal.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.exceptions import (
     BackPressureError,
@@ -38,38 +33,36 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.queue.jobs import QueuedJob
+from repro.telemetry.events import EventLog
+from repro.tenancy.fairshare import FairShareScheduler
 
 
 class JobQueue:
-    """A bounded max-priority queue of :class:`QueuedJob` records.
+    """A bounded, fair-share-ordered queue of :class:`QueuedJob` records.
 
     Args:
         capacity: Maximum number of waiting jobs; pushes beyond it raise
             :class:`~repro.exceptions.BackPressureError`.
-        scheduler: Optional fair-share scheduler; when present, pop
-            order follows its composite score instead of the raw
-            priority int, and pushes are charged to the submitting
-            tenant's burst score.
-        events: Optional :class:`~repro.telemetry.events.EventLog`;
-            when present, every push/pop/shed is narrated as a
-            structured event (correlated to the submitting request's
-            span when one is active).
+        scheduler: The fair-share scheduler that scores pops and charges
+            each push to the submitting tenant's burst score (default: a
+            fresh :class:`~repro.tenancy.fairshare.FairShareScheduler`).
+        events: The :class:`~repro.telemetry.events.EventLog` every
+            push/pop/shed is narrated to as a structured event
+            (correlated to the submitting request's span when one is
+            active); default: a private log.
     """
 
-    def __init__(self, capacity: int = 64, scheduler=None,
-                 events=None) -> None:
+    def __init__(self, capacity: int = 64,
+                 scheduler: Optional[FairShareScheduler] = None,
+                 events: Optional[EventLog] = None) -> None:
         if capacity < 1:
             raise ServiceError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.scheduler = scheduler
-        self.events = events
+        self.scheduler = scheduler or FairShareScheduler()
+        self.events = events or EventLog()
         self._cond = threading.Condition()
-        #: Heap of (-priority, sequence, job): max-priority, FIFO ties.
-        #: Under a scheduler the list is scanned (scored at pop time)
-        #: instead of heap-popped, but the invariant stays cheap to
-        #: keep, so switching modes never rebuilds anything.
-        self._heap: List[Tuple[int, int, QueuedJob]] = []
-        self._sequence = itertools.count()
+        #: Waiting jobs in push order; list order breaks score ties.
+        self._waiting: List[QueuedJob] = []
         self._closed = False
         self._tenant_depth: Dict[str, int] = {}
         self.pushed = 0
@@ -79,8 +72,7 @@ class JobQueue:
     # ------------------------------------------------------------------
     @staticmethod
     def _tenant_name(job: QueuedJob) -> Optional[str]:
-        tenant = getattr(job, "tenant", None)
-        return tenant.name if tenant is not None else None
+        return job.tenant.name if job.tenant is not None else None
 
     def _depth_add(self, job: QueuedJob, delta: int) -> None:
         name = self._tenant_name(job)
@@ -110,18 +102,17 @@ class JobQueue:
         with self._cond:
             if self._closed:
                 raise ServiceError("job queue is closed; no new submissions")
-            tenant = getattr(job, "tenant", None)
+            tenant = job.tenant
             if tenant is not None and tenant.max_queued is not None:
                 depth = self._tenant_depth.get(tenant.name, 0)
                 if depth >= tenant.max_queued:
                     self.quota_rejected += 1
-                    if self.events is not None:
-                        self.events.warning(
-                            "job shed: tenant quota", component="queue",
-                            tenant=tenant.name, job_id=job.job_id,
-                            trace_id=getattr(job, "trace_id", None),
-                            fields={"depth": depth,
-                                    "max_queued": tenant.max_queued})
+                    self.events.warning(
+                        "job shed: tenant quota", component="queue",
+                        tenant=tenant.name, job_id=job.job_id,
+                        trace_id=job.trace_id,
+                        fields={"depth": depth,
+                                "max_queued": tenant.max_queued})
                     raise QuotaExceededError(
                         f"tenant {tenant.name!r} already has {depth}/"
                         f"{tenant.max_queued} job(s) waiting; retry "
@@ -129,70 +120,62 @@ class JobQueue:
                         tenant=tenant.name, depth=depth,
                         capacity=tenant.max_queued,
                     )
-            if len(self._heap) >= self.capacity:
+            depth = len(self._waiting)
+            if depth >= self.capacity:
                 self.rejected += 1
-                if self.events is not None:
-                    self.events.warning(
-                        "job shed: back-pressure", component="queue",
-                        tenant=self._tenant_name(job), job_id=job.job_id,
-                        trace_id=getattr(job, "trace_id", None),
-                        fields={"depth": len(self._heap),
-                                "capacity": self.capacity})
-                raise BackPressureError(
-                    f"job queue is full ({len(self._heap)}/{self.capacity} "
-                    f"jobs waiting); retry later",
-                    depth=len(self._heap), capacity=self.capacity,
-                )
-            heapq.heappush(self._heap,
-                           (-job.priority, next(self._sequence), job))
-            self._depth_add(job, +1)
-            if self.scheduler is not None:
-                self.scheduler.on_push(job, record_burst)
-            self.pushed += 1
-            if self.events is not None:
-                self.events.debug(
-                    "job queued", component="queue",
+                self.events.warning(
+                    "job shed: back-pressure", component="queue",
                     tenant=self._tenant_name(job), job_id=job.job_id,
-                    trace_id=getattr(job, "trace_id", None),
-                    fields={"depth": len(self._heap),
-                            "priority": job.priority})
+                    trace_id=job.trace_id,
+                    fields={"depth": depth, "capacity": self.capacity})
+                raise BackPressureError(
+                    f"job queue is full ({depth}/{self.capacity} "
+                    f"jobs waiting); retry later",
+                    depth=depth, capacity=self.capacity,
+                )
+            self._waiting.append(job)
+            self._depth_add(job, +1)
+            self.scheduler.on_push(job, record_burst)
+            self.pushed += 1
+            self.events.debug(
+                "job queued", component="queue",
+                tenant=self._tenant_name(job), job_id=job.job_id,
+                trace_id=job.trace_id,
+                fields={"depth": depth + 1, "priority": job.priority})
             self._cond.notify()
-            return len(self._heap)
+            return depth + 1
 
     def _pop_locked(self) -> QueuedJob:
-        """Remove and return the next job (lock held, heap non-empty)."""
-        if self.scheduler is None:
-            return heapq.heappop(self._heap)[2]
+        """Remove and return the next job (lock held, queue non-empty).
+
+        Every waiting job is scored at the same ``now``; ``max`` keeps
+        the first of equal scores, so ties pop in push order.
+        """
         now = self.scheduler.clock()
-        best = max(range(len(self._heap)),
-                   key=lambda index: (
-                       self.scheduler.score(self._heap[index][2], now),
-                       -self._heap[index][1]))
-        job = self._heap.pop(best)[2]
-        heapq.heapify(self._heap)
-        return job
+        score = self.scheduler.score
+        waiting = self._waiting
+        best = max(range(len(waiting)),
+                   key=lambda index: score(waiting[index], now))
+        return waiting.pop(best)
 
     def pop(self, timeout: Optional[float] = None) -> Optional[QueuedJob]:
-        """Dequeue the best waiting job, blocking while empty.
+        """Dequeue the highest-scoring waiting job, blocking while empty.
 
-        "Best" is the highest raw priority (FIFO ties) without a
-        scheduler, or the highest fair-share composite score with one.
         Returns ``None`` when the queue is closed and drained (shutdown
         signal), or when ``timeout`` elapses with nothing to pop.
         """
         with self._cond:
-            while not self._heap and not self._closed:
+            while not self._waiting and not self._closed:
                 if not self._cond.wait(timeout):
                     return None
-            if self._heap:
+            if self._waiting:
                 job = self._pop_locked()
                 self._depth_add(job, -1)
-                if self.events is not None:
-                    self.events.debug(
-                        "job popped", component="queue",
-                        tenant=self._tenant_name(job), job_id=job.job_id,
-                        trace_id=getattr(job, "trace_id", None),
-                        fields={"depth": len(self._heap)})
+                self.events.debug(
+                    "job popped", component="queue",
+                    tenant=self._tenant_name(job), job_id=job.job_id,
+                    trace_id=job.trace_id,
+                    fields={"depth": len(self._waiting)})
                 return job
             return None  # closed and drained
 
@@ -204,10 +187,9 @@ class JobQueue:
         queue (already popped, or never pushed).
         """
         with self._cond:
-            for position, (_, _, job) in enumerate(self._heap):
+            for position, job in enumerate(self._waiting):
                 if job.job_id == job_id:
-                    self._heap.pop(position)
-                    heapq.heapify(self._heap)
+                    del self._waiting[position]
                     self._depth_add(job, -1)
                     return True
             return False
@@ -224,8 +206,8 @@ class JobQueue:
             self._closed = True
             dropped: List[QueuedJob] = []
             if not drain:
-                dropped = [job for _, _, job in self._heap]
-                self._heap.clear()
+                dropped = self._waiting
+                self._waiting = []
                 self._tenant_depth.clear()
             self._cond.notify_all()
             return dropped
@@ -238,7 +220,7 @@ class JobQueue:
     def __len__(self) -> int:
         """Current depth (number of waiting jobs)."""
         with self._cond:
-            return len(self._heap)
+            return len(self._waiting)
 
     def tenant_depths(self) -> Dict[str, int]:
         """Waiting-job count per tenant (tenants with jobs only)."""
@@ -249,13 +231,12 @@ class JobQueue:
         """JSON-compatible counters for service telemetry."""
         with self._cond:
             return {
-                "depth": len(self._heap),
+                "depth": len(self._waiting),
                 "capacity": self.capacity,
                 "pushed": self.pushed,
                 "rejected": self.rejected,
                 "quota_rejected": self.quota_rejected,
                 "tenant_depths": dict(self._tenant_depth),
-                "fair_share": self.scheduler is not None,
                 "closed": self._closed,
             }
 

@@ -100,6 +100,7 @@ from repro.tenancy import (
     AUTH_HEADER,
     DEFAULT_HALF_LIFE,
     FairShareScheduler,
+    JobStore,
     JsonlJobStore,
     coerce_registry,
 )
@@ -163,7 +164,8 @@ class CompilationService:
             keyless clients always work.
         store_dir: Directory for the durable
             :class:`~repro.tenancy.store.JsonlJobStore` job journal;
-            None keeps job state in memory only (pre-tenancy behavior).
+            None keeps job state in memory only (a no-persistence
+            :class:`~repro.tenancy.store.JobStore`).
         burst_half_life: Fair-share burst-score half-life, seconds.
         verify: When True the session runs the static compilation
             verifier over every result; entry records and ``/compile``
@@ -221,7 +223,7 @@ class CompilationService:
         self.tenants = coerce_registry(tenants)
         self.scheduler = FairShareScheduler(half_life=burst_half_life,
                                             clock=clock)
-        self.store = JsonlJobStore(store_dir) if store_dir else None
+        self.store = JsonlJobStore(store_dir) if store_dir else JobStore()
         self.manager = JobManager(self._run_job, workers=workers,
                                   queue_size=queue_size,
                                   retention=retention, name="repro-service",
@@ -349,7 +351,7 @@ class CompilationService:
         event time.
         """
         trace = coerce_trace_id(queued.trace_id)
-        parent = getattr(queued, "span_parent", None)
+        parent = queued.span_parent
         wait = queued.wait_seconds
         if wait is not None:
             self.metrics.histogram(
@@ -359,7 +361,7 @@ class CompilationService:
                            start_mono=time.perf_counter() - wait,
                            duration=wait,
                            labels={"job_id": queued.job_id})
-        tenant = getattr(queued, "tenant", None)
+        tenant = queued.tenant
         labels = {"job_id": queued.job_id, "kind": queued.kind}
         if tenant is not None:
             labels["tenant"] = tenant.name
@@ -749,8 +751,7 @@ class CompilationService:
         for name, depth in manager["queue"].get("tenant_depths",
                                                 {}).items():
             tenants.setdefault(name, {})["queued"] = depth
-        fair_share = manager.get("fair_share", {})
-        for name, score in fair_share.get("burst_scores", {}).items():
+        for name, score in manager["fair_share"]["burst_scores"].items():
             tenants.setdefault(name, {})["burst_score"] = score
         return tenants
 

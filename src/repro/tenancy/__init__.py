@@ -7,21 +7,24 @@ shared one:
   role, API key, quota caps) and the :class:`TenantRegistry` resolving
   the ``X-Repro-Key`` request header; keyless requests map to a default
   tenant, so anonymous clients keep working.
-* :mod:`repro.tenancy.fairshare` — :class:`FairShareScheduler`
-  composite pop priority (role weight + job age + deadline urgency −
-  exponentially-decaying per-tenant :class:`BurstScoreManager` score),
-  so one tenant's 500-job burst cannot starve a quiet tenant's fresh
-  submission.
-* :mod:`repro.tenancy.store` — pluggable :class:`JobStore` durable job
-  state: :class:`JsonlJobStore` journals every lifecycle transition and
-  sweep-entry record to an append-only, auto-compacting JSONL WAL, so a
-  restarted server re-enqueues QUEUED work, requeues orphaned RUNNING
-  jobs exactly once, and serves pre-crash DONE results byte-identically
-  (:class:`MemoryJobStore` is the no-persistence twin).
+* :mod:`repro.tenancy.fairshare` — :class:`FairShareScheduler`, the
+  job queue's only pop order: a composite score (role weight + job age
+  + deadline urgency − exponentially-decaying per-tenant
+  :class:`BurstScoreManager` score), so one tenant's 500-job burst
+  cannot starve a quiet tenant's fresh submission, while one tenant's
+  equal-priority jobs still run in submission order.
+* :mod:`repro.tenancy.store` — :class:`JobStore` job state: the base
+  class persists nothing; :class:`JsonlJobStore` journals every
+  lifecycle transition and sweep-entry record to an append-only,
+  auto-compacting JSONL WAL, so a restarted server re-enqueues QUEUED
+  work, requeues orphaned RUNNING jobs exactly once, and serves
+  pre-crash DONE results byte-identically (:class:`MemoryJobStore`
+  keeps records in memory, for recovery tests).
 
-:mod:`repro.queue` consumes the scheduler and store;
-:mod:`repro.service` wires them to HTTP (``--tenants``/``--store-dir``,
-401/429 error mapping, per-tenant ``/stats``); the
+Every :class:`~repro.queue.manager.JobManager` holds a scheduler and a
+store; :mod:`repro.service` wires them to HTTP
+(``--tenants``/``--store-dir``, 401/429 error mapping, per-tenant
+``/stats``); the
 :class:`~repro.service.client.ServiceClient` and
 :mod:`repro.cluster` coordinator carry the API key end to end.
 """

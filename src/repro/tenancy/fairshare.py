@@ -1,9 +1,10 @@
 """Fair-share scheduling: burst-score decay + composite pop priority.
 
-The pre-tenancy queue popped by raw priority int — one tenant
-submitting 500 jobs starved everyone behind it for the whole backlog.
-The :class:`FairShareScheduler` replaces that with a composite score,
-modeled on the mqc3-scheduler job manager's factor-weight design:
+Popping by raw priority int lets one tenant submitting 500 jobs starve
+everyone behind it for the whole backlog.  The
+:class:`FairShareScheduler`, the job queue's only pop order, ranks
+waiting jobs by a composite score instead, modeled on the
+mqc3-scheduler job manager's factor-weight design:
 
 ``score(job) = priority·W_p + role_weight·W_r + age·W_a + urgency
 − burst·W_b``
@@ -14,16 +15,19 @@ modeled on the mqc3-scheduler job manager's factor-weight design:
   entry: admin work outranks standard outranks batch.
 * **age** — seconds since enqueue, so nothing starves forever.
 * **urgency** — grows as a job with a ``deadline_seconds`` budget burns
-  through it, up to ``urgency_weight`` at the deadline.
+  through it, up to :data:`URGENCY_WEIGHT` at the deadline.
 * **burst** — the tenant's :class:`BurstScoreManager` score: every
   submission adds its cost, and the sum decays exponentially with a
   configurable half-life.  A tenant that just burst 500 jobs scores
   ~500 lower than a quiet tenant's fresh submission — and, half-life by
   half-life, decays back to parity instead of being punished forever.
 
-All time flows through one injectable ``clock`` (default
-``time.monotonic``), so fairness tests run on a deterministic fake
-clock with no sleeps.
+The weights are the module constants below.  All time flows through
+one injectable ``clock`` (default ``time.monotonic``), so fairness
+tests run on a deterministic fake clock with no sleeps.  A pop scores
+every waiting job at one ``now``, so the score is a pure function of
+``(job, now)``: jobs of one tenant with equal priority and role pop in
+submission order.
 """
 
 from __future__ import annotations
@@ -38,6 +42,15 @@ from repro.telemetry.timing import half_life_decay
 #: Default burst-score half-life, seconds.  After one half-life of
 #: silence a tenant's accumulated burst penalty halves.
 DEFAULT_HALF_LIFE = 30.0
+
+#: Composite-score weights (``W_p``, ``W_r``, ``W_a``, the urgency
+#: ceiling, ``W_b``).  ``AGE_WEIGHT`` of 0.01/s means ~100 s of waiting
+#: outranks one priority point.
+PRIORITY_WEIGHT = 1.0
+ROLE_WEIGHT = 1.0
+AGE_WEIGHT = 0.01
+URGENCY_WEIGHT = 2.0
+BURST_WEIGHT = 1.0
 
 #: Burst contributions below this are treated as fully decayed, so the
 #: score table cannot grow one stale float per tenant forever.
@@ -84,9 +97,11 @@ class BurstScoreManager:
             self.recorded += 1
             return score
 
-    def score(self, tenant: str) -> float:
-        """The tenant's current decayed score (0.0 when never seen)."""
-        now = self._clock()
+    def score(self, tenant: str, now: Optional[float] = None) -> float:
+        """The tenant's decayed score at ``now`` (default: the clock's
+        current reading); 0.0 when never seen."""
+        if now is None:
+            now = self._clock()
         with self._lock:
             return self._decayed(tenant, now)
 
@@ -135,41 +150,20 @@ class BurstScoreManager:
 class FairShareScheduler:
     """Composite pop-priority over queued jobs.
 
-    Plug one into a :class:`~repro.queue.queue.JobQueue` (via
-    :class:`~repro.queue.manager.JobManager`) and ``pop`` returns the
-    highest-*scoring* waiting job instead of the highest raw priority
-    int; scores are computed at pop time, so burst decay and aging keep
-    reordering the backlog while it waits.
+    Every :class:`~repro.queue.queue.JobQueue` holds one, and ``pop``
+    returns the highest-*scoring* waiting job; scores are computed at
+    pop time, so burst decay and aging keep reordering the backlog
+    while it waits.
 
     Args:
-        half_life: Burst-score half-life, seconds (ignored when an
-            explicit ``burst`` manager is supplied).
-        priority_weight: Weight of the client-supplied priority int.
-        role_weight: Weight of the tenant's role weight.
-        age_weight: Score per second of queue residence (anti-
-            starvation; 0.01/s means ~100 s of waiting outranks one
-            priority point).
-        urgency_weight: Ceiling of the deadline-urgency term.
-        burst_weight: Weight of the decaying per-tenant burst penalty.
+        half_life: Burst-score half-life, seconds.
         clock: Time source for age, urgency, and burst decay.
-        burst: Explicit :class:`BurstScoreManager` to share/observe.
     """
 
     def __init__(self, *, half_life: float = DEFAULT_HALF_LIFE,
-                 priority_weight: float = 1.0,
-                 role_weight: float = 1.0,
-                 age_weight: float = 0.01,
-                 urgency_weight: float = 2.0,
-                 burst_weight: float = 1.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 burst: Optional[BurstScoreManager] = None) -> None:
-        self.priority_weight = priority_weight
-        self.role_weight = role_weight
-        self.age_weight = age_weight
-        self.urgency_weight = urgency_weight
-        self.burst_weight = burst_weight
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
-        self.burst = burst or BurstScoreManager(half_life, clock=clock)
+        self.burst = BurstScoreManager(half_life, clock=clock)
 
     # ------------------------------------------------------------------
     def on_push(self, job, record_burst: bool = True) -> None:
@@ -185,8 +179,7 @@ class FairShareScheduler:
 
     @staticmethod
     def _tenant_name(job) -> str:
-        tenant = getattr(job, "tenant", None)
-        return tenant.name if tenant is not None else "anonymous"
+        return job.tenant.name if job.tenant is not None else "anonymous"
 
     @staticmethod
     def _cost(job) -> float:
@@ -212,22 +205,17 @@ class FairShareScheduler:
         return self.burst.restore(scores, elapsed)
 
     # ------------------------------------------------------------------
-    def score(self, job, now: Optional[float] = None) -> float:
-        """The job's composite pop priority; higher pops first."""
-        if now is None:
-            now = self.clock()
-        tenant = getattr(job, "tenant", None)
-        weight = tenant.role_weight if tenant is not None else 1.0
-        enqueued = getattr(job, "enqueued_at", None)
-        age = max(0.0, now - enqueued) if enqueued is not None else 0.0
-        score = (self.priority_weight * job.priority
-                 + self.role_weight * weight
-                 + self.age_weight * age)
-        deadline = getattr(job, "deadline_seconds", None)
-        if deadline:
-            score += self.urgency_weight * min(1.0, age / deadline)
-        score -= self.burst_weight * self.burst.score(
-            self._tenant_name(job))
+    def score(self, job, now: float) -> float:
+        """A queued job's composite pop priority at ``now``; higher pops
+        first.  Every term, the burst penalty included, is read at that
+        one ``now``."""
+        weight = job.tenant.role_weight if job.tenant is not None else 1.0
+        age = max(0.0, now - job.enqueued_at)
+        score = (PRIORITY_WEIGHT * job.priority + ROLE_WEIGHT * weight
+                 + AGE_WEIGHT * age)
+        if job.deadline_seconds:
+            score += URGENCY_WEIGHT * min(1.0, age / job.deadline_seconds)
+        score -= BURST_WEIGHT * self.burst.score(self._tenant_name(job), now)
         return score
 
     def stats(self) -> Dict[str, object]:
@@ -235,17 +223,15 @@ class FairShareScheduler:
         return {
             "half_life": self.burst.half_life,
             "weights": {
-                "priority": self.priority_weight,
-                "role": self.role_weight,
-                "age": self.age_weight,
-                "urgency": self.urgency_weight,
-                "burst": self.burst_weight,
+                "priority": PRIORITY_WEIGHT,
+                "role": ROLE_WEIGHT,
+                "age": AGE_WEIGHT,
+                "urgency": URGENCY_WEIGHT,
+                "burst": BURST_WEIGHT,
             },
             "burst_scores": {tenant: round(score, 6) for tenant, score
                              in sorted(self.burst.scores().items())},
         }
 
     def __repr__(self) -> str:
-        return (f"FairShareScheduler(half_life={self.burst.half_life}, "
-                f"age_weight={self.age_weight}, "
-                f"burst_weight={self.burst_weight})")
+        return f"FairShareScheduler(half_life={self.burst.half_life})"

@@ -29,9 +29,10 @@ tolerant (the next open cuts the tail) and **compacting** — past
 ``compact_threshold`` lines it is atomically rewritten as one snapshot
 per live job, so a long-lived server's journal stays proportional to
 its retained job table instead of its lifetime submission count.
-:class:`MemoryJobStore` implements the same interface without
-persistence (tests, ephemeral servers); a SQLite-backed store can slot
-in behind the same five methods.
+The :class:`JobStore` base class is the no-persistence store (records
+nothing, loads nothing) that a server without ``--store-dir`` runs on;
+:class:`MemoryJobStore` keeps records in memory so tests can hand one
+manager's journal to the next.
 """
 
 from __future__ import annotations
@@ -57,20 +58,20 @@ def job_snapshot(job) -> Dict[str, object]:
     *complete* durable record: payload, tenant, entries, response and
     error all included, so a job can be rebuilt from it alone.
     """
-    tenant = getattr(job, "tenant", None)
+    tenant = job.tenant
     return {
         "job_id": job.job_id,
         "kind": job.kind,
         "payload": job.payload,
         "priority": job.priority,
         "tenant": tenant.to_dict() if tenant is not None else None,
-        "trace_id": getattr(job, "trace_id", None),
-        "deadline_seconds": getattr(job, "deadline_seconds", None),
+        "trace_id": job.trace_id,
+        "deadline_seconds": job.deadline_seconds,
         "state": job.state,
         "submitted_at": job.submitted_at,
         "started_at": job.started_at,
         "finished_at": job.finished_at,
-        "retries": getattr(job, "retries", 0),
+        "retries": job.retries,
         "response": job.response,
         "error": job.error,
         "entries": list(job.entries),
@@ -78,64 +79,59 @@ def job_snapshot(job) -> Dict[str, object]:
 
 
 class JobStore:
-    """Interface every durable job store implements.
+    """The store interface, and the no-persistence store itself.
 
     The manager calls the ``record_*`` methods under its own lock, in
     event order; implementations only need to be safe against their own
     internal state.  ``load()`` is called once, before the worker pool
     starts, and returns complete job records (the
-    :func:`job_snapshot` shape).
+    :func:`job_snapshot` shape).  This base class records nothing and
+    loads nothing — a manager without ``--store-dir`` keeps job state
+    in memory only.
     """
 
     def load(self) -> List[Dict[str, object]]:
         """Replay the journal; returns records in submission order."""
-        raise NotImplementedError
+        return []
 
     def record_submit(self, job) -> None:
         """Persist an accepted submission."""
-        raise NotImplementedError
 
     def record_transition(self, job) -> None:
         """Persist a lifecycle transition (response/error inline)."""
-        raise NotImplementedError
 
     def record_entry(self, job_id: str, record: Mapping[str, object]) -> None:
         """Persist one streamed sweep-entry record."""
-        raise NotImplementedError
 
     def forget(self, job_ids) -> None:
         """Drop retention-GC'd jobs from the journal's live set."""
-        raise NotImplementedError
 
     def record_burst(self, scores: Mapping[str, float],
                      at: float) -> None:
         """Persist a fair-share burst-score snapshot.
 
         ``at`` is the wall-clock stamp the snapshot was taken at, so
-        recovery can decay the scores by the downtime.  Default: no-op,
-        so stores that predate the burst journal keep working.
+        recovery can decay the scores by the downtime.
         """
 
     def load_burst(self) -> Optional[Dict[str, object]]:
         """The latest burst snapshot ``{"scores": {...}, "at": ...}``,
-        or None when none was ever journaled (the default)."""
+        or None when none was ever journaled."""
         return None
 
     def close(self) -> None:
         """Stop persisting (further ``record_*`` calls are no-ops)."""
-        raise NotImplementedError
 
     def stats(self) -> Dict[str, object]:
         """JSON-compatible store telemetry."""
-        raise NotImplementedError
+        return {"kind": "none"}
 
 
 class MemoryJobStore(JobStore):
     """In-memory :class:`JobStore`: the full interface, no durability.
 
     Useful for tests of the recovery machinery (hand one instance's
-    records to a second manager) and as the explicit "no persistence"
-    choice; a fresh instance always loads empty.
+    records to a second manager); a fresh instance always loads empty.
     """
 
     def __init__(self) -> None:
@@ -333,7 +329,7 @@ class JsonlJobStore(JobStore):
                 "state": job.state,
                 "started_at": job.started_at,
                 "finished_at": job.finished_at,
-                "retries": getattr(job, "retries", 0),
+                "retries": job.retries,
             }
             if job.response is not None:
                 event["response"] = job.response

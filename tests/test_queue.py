@@ -34,6 +34,7 @@ from repro.queue import (
     QueuedJob,
     WorkerPool,
 )
+from repro.tenancy import FairShareScheduler
 from repro.service import (
     CompilationService,
     DiskCache,
@@ -149,6 +150,17 @@ class TestJobQueue:
         assert queue.discard("a")
         assert not queue.discard("a")  # already gone
         assert queue.pop(timeout=0.1).job_id == "b"
+
+    def test_discard_keeps_fifo_among_equal_scores(self):
+        # A frozen clock makes every score equal: push order alone
+        # decides, and removing a middle job must not disturb it.
+        queue = JobQueue(capacity=8,
+                         scheduler=FairShareScheduler(clock=lambda: 0.0))
+        for job_id in "abcde":
+            queue.push(_job(job_id))
+        assert queue.discard("c")
+        assert [queue.pop(timeout=0.1).job_id for _ in range(4)] \
+            == ["a", "b", "d", "e"]
 
     def test_pop_timeout_returns_none(self):
         assert JobQueue(capacity=1).pop(timeout=0.01) is None
@@ -341,6 +353,19 @@ class TestJobManager:
             assert stats["states"][DONE] == 1
             assert stats["queue"]["capacity"] == 4
             assert stats["pool"]["workers"] == 1
+        finally:
+            manager.close()
+
+    def test_store_less_manager_reports_no_persistence(self):
+        manager = JobManager(lambda job: {}, workers=1, queue_size=4)
+        try:
+            manager.wait(manager.submit("compile", {}).job_id, timeout=5)
+            stats = manager.stats()
+            assert stats["store"] == {"kind": "none"}
+            assert stats["recovery"] == {
+                "resumed_queued": 0, "requeued_running": 0,
+                "recovered_terminal": 0, "orphans_failed": 0,
+                "max_requeues": 1}
         finally:
             manager.close()
 

@@ -51,6 +51,17 @@ class FakeClock:
         self.now += seconds
 
 
+class TickingClock:
+    """Fake clock that advances one second on every read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
 def wait_until(predicate, timeout=5.0, interval=0.005):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -209,6 +220,19 @@ class TestFairShareScheduler:
         queue.push(tenant_job("low-2", ALICE, priority=0))
         assert [queue.pop(0.1).job_id for _ in range(3)] \
             == ["high", "low", "low-2"]
+
+    def test_same_tenant_ties_pop_fifo_on_a_ticking_clock(self):
+        # Every clock read advances time, so the burst penalty decays
+        # between reads: a pop must score the whole backlog at its one
+        # ``now``, or later-scanned jobs look less penalized and the
+        # backlog pops in reverse.
+        clock = TickingClock()
+        queue = JobQueue(capacity=32,
+                         scheduler=FairShareScheduler(clock=clock))
+        ids = [f"a-{index:03d}" for index in range(20)]
+        for job_id in ids:
+            queue.push(tenant_job(job_id, ALICE))
+        assert [queue.pop(0.1).job_id for _ in ids] == ids
 
     def test_deadline_urgency_grows_with_age(self):
         clock = FakeClock()

@@ -9,6 +9,7 @@ regenerated verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -59,8 +60,6 @@ class NoiseModel:
         Uses the exponential T1 model with the per-unit gate time of the
         noise parameters.
         """
-        import math
-
         if duration_units <= 0:
             return 0.0
         t_us = duration_units * self.parameters.gate_time_us

@@ -10,34 +10,49 @@ Toffoli / SWAP).  For such circuits, a Pauli-twirled depolarizing +
 relaxation model admits an exact stochastic bit-level simulation: phase
 errors never affect computational-basis measurement statistics, so only
 the bit-flip components matter, and each noisy shot is a classical
-propagation with randomly injected flips.  This makes the paper's 8192
-shots per benchmark easily affordable in pure Python, which is the
-substitution we make for Qiskit Aer (documented in DESIGN.md).
+propagation with randomly injected flips.  This bit-level simulation
+stands in for Qiskit Aer.
+
+All shots of a batch move through the circuit together.  The bits are a
+``(wires, shots)`` boolean array and each gate is one row operation.  A
+noise event is one vectorised draw over the shots: a Bernoulli draw per
+shot when it is likely, and otherwise a Poisson number of arrivals
+scattered over the shots, which costs time per hit rather than per shot
+and gives the same per-shot probability exactly.  Relaxation gaps come
+from the program-order clock, which is the same for every shot, so the
+events are computed once per circuit; a SWAP only relabels rows.
 """
 
 from __future__ import annotations
 
-import random
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.ir.circuit import Circuit
+from repro.ir.classical_sim import bits_to_int, simulate_classical
 from repro.noise.models import NoiseModel
 
+#: Shots simulated together, so memory does not grow with ``shots``.
+BATCH_SHOTS = 8192
+#: Noise events whose probability exceeds this are drawn for every shot;
+#: rarer ones are sampled sparsely (see :func:`_arrivals`).  Sparse
+#: sampling needs p < 1/2 for a flip and p < 1 for a relaxation, and
+#: near those limits a per-shot draw is the cheaper of the two.
+DENSE_ABOVE = 0.25
+#: Sparse events whose arrivals are drawn at once.
+ARRIVAL_CHUNK = 256
 
-def _apply_named_gate(bits: List[int], name: str, qubits: Tuple[int, ...]) -> None:
-    """Tight-loop classical gate application (x / cx / ccx / swap)."""
-    if name == "cx":
-        bits[qubits[1]] ^= bits[qubits[0]]
-    elif name == "ccx":
-        bits[qubits[2]] ^= bits[qubits[0]] & bits[qubits[1]]
-    elif name == "x":
-        bits[qubits[0]] ^= 1
-    elif name == "swap":
-        a, b = qubits
-        bits[a], bits[b] = bits[b], bits[a]
-    # barrier and other zero-effect operations fall through.
+#: A noise event on one row: its probability when drawn for every shot,
+#: or None when its arrivals come from :func:`_arrivals`.
+_Event = Tuple[int, Optional[float]]
+#: One gate: name, operand rows, relaxation events before it and flip
+#: events after it.
+_Step = Tuple[str, Tuple[int, ...], Tuple[_Event, ...], Tuple[_Event, ...]]
 
 
 @dataclass(frozen=True)
@@ -95,7 +110,8 @@ class MonteCarloSimulator:
             measured_wires: Wires to read out (default: every wire).
 
         Raises:
-            SimulationError: If the circuit contains non-classical gates.
+            SimulationError: If the circuit contains non-classical gates,
+                ``shots`` is not positive, or a wire is out of range.
         """
         if not circuit.is_classical():
             raise SimulationError(
@@ -104,78 +120,159 @@ class MonteCarloSimulator:
             )
         if shots < 1:
             raise SimulationError("shots must be positive")
+        num_wires = circuit.num_qubits
         wires = tuple(measured_wires) if measured_wires is not None else tuple(
-            range(circuit.num_qubits)
+            range(num_wires)
         )
-        base = [0] * circuit.num_qubits
-        if initial_bits:
-            for wire, bit in initial_bits.items():
-                base[wire] = 1 if bit else 0
+        for wire in wires:
+            if not 0 <= wire < num_wires:
+                raise SimulationError(f"measured wire {wire} out of range")
+        initial_bits = initial_bits or {}
+        ideal = simulate_classical(circuit, initial_bits)
+        ideal_outcome = bits_to_int(ideal[wire] for wire in wires)
 
-        operations = self._compile_ops(circuit)
-        ideal = self._propagate(operations, circuit.num_qubits, list(base), rng=None)
-        ideal_outcome = self._readout(ideal, wires)
-
-        rng = random.Random(self._seed)
-        counts: Dict[int, int] = {}
-        for _ in range(shots):
-            bits = self._propagate(operations, circuit.num_qubits, list(base), rng=rng)
-            outcome = self._readout(bits, wires)
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return NoisyRunResult(counts=counts, shots=shots,
+        steps, rates, rows = self._schedule(circuit)
+        readout = [rows[wire] for wire in wires]
+        ones = [wire for wire, bit in initial_bits.items() if bit]
+        rng = np.random.default_rng(self._seed)
+        counts: Counter = Counter()
+        for start in range(0, shots, BATCH_SHOTS):
+            size = min(BATCH_SHOTS, shots - start)
+            bits = np.zeros((num_wires, size), dtype=bool)
+            bits[ones] = True
+            view = list(bits)  # one view per row, indexed cheaply
+            hits = _arrivals(rng, rates, size)
+            for name, qubits, relax, flips in steps:
+                for row, probability in relax:
+                    if probability is None:
+                        view[row][next(hits)] = False
+                    else:
+                        view[row] &= rng.random(size) >= probability
+                if name == "cx":
+                    view[qubits[1]] ^= view[qubits[0]]
+                elif name == "ccx":
+                    view[qubits[2]] ^= view[qubits[0]] & view[qubits[1]]
+                elif name == "x":
+                    view[qubits[0]] ^= True
+                for row, probability in flips:
+                    if probability is None:
+                        np.logical_xor.at(view[row], next(hits), True)
+                    else:
+                        view[row] ^= rng.random(size) < probability
+            counts.update(_outcomes(bits[readout]))
+        return NoisyRunResult(counts=dict(counts), shots=shots,
                               ideal_outcome=ideal_outcome, measured_wires=wires)
 
     # ------------------------------------------------------------------
-    def _compile_ops(self, circuit: Circuit) -> List[Tuple[str, Tuple[int, ...], float, int]]:
-        """Pre-compute (name, qubits, flip probability, duration) per gate.
+    def _schedule(self, circuit: Circuit
+                  ) -> Tuple[List[_Step], np.ndarray, List[int]]:
+        """The shot-independent noise events of ``circuit``.
 
-        The bit-flip probability folds in the 2/3 factor for the Pauli
-        errors of a depolarizing channel that have a bit-flip component;
-        phase-only errors are invisible for classical circuits.
+        Returns the steps, the per-shot Poisson rate of each sparse event
+        in step order, and the final wire -> row map.
+
+        Before a gate, each operand that reads 1 relaxes to 0 with the
+        probability of its idle time since its previous gate on the
+        program-order clock.  After it, each operand flips with 2/3 of
+        the gate's depolarizing probability: the Pauli errors with a
+        bit-flip component (phase-only errors are invisible for classical
+        circuits).  A SWAP exchanges its wires' rows, so the noise after
+        it lands on the swapped rows.
+
+        A sparse event hits a shot as often as a Poisson process of rate
+        ``lambda`` does.  A relaxation clears the bit on any arrival, so
+        ``p = 1 - exp(-lambda)``; a flip toggles it on each arrival, so
+        it takes effect on an odd count, ``p = (1 - exp(-2 lambda)) / 2``.
         """
         model = self.noise_model
-        operations = []
+        rows = list(range(circuit.num_qubits))
+        last_active = [0] * circuit.num_qubits
+        clock = 0
+        steps: List[_Step] = []
+        rates: List[float] = []
+        # Memoised: idle time -> (probability, rate) and gate name ->
+        # (duration, probability, rate).
+        relax_odds: Dict[int, Tuple[float, float]] = {}
+        gate_odds: Dict[str, Tuple[int, float, float]] = {}
+
+        def odds(probability: float, flip: bool) -> Tuple[float, float]:
+            """The probability and, for a sparse event, its Poisson rate."""
+            if probability > DENSE_ABOVE:
+                return probability, 0.0
+            if flip:
+                return probability, -math.log1p(-2.0 * probability) / 2.0
+            return probability, -math.log1p(-probability)
+
+        def add(events: List[_Event], row: int, probability: float,
+                rate: float) -> None:
+            if probability > DENSE_ABOVE:
+                events.append((row, probability))
+            elif probability:
+                events.append((row, None))
+                rates.append(rate)
+
         for gate in circuit:
-            flip = model.gate_error(gate.num_qubits) * (2.0 / 3.0)
-            operations.append((gate.name, gate.qubits, flip, gate.duration))
-        return operations
-
-    def _propagate(self, operations: Sequence[Tuple[str, Tuple[int, ...], float, int]],
-                   num_wires: int, bits: List[int],
-                   rng: Optional[random.Random]) -> List[int]:
-        """One trajectory; ``rng is None`` gives the noiseless reference."""
-        if rng is None:
-            for name, qubits, _flip, _duration in operations:
-                _apply_named_gate(bits, name, qubits)
-            return bits
-
-        model = self.noise_model
-        last_active = [0.0] * num_wires
-        clock = 0.0
-        random_value = rng.random
-        for name, qubits, flip, duration in operations:
-            # Relaxation on the operands for the time they idled since their
-            # previous gate (approximating the schedule by program order).
+            name, qubits = gate.name, gate.qubits
+            relax: List[_Event] = []
             for wire in qubits:
                 idle = clock - last_active[wire]
-                if bits[wire] and idle > 0:
-                    if random_value() < model.idle_flip_probability(int(idle)):
-                        bits[wire] = 0
-            _apply_named_gate(bits, name, qubits)
+                if idle not in relax_odds:
+                    relax_odds[idle] = odds(model.idle_flip_probability(idle),
+                                            flip=False)
+                add(relax, rows[wire], *relax_odds[idle])
+            if name == "swap":
+                a, b = qubits
+                rows[a], rows[b] = rows[b], rows[a]
+            if name not in gate_odds:
+                flip = model.gate_error(len(qubits)) * (2.0 / 3.0)
+                gate_odds[name] = (gate.duration, *odds(flip, flip=True))
+            duration, probability, rate = gate_odds[name]
             clock += duration
+            flips: List[_Event] = []
             for wire in qubits:
                 last_active[wire] = clock
-                if random_value() < flip:
-                    bits[wire] ^= 1
-        return bits
+                add(flips, rows[wire], probability, rate)
+            steps.append((name, tuple(rows[wire] for wire in qubits),
+                          tuple(relax), tuple(flips)))
+        return steps, np.array(rates), rows
 
-    @staticmethod
-    def _readout(bits: Sequence[int], wires: Sequence[int]) -> int:
-        outcome = 0
-        for position, wire in enumerate(wires):
-            if bits[wire]:
-                outcome |= 1 << position
-        return outcome
+
+def _arrivals(rng: np.random.Generator, rates: np.ndarray,
+              size: int) -> Iterator[np.ndarray]:
+    """Yield, per sparse event, the shots its Poisson process reaches.
+
+    Event ``i`` sends Poisson(``size * rates[i]``) arrivals to shots drawn
+    uniformly with repeats, so each of the ``size`` shots independently
+    receives Poisson(``rates[i]``) of them.  Draws are made
+    ``ARRIVAL_CHUNK`` events at a time, which bounds memory.
+    """
+    for start in range(0, len(rates), ARRIVAL_CHUNK):
+        counts = rng.poisson(size * rates[start:start + ARRIVAL_CHUNK])
+        targets = rng.integers(0, size, int(counts.sum()))
+        cut = 0
+        for count in counts.tolist():
+            yield targets[cut:cut + count]
+            cut += count
+
+
+def _outcomes(measured: np.ndarray) -> List[int]:
+    """Per-shot readout integers of a ``(wires, shots)`` bit array.
+
+    Bit ``i`` of an outcome is row ``i``.  The rows are packed into
+    little-endian 64-bit words, so readouts wider than 64 wires still give
+    exact Python ints.
+    """
+    packed = np.packbits(measured, axis=0, bitorder="little")
+    words = np.zeros((measured.shape[1], 8 * max(1, -(-len(packed) // 8))),
+                     dtype=np.uint8)
+    words[:, :len(packed)] = packed.T
+    words = words.view("<u8")
+    outcomes = words[:, 0].tolist()
+    for index in range(1, words.shape[1]):
+        shift = 64 * index
+        outcomes = [low | high << shift for low, high
+                    in zip(outcomes, words[:, index].tolist())]
+    return outcomes
 
 
 def total_variation_distance(distribution_a: Mapping[int, float],

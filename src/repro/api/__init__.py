@@ -5,7 +5,9 @@ The single front door for compilation at any scale: describe work as
 benchmarks x machines x policies x scales product into them), then run
 them through a :class:`Session`, which memoizes by job fingerprint and
 executes through a pluggable executor — :class:`SerialExecutor` in
-process, or :class:`ParallelExecutor` across worker processes.  The
+process, or :class:`ParallelExecutor` across worker processes.  An
+executor has one method, ``run(jobs)``, returning one result or
+:class:`~repro.core.result.JobFailure` per job, in order.  The
 resulting :class:`SweepResult` filters, tabulates and exports to
 JSON/CSV.
 

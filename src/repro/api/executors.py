@@ -1,22 +1,15 @@
 """Job executors: serial and multiprocessing-parallel batch execution.
 
-An executor turns an ordered list of :class:`~repro.api.job.CompileJob`
-into the matching ordered list of
-:class:`~repro.core.result.CompilationResult`.  Both executors call the
-same :func:`~repro.api.job.execute_job`, so for a deterministic compiler
-(and the SQUARE walk is deterministic) they produce identical results —
-the parallel executor only changes wall-clock time, never numbers.
-
-Each executor offers two batch modes:
-
-* ``run(jobs)`` — all-or-nothing: the first failing job raises.  The
-  parallel executor labels the propagated error with the failing job's
-  benchmark/policy/machine, since a bare worker traceback does not say
-  which of the fanned-out jobs died.
-* ``run_isolated(jobs)`` — per-job isolation: failing jobs yield
-  structured :class:`~repro.core.result.JobFailure` entries in place of
-  results, so one impossible request cannot kill a whole batch.  This is
-  the mode the network service runs in.
+An executor has one method, ``run(jobs)``: it turns an ordered list of
+:class:`~repro.api.job.CompileJob` into the matching ordered list of
+outcomes, one :class:`~repro.core.result.CompilationResult` or
+:class:`~repro.core.result.JobFailure` per job.  A failing job never
+kills its batch here; the :class:`~repro.api.session.Session` decides
+whether to keep the failure as an entry or raise it.  Both executors
+run every job through :func:`~repro.api.job.execute_job_payload`, so
+for a deterministic compiler (and the SQUARE walk is deterministic)
+they produce identical results — the parallel executor only changes
+wall-clock time, never numbers.
 """
 
 from __future__ import annotations
@@ -25,10 +18,10 @@ import multiprocessing
 import os
 from typing import List, Optional, Sequence, Union
 
-from repro.api.job import CompileJob, execute_job, execute_job_payload
+from repro.api.job import CompileJob, execute_job_payload
 from repro.core.result import CompilationResult, JobFailure
 
-#: What one isolated job execution yields.
+#: What an executor yields per job.
 JobOutcome = Union[CompilationResult, JobFailure]
 
 
@@ -43,22 +36,11 @@ def _outcome_from_payload(payload: dict) -> JobOutcome:
     return JobFailure.from_dict(payload["failure"])
 
 
-def _raise_first_failure(outcomes: Sequence[JobOutcome]) -> None:
-    """Re-raise the first captured failure, labelled with its job."""
-    for outcome in outcomes:
-        if isinstance(outcome, JobFailure):
-            raise outcome.to_exception()
-
-
 class SerialExecutor:
     """Run jobs one after another in the calling process."""
 
-    def run(self, jobs: Sequence[CompileJob]) -> List[CompilationResult]:
-        """Execute every job in order; the first failure raises raw."""
-        return [execute_job(job) for job in jobs]
-
-    def run_isolated(self, jobs: Sequence[CompileJob]) -> List[JobOutcome]:
-        """Execute every job, capturing library failures per job."""
+    def run(self, jobs: Sequence[CompileJob]) -> List[JobOutcome]:
+        """Execute every job in order, capturing library failures per job."""
         return [_outcome_from_payload(execute_job_payload(job))
                 for job in jobs]
 
@@ -90,40 +72,20 @@ class ParallelExecutor:
             raise ValueError(f"need at least one worker, got {jobs}")
         self.jobs = jobs or os.cpu_count() or 1
 
-    def _map_outcomes(self, jobs: List[CompileJob]) -> List[JobOutcome]:
-        """Run the batch through the pool, capturing per-job failures.
+    def run(self, jobs: Sequence[CompileJob]) -> List[JobOutcome]:
+        """Execute every job, preserving submission order in the outcomes.
 
-        Workers return tagged payloads rather than raising, so the
-        failing job's identity survives the ``pool.map`` boundary.
+        Workers return tagged payloads rather than raising, so a failing
+        job's :class:`~repro.core.result.JobFailure` keeps its
+        benchmark/policy/machine across the ``pool.map`` boundary.
         """
-        if len(jobs) == 1 or self.jobs == 1:
-            return [_outcome_from_payload(execute_job_payload(job))
-                    for job in jobs]
+        jobs = list(jobs)
+        if len(jobs) <= 1 or self.jobs == 1:
+            return SerialExecutor().run(jobs)
         workers = min(self.jobs, len(jobs))
         with multiprocessing.Pool(processes=workers) as pool:
             payloads = pool.map(execute_job_payload, jobs)
         return [_outcome_from_payload(payload) for payload in payloads]
-
-    def run(self, jobs: Sequence[CompileJob]) -> List[CompilationResult]:
-        """Execute every job, preserving submission order in the results.
-
-        The first failing job re-raises as its original library exception
-        type with the job's benchmark/policy/machine attached to the
-        message.
-        """
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        outcomes = self._map_outcomes(jobs)
-        _raise_first_failure(outcomes)
-        return outcomes
-
-    def run_isolated(self, jobs: Sequence[CompileJob]) -> List[JobOutcome]:
-        """Execute every job, capturing library failures per job."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        return self._map_outcomes(jobs)
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(jobs={self.jobs})"

@@ -70,8 +70,12 @@ class Session:
 
     Args:
         executor: Explicit executor instance; any object with a
-            ``run(jobs) -> results`` method works (add ``run_isolated``
-            for failure isolation support).
+            ``run(jobs)`` method that returns one
+            :class:`~repro.core.result.CompilationResult` or
+            :class:`~repro.core.result.JobFailure` per job, in order.
+            The session applies the failure mode: isolation keeps the
+            failures as entries, otherwise the first one is raised after
+            every result is cached.
         jobs: Shorthand when ``executor`` is None: 1 builds a
             :class:`~repro.api.executors.SerialExecutor`, more builds a
             :class:`~repro.api.executors.ParallelExecutor` with that many
@@ -79,6 +83,8 @@ class Session:
         disk_cache: Persistent second cache tier; any object with
             ``get(fingerprint)``/``put(fingerprint, result, job=...)``
             works, normally a :class:`~repro.service.cache.DiskCache`.
+            Each fresh result is written through by one ``put`` as it
+            settles, and that ``put`` is the entry's whole commit.
         cache_dir: Shorthand for ``disk_cache=DiskCache(cache_dir)``.
         isolate_failures: Default failure-handling mode for :meth:`run`:
             when True, a job that raises a library error yields a
@@ -152,8 +158,7 @@ class Session:
 
         Raises:
             ExperimentError: If the executor returns the wrong number of
-                results for the batch, or isolation is requested from an
-                executor without a ``run_isolated`` method.
+                results for the batch.
         """
         isolate = (self.isolate_failures if isolate_failures is None
                    else isolate_failures)
@@ -222,7 +227,7 @@ class Session:
                 with child_span("session.compile",
                                 labels={"jobs": str(len(mine))}
                                 ) as compile_span:
-                    outcomes = self._execute(list(mine.values()), isolate)
+                    outcomes = self.executor.run(list(mine.values()))
                 if len(outcomes) != len(mine):
                     raise ExperimentError(
                         f"executor {self.executor!r} returned "
@@ -251,10 +256,6 @@ class Session:
                          for fingerprint, job in mine.items()])
                 if self.metrics is not None:
                     self._observe_compile_metrics(resolved, fresh)
-                if self.disk_cache is not None:
-                    flush = getattr(self.disk_cache, "flush_index", None)
-                    if flush is not None:
-                        flush()
         finally:
             # Settle whatever this call still owns so concurrent waiters
             # never hang, even when the executor raised out of the batch.
@@ -397,27 +398,6 @@ class Session:
                 flight = self._inflight.pop(fingerprint, None)
             if flight is not None:
                 flight.event.set()
-
-    def _execute(self, jobs: List[CompileJob], isolate: bool) -> Sequence:
-        """Dispatch one deduplicated batch to the executor.
-
-        Even without isolation the built-in executors run in capturing
-        mode: their successful outcomes make it back into the cache
-        tiers before :meth:`run` re-raises the first failure.  Custom
-        executors without ``run_isolated`` keep their native fail-fast
-        ``run`` behaviour (unless isolation was requested, which then
-        errors).
-        """
-        run_isolated = getattr(self.executor, "run_isolated", None)
-        if run_isolated is not None:
-            return run_isolated(jobs)
-        if isolate:
-            raise ExperimentError(
-                f"executor {self.executor!r} does not support failure "
-                f"isolation; give it a run_isolated(jobs) method or run "
-                f"with isolate_failures=False"
-            )
-        return self.executor.run(jobs)
 
     def submit(self, job: CompileJob) -> CompilationResult:
         """Execute (or recall) a single job.

@@ -9,29 +9,34 @@ re-serves earlier results instead of recompiling.
 Layout of a cache directory::
 
     <root>/
-        index.json            # advisory metadata listing, rebuildable
         results/
             <fingerprint>.json
 
-Writes are atomic (temp file + ``os.replace`` in the same directory), so
-a crashed or killed writer can never leave a half-written payload under
-a live fingerprint.  Reads are corruption-tolerant: an unreadable,
-truncated or mislabelled payload counts as a miss (and is recorded in
-:meth:`DiskCache.stats`), after which the session simply recompiles and
-rewrites the entry.  The index is purely advisory — membership always
-comes from the payload files — and is rebuilt from them when missing or
-corrupt; index rewrites take a best-effort ``fcntl`` file lock so two
-servers sharing one cache directory do not interleave their rewrites.
+The cache is content-addressed: the payload file is the only record of
+an entry.  A write goes to a same-directory temp file, and its
+``os.replace`` onto ``<fingerprint>.json`` is the commit, so a crashed
+or killed writer can never leave a half-written payload under a live
+fingerprint, and processes sharing one directory need no coordination
+beyond that rename.  A payload is a live entry exactly when it
+validates: it parses, carries ``version == CACHE_VERSION``, and its
+``fingerprint`` equals its file stem.  Reads are corruption-tolerant: a
+payload that fails to read, decode, parse or validate counts as a miss
+(recorded in :meth:`DiskCache.stats`), after which the session simply
+recompiles and rewrites the entry.
 
 With ``max_bytes`` set, the cache enforces a size cap by LRU eviction:
 every read hit bumps the payload file's mtime (so recency is shared
 across processes), and each write evicts least-recently-accessed
 entries until the payload files fit the cap again.
+
+:meth:`DiskCache.gc_orphans` removes only what can never be served —
+stray ``*.tmp`` files of interrupted writes and payloads that fail
+validation — and only once they are older than an age threshold.  Every
+valid payload survives it, whichever process wrote it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import tempfile
@@ -40,15 +45,14 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 from repro.core.result import CompilationResult
 
 #: Payload schema version; bump on incompatible layout changes.
 CACHE_VERSION = 1
+
+#: What reading a present-but-broken payload can raise (UnicodeDecodeError
+#: and json.JSONDecodeError are ValueErrors).
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -66,6 +70,23 @@ def _atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _load_payload(path: Path) -> Dict[str, object]:
+    """Read and validate one payload file: the rule for a live entry.
+
+    Raises:
+        OSError: The file cannot be read (absent, or evicted meanwhile).
+        ValueError: It is not UTF-8 JSON, has another schema version, or
+            names a fingerprint other than its file stem.
+    """
+    payload = json.loads(path.read_bytes().decode("utf-8"))
+    if not isinstance(payload, dict) \
+            or payload.get("version") != CACHE_VERSION:
+        raise ValueError("payload schema mismatch")
+    if payload.get("fingerprint") != path.stem:
+        raise ValueError("payload fingerprint mismatch")
+    return payload
 
 
 class DiskCache:
@@ -91,8 +112,6 @@ class DiskCache:
         self.root = Path(root).expanduser()
         self.results_dir = self.root / "results"
         self.results_dir.mkdir(parents=True, exist_ok=True)
-        self.index_path = self.root / "index.json"
-        self.lock_path = self.root / "index.lock"
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self.hits = 0
@@ -101,8 +120,6 @@ class DiskCache:
         self.writes = 0
         self.evictions = 0
         self.orphans_removed = 0
-        self._index_dirty = False
-        self._index: Dict[str, Dict[str, object]] = self._load_index()
         #: Running payload-byte estimate so an under-cap put stays O(1);
         #: reconciled against a real directory scan on every eviction.
         self._bytes = self.total_bytes() if max_bytes is not None else 0
@@ -111,96 +128,6 @@ class DiskCache:
     def _result_path(self, fingerprint: str) -> Path:
         return self.results_dir / f"{fingerprint}.json"
 
-    def _load_index(self) -> Dict[str, Dict[str, object]]:
-        """Load the advisory index, rebuilding it when missing, corrupt
-        or stale (index writes are deferred to :meth:`flush_index`, so a
-        killed process can leave the file behind the payload files)."""
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-            entries = data["entries"]
-            if data.get("version") != CACHE_VERSION or not isinstance(
-                    entries, dict):
-                raise ValueError("index schema mismatch")
-            if len(entries) != len(self):
-                raise ValueError("index is stale")
-            return entries
-        except (OSError, ValueError, KeyError, TypeError):
-            # Constructor path: the cache is not shared yet.
-            self._index_dirty = True  # lint: unlocked
-            return self._rebuild_index()
-
-    def _rebuild_index(self) -> Dict[str, Dict[str, object]]:
-        """Reconstruct index metadata by scanning the payload files."""
-        entries: Dict[str, Dict[str, object]] = {}
-        for path in sorted(self.results_dir.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                fingerprint = payload["fingerprint"]
-                if fingerprint != path.stem:
-                    continue
-                entries[fingerprint] = dict(payload.get("job") or {})
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-        return entries
-
-    @contextlib.contextmanager
-    def _index_file_lock(self):
-        """Best-effort cross-process lock for index rewrites.
-
-        Two servers sharing one cache directory serialize their
-        read-merge-write index updates on an ``fcntl`` advisory lock, so
-        one writer cannot silently drop the entries another wrote.  A
-        platform without :mod:`fcntl` (or a filesystem refusing to lock)
-        degrades to the previous unlocked behaviour — the index is
-        advisory and rebuildable, so this is safe, just less tidy.
-        """
-        if fcntl is None:
-            yield
-            return
-        try:
-            handle = open(self.lock_path, "w")
-        except OSError:
-            yield
-            return
-        try:
-            try:
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            except OSError:
-                pass
-            yield
-        finally:
-            handle.close()  # closing drops any held flock
-
-    def _merge_foreign_entries(self) -> None:
-        """Fold other writers' on-disk index entries into ours.
-
-        Our in-memory view wins for fingerprints we know about (it is
-        newer, and locally-evicted keys must stay gone); entries we have
-        never seen are adopted when their payload file still exists —
-        that is what keeps two servers flushing over one directory from
-        clobbering each other.  Called with both locks held.
-        """
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-            entries = data["entries"]
-            if data.get("version") != CACHE_VERSION or not isinstance(
-                    entries, dict):
-                return
-        except (OSError, ValueError, KeyError, TypeError):
-            return
-        for fingerprint, meta in entries.items():
-            if fingerprint not in self._index and isinstance(meta, dict) \
-                    and fingerprint in self:
-                self._index[fingerprint] = meta
-
-    def _write_index(self) -> None:
-        with self._index_file_lock():
-            self._merge_foreign_entries()
-            payload = {"version": CACHE_VERSION, "entries": self._index}
-            _atomic_write_text(self.index_path,
-                               json.dumps(payload, sort_keys=True, indent=1))
-
-    # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[CompilationResult]:
         """Fetch a persisted result, or None on miss or corruption.
 
@@ -210,19 +137,12 @@ class DiskCache:
         """
         path = self._result_path(fingerprint)
         try:
-            text = path.read_text(encoding="utf-8")
+            result = CompilationResult.from_dict(_load_payload(path)["result"])
         except OSError:
             with self._lock:
                 self.misses += 1
             return None
-        try:
-            payload = json.loads(text)
-            if payload.get("version") != CACHE_VERSION:
-                raise ValueError("payload schema mismatch")
-            if payload.get("fingerprint") != fingerprint:
-                raise ValueError("payload fingerprint mismatch")
-            result = CompilationResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError, AttributeError):
+        except _CORRUPT:
             with self._lock:
                 self.corrupt += 1
             return None
@@ -238,31 +158,25 @@ class DiskCache:
             job=None) -> None:
         """Persist one result under its fingerprint (atomic write-through).
 
-        Only the payload file is written here; the advisory index is
-        updated in memory and persisted by :meth:`flush_index` (which a
-        :class:`~repro.api.session.Session` calls once per batch), so a
-        large shared cache is not re-serialized on every single put.
-
         Args:
             fingerprint: The job fingerprint keying the entry.
             result: The compilation result to persist.
             job: Optional :class:`~repro.api.job.CompileJob`; when given,
-                its coordinates are recorded in the payload and the
-                index, making cache directories self-describing.
+                its coordinates are recorded in the payload (and listed
+                by :meth:`entries`), making cache directories
+                self-describing.
         """
         payload: Dict[str, object] = {
             "version": CACHE_VERSION,
             "fingerprint": fingerprint,
             "result": result.to_dict(),
         }
-        meta: Dict[str, object] = {}
         if job is not None:
-            meta = {
+            payload["job"] = {
                 "benchmark": job.program_label,
                 "policy": job.policy_label,
                 "machine": job.machine.describe(),
             }
-            payload["job"] = meta
         path = self._result_path(fingerprint)
         with self._lock:
             if self.max_bytes is not None:
@@ -271,8 +185,6 @@ class DiskCache:
                 except OSError:
                     overwritten = 0
             _atomic_write_text(path, json.dumps(payload, sort_keys=True))
-            self._index[fingerprint] = meta
-            self._index_dirty = True
             self.writes += 1
             if self.max_bytes is not None:
                 try:
@@ -313,22 +225,8 @@ class DiskCache:
             except OSError:
                 continue
             total -= size
-            self._index.pop(path.stem, None)
-            self._index_dirty = True  # lint: unlocked (caller holds lock)
             self.evictions += 1
         self._bytes = total  # lint: unlocked (caller holds lock)
-
-    def flush_index(self) -> None:
-        """Persist pending index updates (cheap no-op when clean).
-
-        Membership and reads never depend on the index, and a stale
-        index is rebuilt on the next :class:`DiskCache` construction, so
-        deferring this between batches is always safe.
-        """
-        with self._lock:
-            if self._index_dirty:
-                self._write_index()
-                self._index_dirty = False
 
     # ------------------------------------------------------------------
     def __contains__(self, fingerprint: str) -> bool:
@@ -342,95 +240,75 @@ class DiskCache:
         return sorted(path.stem for path in self.results_dir.glob("*.json"))
 
     def entries(self) -> Dict[str, Dict[str, object]]:
-        """Advisory metadata (job coordinates) per fingerprint."""
-        return dict(self._index)
+        """Job coordinates per valid payload, read from the payloads
+        (an entry written without a job maps to ``{}``)."""
+        entries: Dict[str, Dict[str, object]] = {}
+        for path in sorted(self.results_dir.glob("*.json")):
+            try:
+                entries[path.stem] = dict(_load_payload(path).get("job") or {})
+            except (OSError, *_CORRUPT):
+                continue
+        return entries
 
     def clear(self) -> None:
-        """Delete every persisted result and reset the index."""
+        """Delete every persisted result."""
         with self._lock:
             for path in self.results_dir.glob("*.json"):
                 try:
                     path.unlink()
                 except OSError:
                     pass
-            self._index = {}
             self._bytes = 0
-            self._write_index()
-            self._index_dirty = False
 
     def gc_orphans(self, min_age_seconds: float = 60.0) -> int:
-        """Remove orphaned files a crashed writer left behind; returns
-        the number of files deleted.
+        """Remove files that can never be served; returns how many.
 
-        Orphans are files in ``results/`` that are not live committed
-        cache entries:
-
-        * leftover ``*.tmp`` files from an interrupted atomic write, and
-        * payload files whose fingerprint no index ever committed — a
-          writer that died between ``put`` and ``flush_index`` in a
-          *shared* cache directory (a fresh process over its own
-          directory adopts such payloads at startup instead), or
-          mislabelled/corrupt strays that never validated into any
-          index rebuild.
-
-        Entries committed by other writers sharing the directory are
-        merged in first (under the index file lock) and never removed,
-        and only files older than ``min_age_seconds`` are candidates —
-        a concurrent writer's *in-flight* temp file (mkstemp done,
-        ``os.replace`` pending) or just-written payload must never be
-        yanked out from under it.  Hygiene for long-lived servers
-        sharing one cache directory; safe to call any time — at worst a
-        not-yet-flushed entry older than the threshold is swept, which
-        only costs a recompile.
+        Orphans are leftover ``*.tmp`` files from an interrupted atomic
+        write and ``*.json`` payloads that fail validation (unreadable,
+        corrupt, another schema version, or mislabelled).  Every valid
+        payload survives, whichever process wrote it.  Only files older
+        than ``min_age_seconds`` are candidates, so a concurrent
+        writer's in-flight temp file (mkstemp done, ``os.replace``
+        pending) is never yanked out from under it.  Hygiene for
+        long-lived servers sharing one cache directory; safe to call
+        any time.
         """
         removed = 0
         # Compared against st_mtime, which is wall-clock by definition.
         cutoff = time.time() - max(0.0, min_age_seconds)  # lint: wall-clock
+        for path in sorted(self.results_dir.iterdir()):
+            try:
+                if not path.is_file() or path.stat().st_mtime > cutoff:
+                    continue
+            except OSError:
+                continue
+            if not self._is_orphan(path):
+                continue
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            removed += 1
         with self._lock:
-            with self._index_file_lock():
-                self._merge_foreign_entries()
-                for path in sorted(self.results_dir.iterdir()):
-                    try:
-                        if path.stat().st_mtime > cutoff:
-                            continue
-                    except OSError:
-                        continue
-                    if not self._is_orphan_locked(path):
-                        continue
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                    removed += 1
-                # Drop index entries whose payloads are gone (another
-                # process may have evicted them) and persist the tidied
-                # index so the next load is not flagged stale.
-                self._index = {fingerprint: meta for fingerprint, meta
-                               in self._index.items() if fingerprint in self}
-                payload = {"version": CACHE_VERSION, "entries": self._index}
-                _atomic_write_text(self.index_path,
-                                   json.dumps(payload, sort_keys=True,
-                                              indent=1))
-                self._index_dirty = False
             self.orphans_removed += removed
             if self.max_bytes is not None:
                 self._bytes = self.total_bytes()
         return removed
 
-    def _is_orphan_locked(self, path: Path) -> bool:
-        """True when ``path`` is not a live committed cache entry.
-
-        Pure metadata checks — committed entries (the overwhelming
-        common case) are recognised by the merged index without reading
-        the payload, so a sweep over a large cache stays cheap while
-        both locks are held.  Corrupt-but-committed payloads are left
-        alone; the next read miss recompiles over them anyway.
-        """
-        if not path.is_file():
-            return False
+    @staticmethod
+    def _is_orphan(path: Path) -> bool:
+        """True for a stray temp file or a payload that fails validation."""
+        if path.suffix == ".tmp":
+            return True
         if path.suffix != ".json":
-            return True  # stray temp file from an interrupted write
-        return path.stem not in self._index
+            return False
+        try:
+            _load_payload(path)
+        except OSError:
+            return False  # removed meanwhile: nothing left to collect
+        except _CORRUPT:
+            return True
+        return False
 
     def total_bytes(self) -> int:
         """Current payload size on disk (what ``max_bytes`` caps)."""

@@ -505,22 +505,13 @@ class TestExecutorContract:
             session.run([CompileJob.for_benchmark("RD53", GRID, "square")])
         assert "LongExecutor" in str(exc_info.value)
 
-    def test_isolation_needs_run_isolated(self):
-        class BareExecutor:
-            def run(self, jobs):
-                return [execute_job(job) for job in jobs]
-
-        session = Session(executor=BareExecutor(), isolate_failures=True)
-        with pytest.raises(ExperimentError) as exc_info:
-            session.run([CompileJob.for_benchmark("RD53", GRID, "square")])
-        assert "run_isolated" in str(exc_info.value)
-
     def test_parallel_error_names_the_failing_job(self):
         impossible = CompileJob.for_benchmark(
             "RD53", MachineSpec.nisq(2), "square")
         fine = CompileJob.for_benchmark("RD53", GRID, "square")
+        session = Session(executor=ParallelExecutor(jobs=2))
         with pytest.raises(ResourceExhaustedError) as exc_info:
-            ParallelExecutor(jobs=2).run([fine, impossible])
+            session.run([fine, impossible])
         message = str(exc_info.value)
         assert "RD53" in message and "square" in message
         assert "nisq-2" in message

@@ -51,7 +51,7 @@ README_LINES = _command_lines(
 
 
 def test_command_lines_are_found():
-    assert len(CI_LINES) == 28
+    assert len(CI_LINES) == 31
     assert len(README_LINES) >= 15
 
 

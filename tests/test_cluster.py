@@ -363,6 +363,8 @@ class TestGcOrphans:
         committed = self.warm(cache)
         results = tmp_path / "results"
         payload = json.loads((results / f"{committed}.json").read_text())
+        # A self-consistent payload no session wrote is still a valid
+        # entry: the payload file is the only record, so it survives.
         payload["fingerprint"] = "f" * 64
         (results / ("f" * 64 + ".json")).write_text(json.dumps(payload))
         (results / "x.json.123.tmp").write_text("partial write")
@@ -372,11 +374,11 @@ class TestGcOrphans:
 
         # Freshly written files are protected by the age threshold: a
         # sibling writer mid-``os.replace`` must never lose its temp
-        # file (nor a just-written payload awaiting its index flush).
+        # file.
         assert cache.gc_orphans() == 0
-        assert cache.gc_orphans(min_age_seconds=0) == 4
-        assert cache.fingerprints() == [committed]
-        assert cache.stats()["orphans_removed"] == 4
+        assert cache.gc_orphans(min_age_seconds=0) == 3
+        assert cache.fingerprints() == sorted([committed, "f" * 64])
+        assert cache.stats()["orphans_removed"] == 3
         assert cache.get(committed) is not None
         # Idempotent, and a reload sees a clean directory.
         assert cache.gc_orphans(min_age_seconds=0) == 0
@@ -386,14 +388,13 @@ class TestGcOrphans:
         ours = DiskCache(tmp_path)
         self.warm(ours)
         # A sibling server sharing the directory commits its own entry
-        # after our index view was loaded.
+        # after ours was opened.
         theirs = DiskCache(tmp_path)
         session = Session(disk_cache=theirs)
         session.compile("ADDER4", machine=GRID, policy="square")
-        theirs.flush_index()
         assert len(ours) == 2
-        # Our GC merges the sibling's committed index before sweeping,
-        # so its entry survives even with the age threshold disabled.
+        # The sibling's payload validates, so it survives our GC even
+        # with the age threshold disabled.
         assert ours.gc_orphans(min_age_seconds=0) == 0
         assert len(ours) == 2
 
@@ -406,12 +407,8 @@ class TestGcOrphans:
         os.utime(path, (old, old))
 
     @staticmethod
-    def put_without_flush(cache, benchmark="ADDER4"):
-        """One ``put()`` with no index flush — a writer mid-crash.
-
-        (``Session.run`` flushes the index per batch, so the
-        crashed-before-commit state needs a direct put.)
-        """
+    def put_one(cache, benchmark="ADDER4"):
+        """One direct ``put()``: the whole commit of an entry."""
         result = Session().compile(benchmark, machine=GRID, policy="square")
         job = CompileJob.for_benchmark(benchmark, GRID, "square")
         cache.put(job.fingerprint(), result, job=job)
@@ -420,36 +417,31 @@ class TestGcOrphans:
     def test_two_writers_sibling_inflight_files_survive(self, tmp_path):
         # Writer A runs GC while writer B is mid-write in the same
         # directory: B's temp file (mkstemp done, os.replace pending)
-        # and B's just-put payload (flush_index pending) are both
-        # *fresh*, so the age threshold protects them even though
-        # neither is committed to any index yet.
+        # is *fresh*, so the age threshold protects it.
         ours = DiskCache(tmp_path)
         committed = self.warm(ours)
         theirs = DiskCache(tmp_path)
-        uncommitted = self.put_without_flush(theirs)
+        sibling = self.put_one(theirs)
         inflight_tmp = tmp_path / "results" / "pending.json.777.tmp"
         inflight_tmp.write_text("half-written payload")
         assert ours.gc_orphans() == 0, \
             "fresh sibling files must survive a default-threshold GC"
         assert inflight_tmp.exists()
-        assert sorted(theirs.fingerprints()) == \
-            sorted([committed, uncommitted])
-        # Once B commits, its entry is safe at any age from A's side.
-        theirs.flush_index()
-        assert ours.gc_orphans(min_age_seconds=0) == 1  # the temp file
-        assert sorted(ours.fingerprints()) == \
-            sorted([committed, uncommitted])
+        assert sorted(theirs.fingerprints()) == sorted([committed, sibling])
+        # With the threshold disabled only the temp file goes: B's
+        # payload is valid, so it is safe at any age from A's side.
+        assert ours.gc_orphans(min_age_seconds=0) == 1
+        assert sorted(ours.fingerprints()) == sorted([committed, sibling])
 
     def test_two_writers_committed_entries_never_reclaimed(self, tmp_path):
         # Both writers commit; every payload then ages far past the
         # threshold.  GC from either side must reclaim nothing: age
-        # only *permits* collection, commitment is what protects.
+        # only *permits* collection, validity is what protects.
         ours = DiskCache(tmp_path)
         committed = self.warm(ours)
         theirs = DiskCache(tmp_path)
         session = Session(disk_cache=theirs)
         session.compile("ADDER4", machine=GRID, policy="square")
-        theirs.flush_index()
         for path in (tmp_path / "results").glob("*.json"):
             self.backdate(path)
         assert ours.gc_orphans() == 0
@@ -457,41 +449,77 @@ class TestGcOrphans:
         assert len(ours) == 2
         assert ours.get(committed) is not None
 
-    def test_two_writers_crashed_uncommitted_payload_is_reclaimed(
-            self, tmp_path):
-        # A sibling that died between put() and flush_index() leaves an
-        # uncommitted payload; once it is old enough the surviving
-        # long-lived server sweeps it — while its own committed entry
-        # (equally old) is not touched.
+    def test_two_writers_crashed_writers_payload_survives(self, tmp_path):
+        # A sibling that died right after a put() leaves a valid payload
+        # and a stale temp file from a second, interrupted write.  Once
+        # both are old, a long-lived cache and a freshly opened one
+        # agree: the temp file goes, the valid payload stays.
         ours = DiskCache(tmp_path)
         committed = self.warm(ours)
         crashed = DiskCache(tmp_path)
-        self.put_without_flush(crashed)
-        del crashed  # the "crash": put() landed, flush_index() never did
+        orphaned = self.put_one(crashed)
+        del crashed  # the "crash"
         stale_tmp = tmp_path / "results" / "dead.json.1.tmp"
         stale_tmp.write_text("orphaned temp file")
         for path in (tmp_path / "results").iterdir():
             self.backdate(path)
-        assert ours.gc_orphans() == 2  # the payload and the temp file
+        assert ours.gc_orphans() == 1  # the temp file
         assert not stale_tmp.exists()
-        assert ours.fingerprints() == [committed]
-        assert ours.get(committed) is not None
-
-    def test_fresh_process_adopts_uncommitted_payloads_instead(
-            self, tmp_path):
-        # The counterpart: a *fresh* DiskCache over the directory
-        # rebuilds its index from the payload files, adopting the
-        # crashed writer's valid payload rather than sweeping it.
-        ours = DiskCache(tmp_path)
-        self.warm(ours)
-        crashed = DiskCache(tmp_path)
-        self.put_without_flush(crashed)
-        del crashed  # no flush_index()
-        for path in (tmp_path / "results").iterdir():
-            self.backdate(path)
         fresh = DiskCache(tmp_path)
         assert fresh.gc_orphans() == 0
-        assert len(fresh) == 2
+        for cache in (ours, fresh):
+            assert cache.fingerprints() == sorted([committed, orphaned])
+            assert cache.get(committed) is not None
+            assert cache.get(orphaned) is not None
+
+    def test_concurrent_writers_readers_and_gc_share_one_directory(
+            self, tmp_path):
+        # Four caches over one directory, one per thread, overwrite and
+        # read the same fingerprints while a fifth runs GC.  The rename
+        # is their only coordination, so no read may see a partial
+        # payload and GC may never take a valid one.
+        import sys
+
+        result = Session().compile("RD53", machine=GRID, policy="lazy")
+        fingerprints = [f"{index:064x}" for index in range(8)]
+        writers = [DiskCache(tmp_path) for _ in range(4)]
+        janitor = DiskCache(tmp_path)
+        errors = []
+
+        def churn(cache):
+            try:
+                for _ in range(5):
+                    for fingerprint in fingerprints:
+                        cache.put(fingerprint, result)
+                        if cache.get(fingerprint) != result:
+                            errors.append(f"bad read of {fingerprint}")
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=churn, args=(cache,), daemon=True)
+                   for cache in writers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while any(thread.is_alive() for thread in threads) \
+                    and time.monotonic() < deadline:
+                janitor.gc_orphans()
+            for thread in threads:
+                thread.join(timeout=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(cache.corrupt for cache in writers) == 0
+        assert janitor.orphans_removed == 0
+        fresh = DiskCache(tmp_path)
+        assert fresh.fingerprints() == fingerprints
+        assert all(fresh.get(fingerprint) == result
+                   for fingerprint in fingerprints)
+        assert not list((tmp_path / "results").glob("*.tmp"))
 
 
 # ----------------------------------------------------------------------

@@ -397,10 +397,10 @@ class CountingExecutor(SerialExecutor):
         self.lock = threading.Lock()
         self.executed = []
 
-    def run_isolated(self, jobs):
+    def run(self, jobs):
         with self.lock:
             self.executed.extend(jobs)
-        return SerialExecutor.run_isolated(self, jobs)
+        return SerialExecutor.run(self, jobs)
 
 
 class TestSessionConcurrency:
@@ -525,7 +525,7 @@ class TestDiskCacheEviction:
         assert "b" * 8 in cache and "a" * 8 not in cache
         assert cache.evictions == 1
 
-    def test_eviction_updates_index_and_stats(self, tmp_path):
+    def test_eviction_updates_entries_and_stats(self, tmp_path):
         cache, result, _ = self._sized_cache(tmp_path, entries=1.5)
         cache.put("a" * 8, result, job=RD53)
         time.sleep(0.02)  # distinct mtimes
@@ -536,7 +536,6 @@ class TestDiskCacheEviction:
         assert stats["evictions"] == 1
         assert stats["max_bytes"] == cache.max_bytes
         assert stats["bytes"] <= cache.max_bytes
-        cache.flush_index()
         reopened = DiskCache(cache.root, max_bytes=cache.max_bytes)
         assert set(reopened.entries()) == {"b" * 8}
 
@@ -549,35 +548,22 @@ class TestDiskCacheEviction:
         with pytest.raises(ValueError):
             DiskCache(tmp_path, max_bytes=0)
 
-    def test_index_lock_file_used(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("a" * 8, Session().submit(RD53))
-        cache.flush_index()
-        # On POSIX (where CI runs) the advisory lock file must exist and
-        # the index must still round-trip through the locked rewrite.
-        assert cache.lock_path.exists()
-        assert DiskCache(tmp_path).fingerprints() == ["a" * 8]
-
-    def test_two_writers_merge_index_entries(self, tmp_path):
-        """Two caches over one directory: neither flush clobbers the
-        other's index entries (the multi-writer satellite fix)."""
+    def test_two_writers_list_each_others_entries(self, tmp_path):
+        """Two caches over one directory: each lists both writers'
+        entries, with no coordination beyond the atomic rename."""
         result = Session().submit(RD53)
         writer_a = DiskCache(tmp_path)
         writer_b = DiskCache(tmp_path)
         writer_a.put("a" * 8, result, job=RD53)
         writer_b.put("b" * 8, result, job=RD53)
-        writer_a.flush_index()
-        writer_b.flush_index()  # must not drop writer_a's entry
-        reopened = DiskCache(tmp_path)
-        assert set(reopened.entries()) == {"a" * 8, "b" * 8}
+        assert set(writer_a.entries()) == {"a" * 8, "b" * 8}
+        assert set(DiskCache(tmp_path).entries()) == {"a" * 8, "b" * 8}
 
-    def test_merge_does_not_resurrect_evicted_entries(self, tmp_path):
+    def test_evicted_entries_stay_gone(self, tmp_path):
         cache, result, _ = self._sized_cache(tmp_path, entries=1.5)
         cache.put("a" * 8, result, job=RD53)
-        cache.flush_index()
         time.sleep(0.02)
         cache.put("b" * 8, result, job=RD53)  # evicts "a"
-        cache.flush_index()
         assert set(DiskCache(cache.root).entries()) == {"b" * 8}
 
 

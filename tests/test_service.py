@@ -258,14 +258,18 @@ class TestDiskCache:
         assert cache.get("0" * 64) is None
         assert cache.corrupt == 1
 
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        result = Session().submit(RD53)
-        cache.put(RD53.fingerprint(), result, job=RD53)
-        cache.index_path.write_text("garbage")
-        reopened = DiskCache(tmp_path)
-        assert reopened.entries()[RD53.fingerprint()]["policy"] == "square"
-        assert reopened.get(RD53.fingerprint()) == result
+    def test_non_utf8_payload_counts_as_corrupt(self, tmp_path):
+        fingerprint = RD53.fingerprint()
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / f"{fingerprint}.json").write_bytes(
+            b"\xff\xfe{")
+        session = Session(cache_dir=tmp_path)
+        sweep = session.run([RD53], isolate_failures=True)
+        assert sweep[0].error is None and not sweep[0].disk_hit
+        assert session.disk_cache.corrupt == 1
+        # The recompile rewrote the entry, so the next process hits it.
+        assert DiskCache(tmp_path).get(fingerprint) == sweep[0].result
+        assert session.disk_cache.gc_orphans(min_age_seconds=0) == 0
 
     def test_no_temp_file_litter(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -296,6 +300,10 @@ class TestSessionDiskTier:
         warm = warm_session.run(spec)
         assert warm_session.disk_hits == 4
         assert warm.cache_hits == 4
+        # The payload files are the only record: no index, no lock file.
+        assert [path.name for path in tmp_path.iterdir()] == ["results"]
+        assert {path.suffix for path in (tmp_path / "results").iterdir()} \
+            == {".json"}
         # Byte-identical export, cold vs warm.
         assert cold.to_json() == warm.to_json()
         assert cold.to_csv() == warm.to_csv()
@@ -530,15 +538,14 @@ class TestReviewHardening:
         assert restarted.disk_hits == 2
         assert sweep.cache_hits == 2
 
-    def test_stale_index_is_rebuilt_on_reopen(self, tmp_path):
+    def test_reopen_lists_entries_from_payloads(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put(RD53.fingerprint(), Session().submit(RD53), job=RD53)
-        # put() defers the index write; a "crashed" process never flushed.
+        # put() is the whole commit: a process that dies right after it
+        # leaves an entry every other process can already list.
         reopened = DiskCache(tmp_path)
         assert reopened.entries()[RD53.fingerprint()]["benchmark"] == "RD53"
-        cache.flush_index()
-        flushed = DiskCache(tmp_path)
-        assert flushed.entries()[RD53.fingerprint()]["policy"] == "square"
+        assert reopened.entries()[RD53.fingerprint()]["policy"] == "square"
 
     def test_serve_rejects_machine_flags(self):
         from repro.experiments.__main__ import main

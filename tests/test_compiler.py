@@ -35,7 +35,7 @@ from repro.workloads.registry import (
 from repro.workloads.synthetic import SyntheticGenerator, SyntheticSpec
 
 from tests.conftest import build_two_level_program
-from tests.test_golden import MACHINES, POLICIES, _corpus
+from tests.test_golden import MACHINES, POLICIES, quick_corpus
 
 ALL_POLICIES = tuple(POLICY_PRESETS)
 
@@ -256,7 +256,7 @@ class TestLiveQubitFloor:
                     assert result.peak_live_qubits >= floor, job
                     checked += 1
         assert checked == sum(digest != "ResourceExhaustedError"
-                              for digest in _corpus().values())
+                              for digest in quick_corpus().values())
 
     def test_budget_below_the_floor_fails_before_any_gate(self, monkeypatch,
                                                          two_level_program):

@@ -1,10 +1,11 @@
-"""Machine architecture models: topologies, routing, NISQ and FT machines."""
+"""Machine architecture models: topologies, layouts, NISQ and FT machines."""
 
 from repro.arch.braid import Braid, BraidRequest, BraidTracker, manhattan_route
 from repro.arch.ft import FT_GATE_DURATIONS, FTMachine
 from repro.arch.machine import (
     DEFAULT_GATE_DURATIONS,
     CommunicationResult,
+    NO_COMMUNICATION,
     IdealMachine,
     Machine,
 )
@@ -16,7 +17,6 @@ from repro.arch.nisq import (
     NISQMachine,
     NoiseParameters,
 )
-from repro.arch.routing import Route, SwapRouter, SwapStep
 from repro.arch.topology import Topology
 
 __all__ = [
@@ -33,11 +33,9 @@ __all__ = [
     "Layout",
     "Machine",
     "NISQMachine",
+    "NO_COMMUNICATION",
     "NoiseParameters",
-    "Route",
     "SIMULATION_NOISE",
-    "SwapRouter",
-    "SwapStep",
     "Topology",
     "manhattan_route",
 ]

@@ -79,7 +79,6 @@ class FTMachine(Machine):
         queue_delay = request.start - earliest_start
         extra = queue_delay + request.crossings * self._crossing_penalty
         return CommunicationResult(
-            swaps=(),
             extra_latency=extra,
             cost_units=float(request.crossings),
         )

@@ -3,17 +3,16 @@
 A machine couples a :class:`~repro.arch.topology.Topology` with a gate
 duration table and a communication model.  The scheduler asks the machine
 to *resolve* every two-qubit interaction: on a NISQ machine that yields a
-swap chain; on a fault-tolerant machine a braid with possible crossing
-delays; on an ideal machine nothing at all.
+swap chain, given as the site path the moving qubit walks; on a
+fault-tolerant machine a braid with possible crossing delays; on an ideal
+machine nothing at all.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro.arch.routing import SwapStep
 from repro.arch.topology import Topology
 from repro.ir.gates import gate_spec
 
@@ -26,14 +25,16 @@ DEFAULT_GATE_DURATIONS: Mapping[str, int] = {
 }
 
 
-@dataclass(frozen=True)
-class CommunicationResult:
-    """Outcome of resolving one two-qubit interaction.
+class CommunicationResult(NamedTuple):
+    """Outcome of resolving one two-qubit interaction (a named tuple:
+    cheap to build, since routing makes one per non-adjacent pair).
 
     Attributes:
-        swaps: Swap steps the scheduler must apply before the gate (NISQ),
-            as a chain along a path of distinct sites: each step starts
-            at the site where the previous one ended.
+        path: The swap chain the scheduler must apply before the gate
+            (NISQ), as the distinct sites the moving qubit walks: it
+            starts on ``path[0]``, swaps with each next site's occupant in
+            turn and ends on ``path[-1]``, next to its partner.  A chain
+            of ``len(path) - 1`` swaps; empty when no swap is needed.
         extra_latency: Additional latency (time units) beyond the swap chain
             itself, e.g. braid queueing delay on an FT machine.
         cost_units: The communication quantity fed to the CER cost model's
@@ -41,9 +42,13 @@ class CommunicationResult:
             braid crossings on FT.
     """
 
-    swaps: Tuple[SwapStep, ...] = ()
+    path: Tuple[int, ...] = ()
     extra_latency: int = 0
     cost_units: float = 0.0
+
+
+#: The result of an interaction that needs no communication at all.
+NO_COMMUNICATION = CommunicationResult()
 
 
 class Machine(abc.ABC):
@@ -133,4 +138,4 @@ class IdealMachine(Machine):
         self, site_a: int, site_b: int, earliest_start: int
     ) -> CommunicationResult:
         """All sites are adjacent: no swaps, no delay, zero cost."""
-        return CommunicationResult()
+        return NO_COMMUNICATION

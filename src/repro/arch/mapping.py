@@ -9,7 +9,7 @@ exactly why locality-aware allocation pays off.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
 from repro.arch.topology import Topology
@@ -34,6 +34,12 @@ class Layout:
     def topology(self) -> Topology:
         """The underlying topology."""
         return self._topology
+
+    @property
+    def placement(self) -> Mapping[int, int]:
+        """The virtual-qubit -> site mapping itself (read-only), kept up
+        to date in place: a hot loop may hold on to it."""
+        return self._site_of
 
     @property
     def num_placed(self) -> int:

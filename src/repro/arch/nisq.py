@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.arch.machine import CommunicationResult, Machine
-from repro.arch.routing import SwapRouter
+from repro.arch.machine import NO_COMMUNICATION, CommunicationResult, Machine
 from repro.arch.topology import Topology
 
 
@@ -67,7 +66,6 @@ class NISQMachine(Machine):
         super().__init__(topology, gate_durations,
                          name=name or f"nisq-{topology.name}")
         self.noise = noise
-        self._router = SwapRouter(topology)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -86,26 +84,25 @@ class NISQMachine(Machine):
         return cls(Topology.fully_connected(num_qubits), **kwargs)
 
     # ------------------------------------------------------------------
-    @property
-    def router(self) -> SwapRouter:
-        """The swap router for this machine."""
-        return self._router
-
     def resolve_interaction(
         self, site_a: int, site_b: int, earliest_start: int
     ) -> CommunicationResult:
         """Resolve a long-distance CNOT by a swap chain.
 
-        The returned cost unit is the swap-chain length, which the compiler
+        The qubit at ``site_a`` walks a shortest path until it sits next
+        to ``site_b``; the qubit at ``site_b`` stays put.  Adjacent (or
+        identical) sites need no swap and share one empty result.  The
+        returned cost unit is the swap-chain length, which the compiler
         averages into the ``S`` factor of Equations 1 and 2.
         """
-        route = self._router.route(site_a, site_b)
-        return CommunicationResult(
-            swaps=route.swaps,
-            extra_latency=0,
-            cost_units=float(route.num_swaps),
-        )
+        topology = self.topology
+        if topology.are_adjacent(site_a, site_b):
+            return NO_COMMUNICATION
+        path = topology.shortest_path(site_a, site_b)
+        path.pop()
+        return CommunicationResult(path=tuple(path),
+                                   cost_units=float(len(path) - 1))
 
     def swap_distance(self, site_a: int, site_b: int) -> int:
         """Swaps needed for a gate between two sites right now."""
-        return self._router.swap_distance(site_a, site_b)
+        return max(self.topology.distance(site_a, site_b) - 1, 0)

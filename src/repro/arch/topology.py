@@ -4,7 +4,7 @@ The paper evaluates NISQ machines with 2-D lattice nearest-neighbour
 connectivity, an ideal fully-connected machine (Figure 5), and
 fault-tolerant machines whose logical qubits sit on a 2-D grid with
 routing channels.  A :class:`Topology` provides sites, adjacency,
-coordinates and hop distances used by the router and by the
+coordinates and hop distances used by swap-chain resolution and by the
 locality-aware allocation heuristic.  Every machine is either a lattice
 or all-to-all, so each of these answers is plain coordinate arithmetic.
 """

@@ -85,6 +85,10 @@ class GateStmt:
                 f"gate {self.name!r} expects {spec.num_qubits} operands, "
                 f"got {len(self.qubits)}"
             )
+        if len(set(self.qubits)) != len(self.qubits):
+            raise IRError(
+                f"gate {self.name!r} has duplicate operands {self.qubits}"
+            )
 
     def __repr__(self) -> str:
         args = ", ".join(map(repr, self.qubits))

@@ -4,19 +4,23 @@ The scheduler owns the virtual-to-physical :class:`~repro.arch.mapping.Layout`
 and a per-qubit clock.  Each gate the compiler emits is scheduled at the
 earliest time allowed by its operands; two-qubit gates between non-adjacent
 sites first receive the swap chain (NISQ) or braid delay (FT) returned by
-the machine model.  The scheduler also drives the liveness tracker so that
-usage segments reflect actual scheduled times.
+the machine model.  A swap chain arrives as the site path its moving qubit
+walks, and the scheduler applies it in one pass over that path.
+
+The scheduler also drives the liveness tracker, so that usage segments
+reflect actual scheduled times.  A segment needs only its first gate
+(see :mod:`repro.scheduler.tracker`), so the tracker is called only for
+the qubits in its ``awaiting_first_gate`` set.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import CompilationError
-from repro.arch.machine import CommunicationResult, Machine
+from repro.arch.machine import Machine
 from repro.arch.mapping import Layout
-from repro.arch.routing import SwapStep
 from repro.scheduler.events import GateExecution, ScheduledGate
 from repro.scheduler.tracker import LivenessTracker
 
@@ -43,6 +47,8 @@ class GateScheduler:
         self.tracker = tracker if tracker is not None else LivenessTracker()
         self._record = record_schedule
         self.events: List[ScheduledGate] = []
+        self._placement = self.layout.placement
+        self._awaiting = self.tracker.awaiting_first_gate
         self._qubit_time: Dict[int, int] = {}
         self._site_time: List[int] = [0] * machine.topology.num_sites
         self.makespan = 0
@@ -80,13 +86,19 @@ class GateScheduler:
         Returns:
             A :class:`GateExecution` with the gate's time window, the number
             of swaps inserted and the communication cost units.
+
+        Raises:
+            CompilationError: If an operand is not placed on the machine.
         """
         qubits = tuple(virtual_qubits)
-        if len(self.layout.sites_of(qubits)) != len(qubits):
-            unplaced = next(q for q in qubits if not self.layout.is_placed(q))
+        placement = self._placement
+        try:
+            sites = [placement[qubit] for qubit in qubits]
+        except KeyError as missing:
             raise CompilationError(
-                f"gate {name!r} references unplaced virtual qubit {unplaced}"
-            )
+                f"gate {name!r} references unplaced virtual qubit {missing.args[0]}"
+            ) from None
+        qubit_time = self._qubit_time
         total_swaps = 0
         total_cost = 0.0
         extra_latency = 0
@@ -94,17 +106,55 @@ class GateScheduler:
         if len(qubits) >= 2:
             # Resolve connectivity pairwise against the last operand (the
             # target): each control is routed next to the target in turn.
-            target = qubits[-1]
-            for control in qubits[:-1]:
-                result = self._resolve_pair(control, target)
-                total_swaps += len(result.swaps)
+            # A chain never moves the target, but it may move another
+            # control, so later controls and (after the loop) earlier
+            # ones are looked up again.
+            resolve = self.machine.resolve_interaction
+            last = len(qubits) - 1
+            target = qubits[last]
+            target_site = sites[last]
+            for index in range(last):
+                control = qubits[index]
+                if index:
+                    sites[index] = placement[control]
+                result = resolve(sites[index], target_site,
+                                 max(qubit_time.get(control, 0),
+                                     qubit_time.get(target, 0)))
+                path = result.path
+                if path:
+                    self._walk(path)
+                    total_swaps += len(path) - 1
+                    sites[index] = path[-1]
                 total_cost += result.cost_units
                 extra_latency += result.extra_latency
+            if last > 1:
+                sites = [placement[qubit] for qubit in qubits]
 
-        start = self.frontier_time(qubits) + extra_latency
-        duration = self.machine.gate_duration(name)
-        finish = start + duration
-        self._commit(name, qubits, start, finish, routed=False)
+        start = 0
+        for qubit in qubits:
+            busy = qubit_time.get(qubit, 0)
+            if busy > start:
+                start = busy
+        start += extra_latency
+        finish = start + self.machine.gate_duration(name)
+        site_time = self._site_time
+        awaiting = self._awaiting
+        for qubit, site in zip(qubits, sites):
+            qubit_time[qubit] = finish
+            site_time[site] = finish
+            if qubit in awaiting:
+                self.tracker.record_gate(qubit, start, finish)
+        if finish > self.makespan:
+            self.makespan = finish
+        if self._record:
+            self.events.append(ScheduledGate(
+                name=name,
+                virtual_qubits=qubits,
+                sites=tuple(sites),
+                start=start,
+                finish=finish,
+                routed=False,
+            ))
         self.gate_count += 1
         if len(qubits) >= 2:
             self.two_qubit_gate_count += 1
@@ -112,49 +162,27 @@ class GateScheduler:
         return GateExecution(start=start, finish=finish, swaps=total_swaps,
                              comm_cost=total_cost)
 
-    # ------------------------------------------------------------------
-    def _resolve_pair(self, moving: int, stationary: int) -> CommunicationResult:
-        """Make ``moving`` adjacent to ``stationary``, applying swaps."""
-        site_a = self.layout.site_of(moving)
-        site_b = self.layout.site_of(stationary)
-        qubit_time = self._qubit_time
-        earliest = max(qubit_time.get(moving, 0), qubit_time.get(stationary, 0))
-        result = self.machine.resolve_interaction(site_a, site_b, earliest)
-        if result.swaps:
-            self._apply_swaps(result.swaps)
-        return result
+    def _walk(self, path: Sequence[int]) -> None:
+        """Apply the swap chain along ``path`` in one pass.
 
-    def _apply_swaps(self, swaps: Sequence[SwapStep]) -> None:
-        """Walk a swap chain in one pass.
-
-        The chain moves the occupant of its first site step by step; each
-        step is one SWAP gate that starts once both sites and both
+        The occupant of ``path[0]`` moves to ``path[-1]``, one SWAP gate
+        per step; each step starts once both of its sites and both
         occupants are free, and every other occupant ends one site back.
-
-        Raises:
-            CompilationError: If a step does not start where the previous
-                one ended.
         """
-        path = [swaps[0][0]]
-        for site_a, site_b in swaps:
-            if site_a != path[-1]:
-                raise CompilationError(
-                    f"swap step {(site_a, site_b)} does not continue the "
-                    f"chain at site {path[-1]}"
-                )
-            path.append(site_b)
         occupants = self.layout.move_along(path)
         qubit_time = self._qubit_time
         site_time = self._site_time
-        record_gate = self.tracker.record_gate
+        awaiting = self._awaiting
+        record = self._record
         duration = self.machine.swap_duration
         moving = occupants[0]
         # Before each step, `finish` is when the previous step released
         # the moving qubit and the site it now occupies.
-        finish = site_time[path[0]]
+        previous = path[0]
+        finish = site_time[previous]
         if moving is not None:
             finish = max(finish, qubit_time.get(moving, 0))
-        first_start = None
+        first_start = finish
         for index in range(1, len(path)):
             site = path[index]
             occupant = occupants[index]
@@ -165,50 +193,33 @@ class GateScheduler:
                 busy = qubit_time.get(occupant, 0)
                 if busy > start:
                     start = busy
-            if first_start is None:
+            if index == 1:
                 first_start = start
             finish = start + duration
-            site_time[path[index - 1]] = finish
+            site_time[previous] = finish
             site_time[site] = finish
             if occupant is not None:
                 qubit_time[occupant] = finish
-                record_gate(occupant, start, finish)
-            if self._record:
+                if occupant in awaiting:
+                    self.tracker.record_gate(occupant, start, finish)
+            if record:
                 self.events.append(ScheduledGate(
                     name="swap",
                     virtual_qubits=tuple(q for q in (moving, occupant)
                                          if q is not None),
-                    sites=(path[index - 1], site),
+                    sites=(previous, site),
                     start=start,
                     finish=finish,
                     routed=True,
                 ))
+            previous = site
         if moving is not None:
             qubit_time[moving] = finish
-            record_gate(moving, first_start, finish)
-        self.makespan = max(self.makespan, finish)
-        self.swap_count += len(swaps)
-
-    def _commit(self, name: str, qubits: Tuple[int, ...], start: int,
-                finish: int, routed: bool) -> None:
-        sites = tuple(self.layout.sites_of(qubits))
-        qubit_time = self._qubit_time
-        site_time = self._site_time
-        record_gate = self.tracker.record_gate
-        for qubit, site in zip(qubits, sites):
-            qubit_time[qubit] = finish
-            site_time[site] = finish
-            record_gate(qubit, start, finish)
-        self.makespan = max(self.makespan, finish)
-        if self._record:
-            self.events.append(ScheduledGate(
-                name=name,
-                virtual_qubits=qubits,
-                sites=sites,
-                start=start,
-                finish=finish,
-                routed=routed,
-            ))
+            if moving in awaiting:
+                self.tracker.record_gate(moving, first_start, finish)
+        if finish > self.makespan:
+            self.makespan = finish
+        self.swap_count += len(path) - 1
 
     # ------------------------------------------------------------------
     def average_comm_cost(self) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Tuple
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,9 @@ class ScheduledGate:
         return self.finish - self.start
 
 
-@dataclass(frozen=True)
-class GateExecution:
-    """Summary returned to the compiler for each logical gate it emits.
+class GateExecution(NamedTuple):
+    """Summary returned to the compiler for each logical gate it emits (a
+    named tuple: cheap to build, since every gate returns one).
 
     Attributes:
         start: Start time of the logical gate itself.

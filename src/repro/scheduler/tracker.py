@@ -5,13 +5,21 @@ segments, where a segment opens when a qubit is allocated and closes when
 it is reclaimed (returned to |0> and pushed onto the ancilla heap).  Time
 a qubit spends reclaimed in the heap does not count.  The tracker records
 segments as the compiler allocates / reclaims qubits and the scheduler
-advances their clocks.
+reports each segment's first gate.
+
+A segment starts at its first gate (or at allocation if it never has
+one) and ends at the time it is reclaimed.  The compiler reclaims a
+qubit at its scheduler clock, and the program end (``finalize``) is the
+makespan; a qubit's clock never decreases and every gate on the qubit
+has advanced it to at least that gate's finish, so no later gate needs
+recording.  The scheduler therefore calls ``record_gate`` only for the
+qubits in ``awaiting_first_gate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, Iterable, List, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -20,9 +28,11 @@ class UsageSegment:
 
     Attributes:
         qubit: Virtual qubit id.
-        start: Allocation time (time of the first gate after allocation).
-        end: Reclamation time (completion of the last gate before the qubit
-            was reclaimed, or the end of the program if never reclaimed).
+        start: Start of the first gate after allocation (the allocation
+            time if the qubit had no gate).
+        end: Reclamation time: the qubit's clock when it was reclaimed
+            (the completion of its last gate, or later), or the end of
+            the program if never reclaimed; never before ``start``.
     """
 
     qubit: int
@@ -35,19 +45,14 @@ class UsageSegment:
         return max(self.end - self.start, 0)
 
 
-@dataclass
-class _OpenSegment:
-    qubit: int
-    opened_at: int
-    first_gate_start: Optional[int] = None
-    last_gate_finish: Optional[int] = None
-
-
 class LivenessTracker:
     """Records per-qubit usage segments as compilation proceeds."""
 
     def __init__(self) -> None:
-        self._open: Dict[int, _OpenSegment] = {}
+        # Live qubit -> its segment's start so far: the allocation time
+        # until its first gate, that gate's start from then on.
+        self._start: Dict[int, int] = {}
+        self._awaiting: Set[int] = set()
         self._segments: List[UsageSegment] = []
         self._peak_live = 0
 
@@ -55,7 +60,7 @@ class LivenessTracker:
     @property
     def num_live(self) -> int:
         """Number of qubits currently live (allocated, not reclaimed)."""
-        return len(self._open)
+        return len(self._start)
 
     @property
     def peak_live(self) -> int:
@@ -64,7 +69,17 @@ class LivenessTracker:
 
     def live_qubits(self) -> Tuple[int, ...]:
         """Ids of currently live qubits."""
-        return tuple(self._open)
+        return tuple(self._start)
+
+    @property
+    def awaiting_first_gate(self) -> AbstractSet[int]:
+        """Live qubits whose segment has had no gate yet.
+
+        This is the tracker's own set, updated in place, so a scheduler
+        may hold on to it; :meth:`record_gate` is a no-op for any other
+        qubit.
+        """
+        return self._awaiting
 
     # ------------------------------------------------------------------
     def allocate(self, qubit: int, time: int) -> None:
@@ -73,37 +88,39 @@ class LivenessTracker:
         Allocating an already-live qubit is a no-op (parameters of nested
         calls stay live across the call boundary).
         """
-        if qubit in self._open:
+        if qubit in self._start:
             return
-        self._open[qubit] = _OpenSegment(qubit=qubit, opened_at=time)
-        self._peak_live = max(self._peak_live, len(self._open))
+        self._start[qubit] = time
+        self._awaiting.add(qubit)
+        self._peak_live = max(self._peak_live, len(self._start))
 
     def record_gate(self, qubit: int, start: int, finish: int) -> None:
-        """Note that a gate ran on ``qubit`` between ``start`` and ``finish``."""
-        segment = self._open.get(qubit)
-        if segment is None:
-            return
-        if segment.first_gate_start is None:
-            segment.first_gate_start = start
-        segment.last_gate_finish = (
-            finish if segment.last_gate_finish is None
-            else max(segment.last_gate_finish, finish)
-        )
+        """Note that a gate ran on ``qubit`` between ``start`` and ``finish``.
+
+        Only a segment's first gate is kept: ``finish`` is not needed,
+        because the segment ends at the clock ``reclaim`` is given, which
+        the gate has already advanced past ``finish``.
+        """
+        if qubit in self._awaiting:
+            self._awaiting.remove(qubit)
+            self._start[qubit] = start
 
     def reclaim(self, qubit: int, time: int) -> None:
-        """Close the usage segment of ``qubit`` at ``time``."""
-        segment = self._open.pop(qubit, None)
-        if segment is None:
-            return
-        start = segment.first_gate_start
+        """Close the usage segment of ``qubit`` at ``time``.
+
+        ``time`` must not precede the finish of the segment's last gate
+        (the compiler passes the qubit's scheduler clock).
+        """
+        start = self._start.pop(qubit, None)
         if start is None:
-            start = segment.opened_at
-        end = max(time, segment.last_gate_finish or start, start)
-        self._segments.append(UsageSegment(qubit=qubit, start=start, end=end))
+            return
+        self._awaiting.discard(qubit)
+        self._segments.append(UsageSegment(qubit=qubit, start=start,
+                                           end=max(time, start)))
 
     def finalize(self, end_time: int) -> None:
         """Close every still-open segment at the end of the program."""
-        for qubit in list(self._open):
+        for qubit in list(self._start):
             self.reclaim(qubit, end_time)
 
     # ------------------------------------------------------------------

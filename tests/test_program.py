@@ -61,6 +61,14 @@ class TestQModule:
         with pytest.raises(IRError):
             module.gate("cx", module.inputs[0])
 
+    def test_gate_rejects_duplicate_operands(self):
+        module = QModule("m", num_inputs=3)
+        with pytest.raises(IRError, match="duplicate operands"):
+            module.gate("cx", module.inputs[0], module.inputs[0])
+        with pytest.raises(IRError, match="duplicate operands"):
+            module.ccx(module.inputs[0], module.inputs[1], module.inputs[0])
+        assert module.compute == []
+
     def test_call_arity_checked(self):
         child = QModule("child", num_inputs=2)
         parent = QModule("parent", num_inputs=3)

@@ -1,17 +1,21 @@
 """Tests for the gate scheduler and the liveness tracker."""
 
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import pytest
 
-from repro.exceptions import CompilationError
+import repro.core.compiler
+from repro.api import CompileJob, MachineSpec, execute_job
+from repro.exceptions import CompilationError, ResourceExhaustedError
 from repro.arch.ft import FTMachine
 from repro.arch.machine import IdealMachine
 from repro.arch.nisq import NISQMachine
-from repro.arch.routing import SwapStep
 from repro.arch.topology import Topology
 from repro.scheduler.asap import GateScheduler
-from repro.scheduler.tracker import LivenessTracker
+from repro.scheduler.tracker import LivenessTracker, UsageSegment
+from repro.workloads.registry import benchmark_overrides
 
 
 class TestLivenessTracker:
@@ -160,6 +164,93 @@ class TestGateScheduler:
         scheduler.schedule_gate("cx", [0, 1])
         assert scheduler.average_comm_cost() > 0
 
+    def test_barrier_without_operands(self):
+        scheduler = self._scheduler()
+        execution = scheduler.schedule_gate("barrier", [])
+        assert (execution.start, execution.finish, execution.swaps) == (0, 0, 0)
+        assert scheduler.gate_count == 1
+
+
+@dataclass
+class _ReferenceSegment:
+    qubit: int
+    opened_at: int
+    first_gate_start: Optional[int] = None
+    last_gate_finish: Optional[int] = None
+
+
+class ReferenceLivenessTracker:
+    """Per-gate liveness bookkeeping: every gate on a live qubit is
+    recorded, and a segment ends at the later of its reclaim time and its
+    last gate's finish.
+
+    Its ``awaiting_first_gate`` holds every live qubit, so a scheduler
+    reports each gate on one.  ``reclaim`` asserts the contract that lets
+    :class:`LivenessTracker` keep only the first gate: no segment is
+    reclaimed before its last gate finishes.
+    """
+
+    def __init__(self) -> None:
+        self._open: Dict[int, _ReferenceSegment] = {}
+        self._segments: List[UsageSegment] = []
+        self._peak_live = 0
+
+    @property
+    def num_live(self) -> int:
+        return len(self._open)
+
+    @property
+    def peak_live(self) -> int:
+        return self._peak_live
+
+    def live_qubits(self):
+        return tuple(self._open)
+
+    @property
+    def awaiting_first_gate(self):
+        return self._open
+
+    def allocate(self, qubit, time):
+        if qubit in self._open:
+            return
+        self._open[qubit] = _ReferenceSegment(qubit=qubit, opened_at=time)
+        self._peak_live = max(self._peak_live, len(self._open))
+
+    def record_gate(self, qubit, start, finish):
+        segment = self._open.get(qubit)
+        if segment is None:
+            return
+        if segment.first_gate_start is None:
+            segment.first_gate_start = start
+        segment.last_gate_finish = (
+            finish if segment.last_gate_finish is None
+            else max(segment.last_gate_finish, finish)
+        )
+
+    def reclaim(self, qubit, time):
+        segment = self._open.pop(qubit, None)
+        if segment is None:
+            return
+        assert segment.last_gate_finish is None or time >= segment.last_gate_finish, (
+            f"qubit {qubit} reclaimed at {time} before its last gate "
+            f"finished at {segment.last_gate_finish}")
+        start = segment.first_gate_start
+        if start is None:
+            start = segment.opened_at
+        end = max(time, segment.last_gate_finish or start, start)
+        self._segments.append(UsageSegment(qubit=qubit, start=start, end=end))
+
+    def finalize(self, end_time):
+        for qubit in list(self._open):
+            self.reclaim(qubit, end_time)
+
+    @property
+    def segments(self):
+        return tuple(self._segments)
+
+    def active_quantum_volume(self):
+        return sum(segment.duration for segment in self._segments)
+
 
 def reference_apply_swap(scheduler, site_a, site_b):
     """One SWAP gate: swap two sites' occupants and advance their clocks."""
@@ -181,10 +272,42 @@ def reference_apply_swap(scheduler, site_a, site_b):
                              start, finish))
 
 
-def _seeded_scheduler(machine, seed):
-    """A scheduler with a random occupancy, random clocks and live qubits."""
+def reference_schedule_gate(scheduler, name, qubits):
+    """One logical gate with every site looked up afresh: each control is
+    routed next to the target one swap at a time, then the gate commits."""
+    layout = scheduler.layout
+    target = qubits[-1]
+    swaps = 0
+    extra_latency = 0
+    for control in qubits[:-1]:
+        earliest = max(scheduler.qubit_time(control), scheduler.qubit_time(target))
+        result = scheduler.machine.resolve_interaction(
+            layout.site_of(control), layout.site_of(target), earliest)
+        for site_a, site_b in zip(result.path, result.path[1:]):
+            reference_apply_swap(scheduler, site_a, site_b)
+            swaps += 1
+        extra_latency += result.extra_latency
+    start = scheduler.frontier_time(qubits) + extra_latency
+    finish = start + scheduler.machine.gate_duration(name)
+    sites = tuple(layout.site_of(qubit) for qubit in qubits)
+    for qubit, site in zip(qubits, sites):
+        scheduler._qubit_time[qubit] = finish
+        scheduler._site_time[site] = finish
+        scheduler.tracker.record_gate(qubit, start, finish)
+    scheduler.makespan = max(scheduler.makespan, finish)
+    scheduler.gate_count += 1
+    scheduler.events.append((name, tuple(qubits), sites, start, finish))
+    return start, finish, swaps
+
+
+def _seeded_scheduler(machine, seed, tracker):
+    """A scheduler with a random occupancy, random clocks and live qubits.
+
+    A qubit's clock is never before the finish of a gate it is recorded
+    with, as on a real schedule.
+    """
     rng = random.Random(seed)
-    scheduler = GateScheduler(machine, LivenessTracker(), record_schedule=True)
+    scheduler = GateScheduler(machine, tracker, record_schedule=True)
     num_sites = machine.topology.num_sites
     sites = list(range(num_sites))
     rng.shuffle(sites)
@@ -192,13 +315,37 @@ def _seeded_scheduler(machine, seed):
         scheduler.register_qubit(virtual, site)
         if rng.random() < 0.8:
             scheduler.tracker.allocate(virtual, 0)
+        gate_finish = 0
         if rng.random() < 0.3:
-            scheduler.tracker.record_gate(virtual, 1, rng.randrange(2, 9))
-        scheduler._qubit_time[virtual] = rng.randrange(40)
+            gate_finish = rng.randrange(2, 9)
+            scheduler.tracker.record_gate(virtual, 1, gate_finish)
+        scheduler._qubit_time[virtual] = rng.randrange(gate_finish, 40)
     for site in range(num_sites):
         scheduler._site_time[site] = rng.randrange(40)
     scheduler.makespan = 30
     return scheduler, rng
+
+
+def _assert_same_state(fast, reference):
+    """Same clocks, layout, events and (after reclaiming every live qubit
+    at its clock) the same usage segments."""
+    topology = fast.machine.topology
+    assert fast._qubit_time == reference._qubit_time
+    assert fast._site_time == reference._site_time
+    assert (fast.makespan, fast.swap_count) == (
+        reference.makespan, reference.swap_count)
+    assert [(e.name, e.virtual_qubits, e.sites, e.start, e.finish)
+            for e in fast.events] == [e[:5] for e in reference.events]
+    assert all(e.routed == (e.name == "swap") for e in fast.events)
+    assert ({s: fast.layout.virtual_at(s) for s in range(topology.num_sites)}
+            == {s: reference.layout.virtual_at(s)
+                for s in range(topology.num_sites)})
+    assert fast.layout.lowest_free_site() == reference.layout.lowest_free_site()
+    assert fast.tracker.live_qubits() == reference.tracker.live_qubits()
+    for scheduler in (fast, reference):
+        for qubit in scheduler.tracker.live_qubits():
+            scheduler.tracker.reclaim(qubit, scheduler.qubit_time(qubit))
+    assert fast.tracker.segments == reference.tracker.segments
 
 
 @pytest.mark.parametrize("machine", [
@@ -207,8 +354,8 @@ def _seeded_scheduler(machine, seed):
 def test_swap_chain_matches_per_step_reference(machine):
     topology = machine.topology
     for seed in range(60):
-        chained, rng = _seeded_scheduler(machine, seed)
-        stepped, _ = _seeded_scheduler(machine, seed)
+        chained, rng = _seeded_scheduler(machine, seed, LivenessTracker())
+        stepped, _ = _seeded_scheduler(machine, seed, ReferenceLivenessTracker())
         placed = [s for s in range(topology.num_sites)
                   if chained.layout.virtual_at(s) is not None]
         source = rng.choice(placed)
@@ -219,28 +366,76 @@ def test_swap_chain_matches_per_step_reference(machine):
             path = [source] + rng.sample(others, rng.randint(1, 5))
         if len(path) < 2:
             continue
-        chain = tuple(SwapStep(a, b) for a, b in zip(path, path[1:]))
-        chained._apply_swaps(chain)
-        for step in chain:
-            reference_apply_swap(stepped, step.site_a, step.site_b)
-
-        assert chained._qubit_time == stepped._qubit_time
-        assert chained._site_time == stepped._site_time
-        assert (chained.makespan, chained.swap_count) == (
-            stepped.makespan, stepped.swap_count)
-        assert [(e.name, e.virtual_qubits, e.sites, e.start, e.finish)
-                for e in chained.events] == [e[:5] for e in stepped.events]
-        assert all(e.routed for e in chained.events)
-        assert ({s: chained.layout.virtual_at(s) for s in range(topology.num_sites)}
-                == {s: stepped.layout.virtual_at(s)
-                    for s in range(topology.num_sites)})
-        assert chained.layout.lowest_free_site() == stepped.layout.lowest_free_site()
-        assert ([vars(seg) for seg in chained.tracker._open.values()]
-                == [vars(seg) for seg in stepped.tracker._open.values()])
+        chained._walk(tuple(path))
+        for site_a, site_b in zip(path, path[1:]):
+            reference_apply_swap(stepped, site_a, site_b)
+        _assert_same_state(chained, stepped)
 
 
-def test_broken_swap_chain_is_rejected():
+@pytest.mark.parametrize("make_machine", [
+    lambda: NISQMachine.grid(5, 5), lambda: NISQMachine.grid(3, 6),
+    lambda: NISQMachine(Topology.line(8)), lambda: FTMachine.grid(4, 4),
+    lambda: IdealMachine(9)], ids=["grid5x5", "grid3x6", "line8", "ft4x4", "ideal9"])
+def test_gates_match_per_step_reference(make_machine):
+    """Random 1-, 2- and 3-qubit gates: a ccx's second chain can move its
+    first control, which the one-lookup path must still place right."""
+    for seed in range(30):
+        fast, rng = _seeded_scheduler(make_machine(), seed, LivenessTracker())
+        reference, _ = _seeded_scheduler(make_machine(), seed,
+                                         ReferenceLivenessTracker())
+        placed = [q for q in range(fast.machine.num_qubits)
+                  if fast.layout.is_placed(q)]
+        for _ in range(25):
+            arity = rng.randint(1, min(3, len(placed)))
+            qubits = tuple(rng.sample(placed, arity))
+            name = ("x", "cx", "ccx")[arity - 1]
+            execution = fast.schedule_gate(name, qubits)
+            assert (execution.start, execution.finish, execution.swaps) == (
+                reference_schedule_gate(reference, name, qubits))
+        assert fast.gate_count == reference.gate_count
+        _assert_same_state(fast, reference)
+
+
+def test_unplaced_operand_among_placed_ones_is_rejected():
     scheduler = GateScheduler(NISQMachine(Topology.line(5)))
     scheduler.register_qubit(0, 0)
-    with pytest.raises(CompilationError):
-        scheduler._apply_swaps((SwapStep(0, 1), SwapStep(2, 3)))
+    with pytest.raises(CompilationError, match="unplaced virtual qubit 7"):
+        scheduler.schedule_gate("cx", [0, 7])
+    assert scheduler.gate_count == 0
+
+
+#: (program, policy, machine) jobs compiled under both trackers: every
+#: reclamation policy, with and without swaps, at quick scale.
+DIFFERENTIAL_JOBS = [
+    (program, policy, machine)
+    for program in ("ADDER4", "RD53", "MODEXP", "SHA2", "belle-s")
+    for policy in ("eager", "lazy", "square")
+    for machine in (MachineSpec.nisq_grid(5, 5), MachineSpec.nisq_autosize(),
+                    MachineSpec.ft_autosize())
+]
+
+
+@pytest.mark.parametrize(
+    "program,policy,machine", DIFFERENTIAL_JOBS,
+    ids=[f"{b}-{p}-{m.describe()}" for b, p, m in DIFFERENTIAL_JOBS])
+def test_first_gate_tracker_matches_per_gate_reference(program, policy, machine,
+                                                       monkeypatch):
+    job = CompileJob.for_benchmark(program, machine, policy,
+                                   overrides=benchmark_overrides(program, "quick"))
+    fast = result_digest_data(job)
+    monkeypatch.setattr(repro.core.compiler, "LivenessTracker",
+                        ReferenceLivenessTracker)
+    reference = result_digest_data(job)
+    assert fast == reference
+    if fast is not None:
+        assert fast["usage_segments"]
+
+
+def result_digest_data(job):
+    """The job's result as data, or None if it does not fit its machine."""
+    try:
+        data = execute_job(job).to_dict()
+    except ResourceExhaustedError:
+        return None
+    del data["compile_seconds"]
+    return data

@@ -1,4 +1,4 @@
-"""Tests for topologies, swap routing, layout and braid routing."""
+"""Tests for topologies, swap-chain resolution, layout and braid routing."""
 
 import random
 from collections import deque
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
 from repro.arch.braid import Braid, BraidTracker, manhattan_route, route_vertices
 from repro.arch.mapping import Layout
-from repro.arch.routing import SwapRouter
+from repro.arch.machine import NO_COMMUNICATION
+from repro.arch.nisq import NISQMachine
 from repro.arch.topology import Topology
 
 
@@ -117,28 +118,61 @@ class TestTopology:
             assert not topology.are_adjacent(outside, outside)
 
 
-class TestSwapRouter:
+class TestNISQResolveInteraction:
+    """The machine contract for swap chains: the moving qubit's site path."""
+
     def test_adjacent_needs_no_swaps(self):
-        router = SwapRouter(Topology.grid(3, 3))
-        assert router.route(0, 1).num_swaps == 0
+        machine = NISQMachine.grid(3, 3)
+        result = machine.resolve_interaction(0, 1, 0)
+        assert result.path == ()
+        assert result.cost_units == 0
+        assert result is NO_COMMUNICATION
+
+    def test_identical_sites_need_no_swaps(self):
+        machine = NISQMachine.grid(3, 3)
+        assert machine.resolve_interaction(4, 4, 0) is NO_COMMUNICATION
 
     def test_route_length_matches_distance(self):
-        topology = Topology.grid(4, 4)
-        router = SwapRouter(topology)
-        route = router.route(0, 15)
-        assert route.num_swaps == topology.distance(0, 15) - 1
+        machine = NISQMachine.grid(4, 4)
+        distance = machine.topology.distance(0, 15)
+        result = machine.resolve_interaction(0, 15, 0)
+        assert len(result.path) - 1 == distance - 1 == result.cost_units
 
     def test_swap_distance(self):
-        router = SwapRouter(Topology.line(5))
-        assert router.swap_distance(0, 4) == 3
-        assert router.swap_distance(2, 2) == 0
+        machine = NISQMachine(Topology.line(5))
+        assert machine.swap_distance(0, 4) == 3
+        assert machine.swap_distance(2, 2) == 0
 
     def test_route_path_is_connected(self):
-        topology = Topology.grid(5, 5)
-        router = SwapRouter(topology)
-        route = router.route(0, 24)
-        for a, b in zip(route.path, route.path[1:]):
+        machine = NISQMachine.grid(5, 5)
+        topology = machine.topology
+        path = machine.resolve_interaction(0, 24, 0).path
+        assert path[0] == 0
+        for a, b in zip(path, path[1:]):
             assert topology.are_adjacent(a, b)
+        assert topology.are_adjacent(path[-1], 24)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
+    def test_every_pair_obeys_the_contract(self, topology):
+        machine = NISQMachine(topology)
+        sites = range(topology.num_sites)
+        for site_a in sites:
+            for site_b in sites:
+                result = machine.resolve_interaction(site_a, site_b, 0)
+                path = result.path
+                distance = topology.distance(site_a, site_b)
+                assert result.extra_latency == 0
+                assert machine.swap_distance(site_a, site_b) == max(distance - 1, 0)
+                if distance <= 1:
+                    assert result is NO_COMMUNICATION
+                    continue
+                assert path[0] == site_a
+                assert len(set(path)) == len(path)
+                assert all(topology.are_adjacent(a, b) and a != b
+                           for a, b in zip(path, path[1:]))
+                assert topology.are_adjacent(path[-1], site_b)
+                assert site_b not in path
+                assert len(path) - 1 == distance - 1 == result.cost_units
 
 
 class TestLayout:

@@ -8,16 +8,17 @@ Walks the multi-server story end to end, over real HTTP:
 3. stream a sweep's per-entry results from one server: the first entry
    arrives over ``GET /jobs/<id>/entries`` long-polls *before* the
    whole batch finishes compiling,
-4. run the same sweep through a :class:`~repro.cluster.ClusterCoordinator`
-   — jobs shard across both servers by fingerprint hash, entries stream
-   back as workers finish them, and the merged result exports
-   byte-identical JSON/CSV to the serial run,
-5. kill one server mid-sweep: the coordinator re-dispatches its
-   unfinished jobs to the survivor and the merged result is *still*
+4. run the same sweep through a session over a
+   :class:`~repro.cluster.FleetExecutor` — jobs shard across both
+   servers by fingerprint hash, outcomes stream back as workers finish
+   them, and the result exports byte-identical JSON/CSV to the serial
+   run,
+5. kill one server mid-sweep: the executor re-dispatches its
+   unfinished jobs to the survivor and the result is *still*
    byte-identical to the serial run.
 
 Every step asserts what it claims, so CI runs this file as the cluster
-smoke test (under a hard timeout: a wedged stream or coordinator fails
+smoke test (under a hard timeout: a wedged stream or executor fails
 the build instead of hanging it).  Run with::
 
     python examples/cluster_demo.py [cache_base_dir]
@@ -32,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.api import MachineSpec, Session, SweepSpec
-from repro.cluster import ClusterCoordinator
+from repro.cluster import FleetExecutor
 from repro.service import ServiceClient, make_server
 
 GRID = MachineSpec.nisq_grid(5, 5)
@@ -93,11 +94,13 @@ def main() -> None:
 
     # --- cluster sweep across both servers -----------------------------
     arrivals = []
-    coordinator = ClusterCoordinator([url_a, url_b])
-    sweep = coordinator.run(SPEC, on_entry=lambda index, entry:
-                            arrivals.append(index))
-    stats = coordinator.stats()
-    assert len(arrivals) == len(SPEC), "every entry streams exactly once"
+    fleet = FleetExecutor([url_a, url_b], on_outcome=lambda job, outcome:
+                          arrivals.append(job.fingerprint()))
+    sweep = Session(fleet, isolate_failures=True).run(SPEC)
+    stats = fleet.stats()
+    assert sorted(arrivals) == sorted(job.fingerprint()
+                                      for job in SPEC.jobs()), \
+        "every job's outcome streams exactly once"
     assert sweep.to_json() == serial.to_json(), \
         "cluster JSON export must be byte-identical to the serial run"
     assert sweep.to_csv() == serial.to_csv(), \
@@ -110,14 +113,15 @@ def main() -> None:
     # --- kill one worker mid-sweep: the sweep still completes ----------
     killed = []
 
-    def kill_server_b(index, entry) -> None:
+    def kill_server_b(job, outcome) -> None:
         if not killed:
             killed.append(True)
             threading.Thread(target=stop_server, args=(server_b,),
                              daemon=True).start()
 
-    survivor = ClusterCoordinator([url_a, url_b], retry_delay=0.05)
-    healed = survivor.run(KILL_SPEC, on_entry=kill_server_b)
+    survivor = FleetExecutor([url_a, url_b], retry_delay=0.05,
+                             on_outcome=kill_server_b)
+    healed = Session(survivor, isolate_failures=True).run(KILL_SPEC)
     stats = survivor.stats()
     assert healed.to_json() == serial_kill.to_json(), \
         "the healed sweep must still export byte-identical to serial"

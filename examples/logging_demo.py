@@ -3,12 +3,12 @@
 Walks the PR-10 observability story end to end, over real HTTP:
 
 1. start a two-worker fleet and run a cluster sweep under the
-   coordinator's single trace id,
+   fleet executor's single trace id,
 2. query one worker's ``GET /logs?trace=`` and assert the correlated
    event chain a job leaves behind (http access line, queue push/pop,
    worker pickup, manager done — every one stamped with the same
    trace id),
-3. merge the whole fleet's events with the coordinator topology's
+3. merge the whole fleet's events with the executor topology's
    :meth:`~repro.cluster.ClusterTopology.fleet_logs` — both
    workers contribute, every record carries its ``worker`` tag, and
    ``(worker, event_id)`` dedup keeps the merge stable,
@@ -31,8 +31,8 @@ import os
 import tempfile
 import threading
 
-from repro.api import CompileJob, MachineSpec
-from repro.cluster import ClusterCoordinator, assign_endpoint
+from repro.api import CompileJob, MachineSpec, Session
+from repro.cluster import FleetExecutor, assign_endpoint
 from repro.exceptions import ServiceError
 from repro.service import ServiceClient, make_server
 from repro.telemetry import read_events, render_waterfall
@@ -81,10 +81,10 @@ def main() -> None:
 
     try:
         # --- 1. one sweep, one trace id ----------------------------------
-        coordinator = ClusterCoordinator(urls)
-        result = coordinator.run(sweep_jobs(urls))
+        fleet = FleetExecutor(urls)
+        result = Session(fleet, isolate_failures=True).run(sweep_jobs(urls))
         assert all(entry.error is None for entry in result.entries)
-        trace_id = coordinator.trace_id
+        trace_id = fleet.trace_id
         print(f"sweep        : {len(result.entries)} jobs under trace "
               f"{trace_id}")
 
@@ -102,14 +102,14 @@ def main() -> None:
               f"components {sorted(components)}")
 
         # --- 3. fleet merge: both shards, worker tags, stable dedup ------
-        merged = coordinator.topology.fleet_logs()
+        merged = fleet.topology.fleet_logs()
         workers = {event["worker"] for event in merged["events"]}
         assert workers == set(urls), workers
         assert all(info["reachable"] for info in merged["workers"].values())
         keys = [(event["worker"], event["event_id"])
                 for event in merged["events"]]
         assert len(keys) == len(set(keys)), "fleet merge must dedup"
-        again = coordinator.topology.fleet_logs()
+        again = fleet.topology.fleet_logs()
         assert [e["event_id"] for e in merged["events"]] == \
             [e["event_id"] for e in again["events"]], \
             "fleet merge order must be deterministic"
@@ -117,7 +117,7 @@ def main() -> None:
               f"{len(workers)} shards")
 
         # --- 4. events interleave into the span waterfall ----------------
-        spans = coordinator.topology.fleet_trace()["spans"]
+        spans = fleet.topology.fleet_trace()["spans"]
         waterfall = render_waterfall(spans, events=merged["events"])
         flipped = render_waterfall(list(reversed(spans)),
                                    events=list(reversed(merged["events"])))

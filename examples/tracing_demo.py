@@ -3,11 +3,11 @@
 Walks the PR-9 observability story end to end, over real HTTP:
 
 1. start a two-worker fleet and run a cluster sweep under the
-   coordinator's single trace id,
+   fleet executor's single trace id,
 2. fetch ``GET /trace/<id>`` from one worker and assert the span
    hierarchy a job leaves behind (``server.handle`` -> ``queue.wait`` +
    ``job.run`` -> ``session.compile`` -> ``compile`` -> ``phase.*``),
-3. merge the whole fleet's spans with the coordinator topology's
+3. merge the whole fleet's spans with the executor topology's
    :meth:`~repro.cluster.ClusterTopology.fleet_trace` and render
    the ASCII waterfall — every shard appears as an ``@worker`` suffix
    and rendering is deterministic,
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.api import CompileJob, MachineSpec
-from repro.cluster import ClusterCoordinator, assign_endpoint
+from repro.api import CompileJob, MachineSpec, Session
+from repro.cluster import FleetExecutor, assign_endpoint
 from repro.profile import profile_benchmarks
 from repro.service import ServiceClient, make_server
 from repro.telemetry import render_waterfall
@@ -75,10 +75,10 @@ def main() -> None:
 
     try:
         # --- 1. one sweep, one trace id ----------------------------------
-        coordinator = ClusterCoordinator(urls)
-        result = coordinator.run(sweep_jobs(urls))
+        fleet = FleetExecutor(urls)
+        result = Session(fleet, isolate_failures=True).run(sweep_jobs(urls))
         assert all(entry.error is None for entry in result.entries)
-        trace_id = coordinator.trace_id
+        trace_id = fleet.trace_id
         print(f"sweep        : {len(result.entries)} jobs under trace "
               f"{trace_id}")
 
@@ -93,7 +93,7 @@ def main() -> None:
               f"full handle->queue->compile->phase chain present")
 
         # --- 3. fleet merge + deterministic waterfall ---------------------
-        merged = coordinator.topology.fleet_trace()
+        merged = fleet.topology.fleet_trace()
         workers = {span["worker"] for span in merged["spans"]}
         assert workers == set(urls), workers
         assert all(info["reachable"] for info in

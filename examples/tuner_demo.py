@@ -31,7 +31,7 @@ import threading
 from pathlib import Path
 
 from repro.api import MachineSpec, Session
-from repro.cluster import ClusterCoordinator
+from repro.cluster import FleetExecutor
 from repro.core.compiler import preset
 from repro.service import make_server
 from repro.tuner import (
@@ -139,13 +139,13 @@ def main() -> None:
     # --- 4. the same search through a 2-server cluster backend ---------
     server_a, url_a = start_server(str(base / "cache-a"))
     server_b, url_b = start_server(str(base / "cache-b"))
-    coordinator = ClusterCoordinator([url_a, url_b])
-    cluster = make_run(backend=coordinator,
+    executor = FleetExecutor([url_a, url_b])
+    cluster = make_run(backend=Session(executor),
                        journal_path=base / "cluster.jsonl")
     cluster_report = cluster.run()
     assert cluster_report.to_json() == report.to_json(), \
         "cluster leaderboard must be byte-identical to the local run"
-    fleet = coordinator.topology.fleet_stats()
+    fleet = executor.topology.fleet_stats()
     jobs_per_worker = {row["url"]: row["jobs_run"]
                        for row in fleet["workers"]}
     assert fleet["reachable"] == 2

@@ -31,9 +31,10 @@ Sessions scale past one process: ``Session(cache_dir=...)`` persists
 results on disk across restarts, and :mod:`repro.service` serves the
 same session over HTTP (``python -m repro.experiments serve``) with a
 session-shaped :class:`~repro.service.ServiceClient` on the other end.
-Past one *machine*, :mod:`repro.cluster` shards a sweep across a fleet
-of servers by fingerprint hash and streams per-entry results back as
-workers finish them (``python -m repro.experiments cluster-sweep``).
+Past one *machine*, ``Session(FleetExecutor(urls))`` (see
+:mod:`repro.cluster`) shards a sweep across a fleet of servers by
+fingerprint hash and streams results back as workers finish them
+(``python -m repro.experiments cluster-sweep``).
 And because the paper's central finding is that the best policy is
 workload-dependent, :mod:`repro.tuner` searches the policy/config
 space automatically — racing strategies, Pareto objectives, resumable

@@ -1,23 +1,28 @@
-"""The cluster coordinator: one sweep, many compile servers.
+"""The fleet executor: one batch of jobs, many compile servers.
 
-:class:`ClusterCoordinator` takes the same work a
-:class:`~repro.api.session.Session` does — a
-:class:`~repro.api.sweep.SweepSpec` or an explicit job list — and
-executes it across a fleet of compile servers:
+:class:`FleetExecutor` is a :class:`~repro.api.session.Session`
+executor, like :class:`~repro.api.executors.SerialExecutor`: ``run(jobs)``
+returns one :class:`~repro.core.result.CompilationResult` or
+:class:`~repro.core.result.JobFailure` per job, in job order.  The
+session around it expands sweeps, dedups, consults its memory and disk
+tiers, applies the failure mode, verifies and assembles entries, exactly
+as it does for a local executor.  A fleet sweep is therefore::
 
-1. **Expand + dedup**: the sweep expands to its ordered job list; jobs
-   sharing a fingerprint compile once cluster-wide.
-2. **Shard**: unique jobs partition across live endpoints by rendezvous
+    Session(FleetExecutor(urls), isolate_failures=True).run(spec)
+
+What the executor adds is only what is fleet-specific:
+
+1. **Shard**: jobs partition across live endpoints by rendezvous
    fingerprint hashing (:mod:`repro.cluster.sharding`), so repeated
    sweeps land on the same servers' warm disk caches; endpoint
    ``weight=`` factors in, so a heterogeneous fleet shards
-   proportionally to capacity.
-3. **Submit + stream**: each shard goes up as one async ``POST /jobs``
+   proportionally to capacity.  Jobs sharing a fingerprint go out once.
+2. **Submit + stream**: each shard goes up as one async ``POST /jobs``
    sweep; a :class:`~repro.cluster.streaming.ShardConsumer` thread per
-   shard long-polls ``GET /jobs/<id>/entries``, handing every entry to
-   the caller's ``on_entry`` callback the moment it lands — the first
+   shard long-polls ``GET /jobs/<id>/entries``, handing every outcome
+   to the ``on_outcome`` callback the moment it lands — the first
    results arrive while most of the batch is still compiling.
-4. **Heal**: a worker that dies mid-stream (transport failure) or
+3. **Heal**: a worker that dies mid-stream (transport failure) or
    rejects its shard with 503 back-pressure has its unfinished jobs
    re-dispatched to the surviving endpoints on the next round.  A
    worker whose shard job *fails server-side* (FAILED/CANCELLED with
@@ -27,23 +32,16 @@ executes it across a fleet of compile servers:
    queue cannot eat the same jobs round after round.
    :class:`~repro.exceptions.ClusterError` is raised only when no live
    workers remain or the round budget runs out.
-5. **Merge deterministically**: results key by fingerprint and the final
-   :class:`~repro.api.sweep.SweepResult` is assembled in original job
-   order with session-identical cached/disk-hit accounting, so a
-   cluster sweep exports byte-identical JSON/CSV to the same sweep run
-   serially in one session.
 
 Job-level failures are *not* cluster failures: an impossible machine
-comes back as a structured failure entry from whichever worker ran it,
-exactly as in a single-server sweep.
+comes back as a :class:`~repro.core.result.JobFailure` from whichever
+worker ran it, exactly as in a single-server sweep.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import (
@@ -53,7 +51,6 @@ from repro.exceptions import (
     UnknownJobError,
 )
 from repro.api.job import CompileJob
-from repro.api.sweep import SweepEntry, SweepResult, SweepSpec
 from repro.cluster.sharding import shard_jobs
 from repro.cluster.streaming import (
     COMPLETED,
@@ -63,14 +60,24 @@ from repro.cluster.streaming import (
     ShardConsumer,
 )
 from repro.cluster.topology import ClusterTopology, WorkerEndpoint
+from repro.core.result import CompilationResult, JobFailure
 from repro.telemetry import EventLog
 
-#: ``on_entry`` callback: (first original index, entry) per unique job.
-EntryCallback = Callable[[int, SweepEntry], None]
+Outcome = Union[CompilationResult, JobFailure]
+
+#: ``on_outcome`` callback: (job, outcome) once per job the fleet runs.
+OutcomeCallback = Callable[[CompileJob, Outcome], None]
 
 
-class ClusterCoordinator:
-    """Drives a sweep across a fleet of compile-service endpoints.
+def _outcome(record: dict) -> Outcome:
+    """The result or failure a worker's entry record carries."""
+    if record.get("ok"):
+        return CompilationResult.from_dict(record["result"])
+    return JobFailure.from_dict(record["error"])
+
+
+class FleetExecutor:
+    """Runs job batches across a fleet of compile-service endpoints.
 
     Args:
         endpoints: Worker service roots (URLs or
@@ -80,126 +87,96 @@ class ClusterCoordinator:
             endpoint clients — the seam deterministic failure tests
             inject fake workers through.
         api_key: Tenant credential forwarded to every shard as the
-            ``X-Repro-Key`` header, so a cluster sweep runs as one
+            ``X-Repro-Key`` header, so a fleet sweep runs as one
             principal fleet-wide (each worker resolves the key against
             its own registry); None makes keyless (anonymous) requests.
-        trace_id: Trace id forwarded to every shard as the
-            ``X-Repro-Trace`` header, so one sweep's job records share
-            an id fleet-wide; None mints one per endpoint client.
-        poll_timeout: Per-long-poll park time for entry streams.
-        shard_timeout: Overall per-shard streaming deadline, seconds.
         max_rounds: Dispatch-round budget; None sizes it to the fleet
             (two healing opportunities per endpoint, minimum 4).
         retry_delay: Pause before a round that only exists because every
             usable endpoint back-pressured, giving queues time to drain.
+        on_outcome: Streaming callback fired once per job the executor
+            runs, as its outcome arrives; called from consumer threads,
+            one at a time.  An exception it raises propagates out of
+            :meth:`run`.
     """
 
     def __init__(self,
                  endpoints: Sequence[Union[str, WorkerEndpoint]], *,
                  client_factory=None,
                  api_key: Optional[str] = None,
-                 trace_id: Optional[str] = None,
-                 poll_timeout: float = 10.0,
-                 shard_timeout: Optional[float] = None,
                  max_rounds: Optional[int] = None,
-                 retry_delay: float = 0.2) -> None:
+                 retry_delay: float = 0.2,
+                 on_outcome: Optional[OutcomeCallback] = None) -> None:
         self.topology = ClusterTopology(endpoints,
                                         client_factory=client_factory,
-                                        api_key=api_key,
-                                        trace_id=trace_id)
-        self.poll_timeout = poll_timeout
-        self.shard_timeout = shard_timeout
+                                        api_key=api_key)
         self.max_rounds = max_rounds or max(4, 2 * len(self.topology))
         self.retry_delay = retry_delay
+        self.on_outcome = on_outcome
         self.rounds_run = 0
         self.redispatched_jobs = 0
         self.shed_jobs = 0
         self.failed_shard_retries = 0
-        #: Coordinator-local event log: dispatch rounds, sheds, worker
-        #: deaths, and failed-shard retries, correlated to the sweep's
-        #: fleet-wide trace id.  Worker-side events are collected
-        #: separately via ``topology.fleet_logs()``.
+        #: Executor-local event log: dispatch rounds, sheds, worker
+        #: deaths, and failed-shard retries, correlated to the fleet-wide
+        #: trace id.  Worker-side events are collected separately via
+        #: ``topology.fleet_logs()``.
         self.events = EventLog()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def run(self, work: Union[SweepSpec, Sequence[CompileJob]], *,
-            on_entry: Optional[EntryCallback] = None,
-            probe: bool = True) -> SweepResult:
-        """Execute a sweep across the fleet; returns the merged result.
-
-        Args:
-            work: A :class:`~repro.api.sweep.SweepSpec` or explicit job
-                list (benchmark jobs only — in-memory programs cannot
-                cross the service boundary).
-            on_entry: Streaming callback fired once per unique job as
-                its entry arrives, with the job's first index in the
-                original order; called from consumer threads (one at a
-                time — the coordinator serializes it).
-            probe: Health-probe the fleet before dispatching (skips
-                known-dead endpoints without burning a round on them).
+    def run(self, jobs: Sequence[CompileJob]) -> List[Outcome]:
+        """Run ``jobs`` across the fleet; one outcome per job, in order.
 
         Raises:
             ClusterError: No live endpoints, or the round budget ran
                 out with jobs still unfinished.
-            ExperimentError: ``work`` contains in-memory program jobs.
+            ExperimentError: ``jobs`` contains in-memory program jobs
+                (they cannot cross the service boundary).
         """
-        jobs = work.jobs() if isinstance(work, SweepSpec) else list(work)
-        if not jobs:
-            return SweepResult([])
         fingerprints = [job.fingerprint() for job in jobs]
-        for job in jobs:
+        pending = list(dict(zip(fingerprints, jobs)).items())
+        for _, job in pending:
             job.to_dict()  # fail fast on unserializable program jobs
+        self.topology.probe_all()
 
-        # Unique work in first-occurrence order; duplicates merge back
-        # as cache hits, mirroring Session's in-batch dedup.
-        unique: "OrderedDict[str, CompileJob]" = OrderedDict()
-        first_index: Dict[str, int] = {}
-        for index, (job, fingerprint) in enumerate(zip(jobs, fingerprints)):
-            if fingerprint not in unique:
-                unique[fingerprint] = job
-                first_index[fingerprint] = index
-
-        if probe:
-            self.topology.probe_all()
-
-        results: Dict[str, dict] = {}
-        callback_lock = threading.Lock()
+        outcomes: Dict[str, Outcome] = {}
 
         def record_result(fingerprint: str, job: CompileJob,
                           record: dict) -> None:
-            with callback_lock:
-                if fingerprint in results:
+            outcome = _outcome(record)
+            with self._lock:
+                if fingerprint in outcomes:
                     return  # a re-dispatched duplicate landed twice
-                results[fingerprint] = record
-                if on_entry is not None:
-                    on_entry(first_index[fingerprint],
-                             SweepEntry.from_record(job, record))
+                outcomes[fingerprint] = outcome
+                if self.on_outcome is not None:
+                    self.on_outcome(job, outcome)
 
-        pending: List[Tuple[str, CompileJob]] = list(unique.items())
+        total = len(pending)
         rounds = 0
+        exclude: frozenset = frozenset()
         while pending:
             rounds += 1
             self.rounds_run += 1
             if rounds > self.max_rounds:
                 raise ClusterError(
                     f"sweep incomplete after {self.max_rounds} dispatch "
-                    f"round(s): {len(pending)} of {len(unique)} job(s) "
+                    f"round(s): {len(pending)} of {total} job(s) "
                     f"unfinished; cluster: {self.topology.stats()}")
-            pending, saturated_only = self._dispatch_round(
-                pending, record_result, exclude=frozenset()
-                if rounds == 1
-                else self._last_saturated | self._last_failed)
+            pending, exclude, saturated_only = self._dispatch_round(
+                pending, record_result, exclude)
             if pending and saturated_only:
                 time.sleep(self.retry_delay)
-
-        return self._merge(jobs, fingerprints, results)
+        return [outcomes[fingerprint] for fingerprint in fingerprints]
 
     # ------------------------------------------------------------------
     def _dispatch_round(self, pending: List[Tuple[str, CompileJob]],
                         record_result, exclude: frozenset
-                        ) -> Tuple[List[Tuple[str, CompileJob]], bool]:
-        """One shard/submit/stream round; returns (still pending, bool
-        "the only obstacle this round was back-pressure")."""
+                        ) -> Tuple[List[Tuple[str, CompileJob]],
+                                   frozenset, bool]:
+        """One shard/submit/stream round; returns (still pending, the
+        endpoints the next round excludes, bool "the only obstacle this
+        round was back-pressure")."""
         alive = self.topology.alive()
         if not alive:
             raise ClusterError(
@@ -247,8 +224,8 @@ class ClusterCoordinator:
                     # every server would answer the same, so marking
                     # the endpoint dead and re-dispatching would only
                     # cascade.  Surface the real message — after the
-                    # already-started consumers drain, so the caller's
-                    # on_entry never fires after run() has raised.
+                    # already-started consumers drain, so on_outcome
+                    # never fires after run() has raised.
                     fatal = fatal or ClusterError(
                         f"worker {endpoint.url} rejected the shard "
                         f"submission: {error}")
@@ -263,9 +240,7 @@ class ClusterCoordinator:
                 died_at_submit = True
                 continue
             consumers.append(ShardConsumer(
-                endpoint, job_id, shard, record_result,
-                poll_timeout=self.poll_timeout,
-                timeout=self.shard_timeout).start())
+                endpoint, job_id, shard, record_result).start())
 
         completed: set = set()
         failed_shard: set = set()
@@ -303,61 +278,27 @@ class ClusterCoordinator:
                             "unfinished": len(consumer.unfinished())})
             elif consumer.outcome == CRASHED:
                 # Not the worker's fault (typically the caller's
-                # on_entry raising); re-raise the original exception
+                # on_outcome raising); re-raise the original exception
                 # instead of burning healing rounds on it.
                 fatal = fatal or consumer.exception
         if fatal is not None:
             raise fatal
 
-        self._last_saturated = frozenset(saturated)
-        self._last_failed = frozenset(failed_shard)
         still_pending = [(fingerprint, job) for fingerprint, job in pending
                          if fingerprint not in completed]
         saturated_only = bool(saturated) and not died_at_submit \
             and all(consumer.outcome == COMPLETED for consumer in consumers)
-        return still_pending, saturated_only
-
-    #: Endpoints that 503'd in the previous round (shed next round).
-    _last_saturated: frozenset = frozenset()
-
-    #: Endpoints whose shard job failed server-side in the previous
-    #: round (their retried jobs go to alternates next round).
-    _last_failed: frozenset = frozenset()
-
-    # ------------------------------------------------------------------
-    def _merge(self, jobs: Sequence[CompileJob],
-               fingerprints: Sequence[str],
-               results: Dict[str, dict]) -> SweepResult:
-        """Assemble the final result in original job order.
-
-        First occurrence of each fingerprint keeps the worker-reported
-        provenance; repeats count as cache hits with no disk credit —
-        the same accounting a serial session produces, so exports are
-        byte-identical.
-        """
-        entries: List[SweepEntry] = []
-        seen: set = set()
-        for job, fingerprint in zip(jobs, fingerprints):
-            record = results.get(fingerprint)
-            if record is None:  # pragma: no cover - run() guarantees it
-                raise ClusterError(
-                    f"merge is missing a result for {job.program_label} "
-                    f"({fingerprint[:12]}...)")
-            entry = SweepEntry.from_record(job, record)
-            if fingerprint in seen and entry.ok:
-                entry = replace(entry, cached=True, disk_hit=False)
-            entries.append(entry)
-            seen.add(fingerprint)
-        return SweepResult(entries)
+        return still_pending, frozenset(saturated | failed_shard), \
+            saturated_only
 
     @property
     def trace_id(self) -> str:
-        """The trace id every shard of this coordinator's fan-outs
-        carries (minted by the topology when the caller passed none)."""
+        """The trace id every shard of this executor's fan-outs carries
+        (minted by the topology)."""
         return self.topology.trace_id
 
     def stats(self) -> Dict[str, object]:
-        """JSON-compatible coordinator + fleet telemetry."""
+        """JSON-compatible executor + fleet telemetry."""
         return {
             "topology": self.topology.stats(),
             "rounds_run": self.rounds_run,
@@ -369,13 +310,6 @@ class ClusterCoordinator:
         }
 
     def __repr__(self) -> str:
-        return (f"ClusterCoordinator(endpoints={len(self.topology)}, "
+        return (f"FleetExecutor(endpoints={len(self.topology)}, "
                 f"alive={len(self.topology.alive())}, "
                 f"rounds_run={self.rounds_run})")
-
-
-def cluster_sweep(endpoints: Sequence[str],
-                  work: Union[SweepSpec, Sequence[CompileJob]], *,
-                  on_entry: Optional[EntryCallback] = None) -> SweepResult:
-    """One-shot convenience: build a coordinator, run one sweep."""
-    return ClusterCoordinator(endpoints).run(work, on_entry=on_entry)

@@ -14,8 +14,8 @@ weight) hashing over the pair ``(job fingerprint, endpoint key)``:
   survivors' cache affinity.
 
 The hash is :func:`hashlib.sha256` over ``"<fingerprint>|<endpoint>"``
-— no process salt, unlike builtin ``hash()`` — so coordinator restarts
-and independent coordinators agree on the placement.
+— no process salt, unlike builtin ``hash()`` — so executor restarts
+and independent executors agree on the placement.
 
 Heterogeneous fleets can weight endpoints: pass a ``{key: weight}``
 mapping instead of a key sequence and placement follows *weighted*
@@ -104,8 +104,8 @@ def shard_jobs(jobs: Sequence[Tuple[str, CompileJob]],
 
     Returns an ordered mapping of endpoint key to its shard, with
     endpoints in the order given and each shard preserving the input
-    job order — the deterministic layout the coordinator's merge step
-    relies on.  Endpoints drawing no jobs are omitted.  A ``{key:
+    job order — the deterministic layout a shard's entry stream is
+    matched against.  Endpoints drawing no jobs are omitted.  A ``{key:
     weight}`` mapping shards proportionally to capacity (see
     :func:`shard_score`).
     """

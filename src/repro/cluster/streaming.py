@@ -5,7 +5,7 @@ iterates the worker's ``GET /jobs/<id>/entries`` long-poll stream
 (:meth:`~repro.service.client.ServiceClient.iter_entries`), reports each
 record upward the moment it arrives, and classifies how the stream ended
 — completed, job failed/cancelled server-side, or transport death.  The
-coordinator runs one consumer thread per shard and re-dispatches
+fleet executor runs one consumer thread per shard and re-dispatches
 whatever a dead or unfinished shard left behind.
 
 The crucial accounting rule: ``received`` counts entries actually
@@ -42,21 +42,15 @@ class ShardConsumer:
         on_record: ``on_record(fingerprint, job, record)`` called for
             every received entry, from this consumer's thread; the
             callee handles its own locking.
-        poll_timeout: Per-long-poll server park time, seconds.
-        timeout: Overall per-shard streaming deadline, seconds.
     """
 
     def __init__(self, endpoint: WorkerEndpoint, job_id: str,
                  shard: List[Tuple[str, CompileJob]],
-                 on_record: Callable[[str, CompileJob, dict], None], *,
-                 poll_timeout: float = 10.0,
-                 timeout: Optional[float] = None) -> None:
+                 on_record: Callable[[str, CompileJob, dict], None]) -> None:
         self.endpoint = endpoint
         self.job_id = job_id
         self.shard = list(shard)
         self.on_record = on_record
-        self.poll_timeout = poll_timeout
-        self.timeout = timeout
         self.received = 0
         self.outcome: Optional[str] = None
         self.error: Optional[str] = None
@@ -82,9 +76,7 @@ class ShardConsumer:
     def _consume(self) -> None:
         client = self.endpoint.client
         try:
-            for index, record in client.iter_entries(
-                    self.job_id, timeout=self.timeout,
-                    poll_timeout=self.poll_timeout):
+            for index, record in client.iter_entries(self.job_id):
                 if index >= len(self.shard):
                     raise ServiceError(
                         f"worker {self.endpoint.url} streamed entry "
@@ -111,7 +103,7 @@ class ShardConsumer:
             # Not a transport problem — e.g. the caller's on_record
             # callback raised, or a record failed to deserialize.
             # Re-dispatching would just hit it again; keep the original
-            # exception so the coordinator can surface it to the caller.
+            # exception so the executor can surface it to the caller.
             self.outcome = CRASHED
             self.error = repr(error)
             self.exception = error

@@ -1,9 +1,9 @@
 """Cluster membership: worker endpoints, health probes, liveness state.
 
-A :class:`ClusterTopology` is the coordinator's view of the fleet: an
+A :class:`ClusterTopology` is the fleet executor's view of the fleet: an
 ordered, deduplicated set of :class:`WorkerEndpoint` records, each
 wrapping a :class:`~repro.service.client.ServiceClient` plus liveness
-bookkeeping.  Probing is active (``GET /health``), and the coordinator
+bookkeeping.  Probing is active (``GET /health``), and the executor
 additionally marks endpoints dead when their transport fails mid-sweep;
 a dead endpoint stays registered — :meth:`ClusterTopology.probe_all`
 revives it if a later probe succeeds, so a restarted server rejoins the
@@ -33,7 +33,7 @@ class WorkerEndpoint:
         client: The HTTP client used for every call to this server.
         weight: Relative sharding capacity (> 0, default 1.0): a
             weight-2 endpoint draws about twice the jobs of a weight-1
-            sibling under the coordinator's weighted rendezvous
+            sibling under the executor's weighted rendezvous
             hashing, so heterogeneous fleets shard proportionally.
         alive: Current liveness belief (probe result or mid-sweep
             transport failure).
@@ -41,7 +41,7 @@ class WorkerEndpoint:
             endpoint dead, or None.
         probes / failures: Lifetime counters for telemetry.
 
-    ``api_key`` is the coordinator's tenant credential, forwarded to
+    ``api_key`` is the executor's tenant credential, forwarded to
     the shard on every request (each worker resolves it against its own
     registry), so a cluster sweep runs as the same principal end to
     end.  Ignored when an explicit ``client`` or ``client_factory`` is
@@ -112,7 +112,7 @@ class WorkerEndpoint:
 
 
 class ClusterTopology:
-    """The ordered fleet of worker endpoints a coordinator drives.
+    """The ordered fleet of worker endpoints a fleet executor drives.
 
     Args:
         endpoints: Service root URLs (or prebuilt
@@ -121,7 +121,7 @@ class ClusterTopology:
         client_factory: ``factory(url) -> client`` override, used by
             tests to inject deterministic fake workers.
         api_key: Tenant credential every built client sends as its
-            ``X-Repro-Key`` header (the coordinator's principal,
+            ``X-Repro-Key`` header (the executor's principal,
             forwarded to each shard); ignored for prebuilt endpoints
             and when ``client_factory`` is given.
         trace_id: Trace id every built client sends as its

@@ -233,33 +233,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
     """Shard a sweep across the given service endpoints, streaming
-    per-entry progress lines as workers finish jobs."""
-    from repro.cluster import ClusterCoordinator
+    per-job progress lines as workers finish jobs."""
+    from repro.cluster import FleetExecutor
+    from repro.core.result import JobFailure
 
     spec = _sweep_spec(args)
     total = len(spec)
+    arrived = []
 
-    def progress(index: int, entry) -> None:
-        status = "ok" if entry.ok else f"FAILED ({entry.error.error_type})"
-        print(f"  [{index + 1}/{total}] {entry.job.program_label} / "
-              f"{entry.job.policy_label}: {status}", flush=True)
+    def progress(job, outcome) -> None:
+        arrived.append(job)
+        status = (f"FAILED ({outcome.error_type})"
+                  if isinstance(outcome, JobFailure) else "ok")
+        print(f"  [{len(arrived)}/{total}] {job.program_label} / "
+              f"{job.policy_label}: {status}", flush=True)
 
-    coordinator = ClusterCoordinator(args.endpoint, api_key=args.api_key)
+    fleet = FleetExecutor(args.endpoint, api_key=args.api_key,
+                          on_outcome=progress)
     # Announced up front so `trace` can fetch the waterfall mid-flight
     # (every shard of this sweep carries this one id).
-    print(f"[trace id: {coordinator.trace_id}]", flush=True)
+    print(f"[trace id: {fleet.trace_id}]", flush=True)
     started = time.perf_counter()
-    sweep = coordinator.run(spec, on_entry=progress)
+    sweep = Session(fleet, isolate_failures=True).run(spec)
     elapsed = time.perf_counter() - started
-    fleet = coordinator.stats()
+    stats = fleet.stats()
     title = (f"Cluster sweep: {len(spec.benchmarks)} benchmark(s) x "
              f"{len(spec.policies)} policy(ies) at scale {args.scale} "
-             f"across {fleet['topology']['registered']} worker(s)")
+             f"across {stats['topology']['registered']} worker(s)")
     print(sweep.table(title)
           + f"\n[{len(sweep)} jobs completed in {elapsed:.1f}s, "
-          f"{fleet['rounds_run']} dispatch round(s), "
-          f"{fleet['redispatched_jobs']} re-dispatched, "
-          f"{fleet['topology']['alive']} worker(s) alive]\n")
+          f"{stats['rounds_run']} dispatch round(s), "
+          f"{stats['redispatched_jobs']} re-dispatched, "
+          f"{stats['topology']['alive']} worker(s) alive]\n")
     _export(sweep.rows(), args.export)
     return 0
 
@@ -287,9 +292,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         strategy = SuccessiveHalving(scales=scales, trials=args.trials,
                                      seed=args.seed)
     if args.endpoint:
-        from repro.cluster import ClusterCoordinator
+        from repro.cluster import FleetExecutor
 
-        backend = ClusterCoordinator(args.endpoint, api_key=args.api_key)
+        backend = Session(FleetExecutor(args.endpoint, api_key=args.api_key))
         backend_label = f"{len(args.endpoint)}-worker cluster"
     else:
         backend = _session(args)

@@ -20,7 +20,7 @@ requests.
 * :mod:`repro.queue.manager` — :class:`JobManager` tying them together:
   submit/status/result/cancel/list plus retention-based GC and the
   per-entry progress stream (``record_entry``/``entries_since``) that
-  long-poll endpoints and cluster coordinators consume; every
+  long-poll endpoints and the fleet executor consume; every
   lifecycle event goes to its :class:`~repro.tenancy.store.JobStore`,
   and a durable one (:class:`~repro.tenancy.store.JsonlJobStore`) is
   replayed on restart (QUEUED resumes, orphaned RUNNING requeues, DONE

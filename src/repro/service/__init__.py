@@ -20,9 +20,10 @@ HTTP with results that survive restarts:
 * :class:`ServiceClient` — session-shaped client with both synchronous
   calls and the async ``submit_async``/``poll``/``wait_for``/``cancel``
   surface, plus ``iter_entries`` streaming a sweep's per-entry results
-  as workers finish them (the feed :mod:`repro.cluster` shards over a
-  fleet); idempotent GETs retry with exponential backoff, so poll
-  loops survive server restarts.
+  as workers finish them (the feed
+  :class:`~repro.cluster.FleetExecutor` shards over a fleet);
+  idempotent GETs retry with exponential backoff, so poll loops
+  survive server restarts.
 
 Quick start (one process)::
 

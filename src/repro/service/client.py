@@ -18,7 +18,7 @@ adaptive backoff so long compilations don't hammer the server),
 ``cancel`` withdraws a still-queued job, ``result_of`` unwraps a
 finished ticket into the usual result objects, and ``iter_entries``
 streams a sweep's per-entry results as workers finish them — the feed
-the :mod:`repro.cluster` coordinator merges across servers.
+the :class:`~repro.cluster.FleetExecutor` gathers across servers.
 
 Pure stdlib (``urllib``).  Transport and protocol problems raise
 :class:`~repro.exceptions.ServiceError` — except a full server queue,
@@ -177,7 +177,7 @@ class ServiceClient:
         """Rebuild the service-side error as the right client exception.
 
         The returned exception carries the HTTP status as
-        ``http_status``, so callers (e.g. the cluster coordinator) can
+        ``http_status``, so callers (e.g. the fleet executor) can
         tell a deterministic rejection (4xx: the request is bad on any
         server) from a transport-level failure (no status at all).
         """

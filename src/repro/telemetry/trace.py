@@ -1,10 +1,10 @@
 """Trace-id minting and propagation (`X-Repro-Trace`).
 
 A trace id is minted once at the outermost client — a
-:class:`~repro.service.client.ServiceClient` or the cluster
-coordinator — and rides the ``X-Repro-Trace`` header on every request,
+:class:`~repro.service.client.ServiceClient` or a cluster
+topology — and rides the ``X-Repro-Trace`` header on every request,
 onto every queued job record (journaled, so it survives restarts), and
-through the coordinator to every shard a sweep fans out to.  One id
+through the fleet executor to every shard a sweep fans out to.  One id
 therefore stitches together the log lines and job records of a request
 across the whole fleet.
 """

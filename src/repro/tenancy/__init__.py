@@ -26,7 +26,7 @@ store; :mod:`repro.service` wires them to HTTP
 (``--tenants``/``--store-dir``, 401/429 error mapping, per-tenant
 ``/stats``); the
 :class:`~repro.service.client.ServiceClient` and
-:mod:`repro.cluster` coordinator carry the API key end to end.
+:mod:`repro.cluster` fleet executor carry the API key end to end.
 """
 
 from repro.tenancy.fairshare import (

@@ -24,9 +24,9 @@ server, or across a whole cluster:
   that evaluates candidates at small benchmark scales and promotes
   survivors up the scale ladder.
 * :mod:`repro.tuner.runner` — :class:`TuningRun`: trials through a
-  pluggable backend (local :class:`~repro.api.session.Session`,
-  :class:`~repro.service.client.ServiceClient`, or
-  :class:`~repro.cluster.coordinator.ClusterCoordinator`), fingerprint
+  pluggable backend (a :class:`~repro.api.session.Session`, local or
+  over a :class:`~repro.cluster.executor.FleetExecutor`, or a
+  :class:`~repro.service.client.ServiceClient`), fingerprint
   deduplication, and an append-only JSONL journal that makes a killed
   run resumable with zero repeat compilations.
 * :mod:`repro.tuner.report` — :class:`TuningReport`: ranked

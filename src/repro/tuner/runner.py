@@ -4,12 +4,11 @@ A :class:`TuningRun` wires the tuner's pieces together: it asks its
 :class:`~repro.tuner.strategies.SearchStrategy` for rounds of
 candidates, turns ``candidate x benchmark x scale`` trials into ordinary
 :class:`~repro.api.job.CompileJob` batches, executes them through a
-pluggable backend — an in-process
-:class:`~repro.api.session.Session`, a remote
-:class:`~repro.service.client.ServiceClient`, or a
-:class:`~repro.cluster.coordinator.ClusterCoordinator` driving a whole
-fleet — and scores the outcomes with its
-:class:`~repro.tuner.objective.MultiObjective`.
+pluggable backend — a :class:`~repro.api.session.Session` (in-process,
+or driving a whole fleet through a
+:class:`~repro.cluster.executor.FleetExecutor`) or a remote
+:class:`~repro.service.client.ServiceClient` — and scores the outcomes
+with its :class:`~repro.tuner.objective.MultiObjective`.
 
 Two properties make runs cheap to repeat and safe to kill:
 
@@ -98,14 +97,14 @@ class _SessionBackend:
 
 
 class _RemoteBackend:
-    """Runs trial batches through a remote ``run(jobs)`` surface — a
-    :class:`~repro.service.client.ServiceClient` (one server) or a
-    :class:`~repro.cluster.coordinator.ClusterCoordinator` (a fleet);
-    both isolate job failures into structured entries already."""
+    """Runs trial batches through a remote ``run(jobs)`` surface, such
+    as a :class:`~repro.service.client.ServiceClient`, which isolates
+    job failures into structured entries already."""
 
-    def __init__(self, target, kind: str) -> None:
+    kind = "service"
+
+    def __init__(self, target) -> None:
         self.target = target
-        self.kind = kind
 
     def run(self, jobs: Sequence[CompileJob]) -> Sequence[SweepEntry]:
         return self.target.run(list(jobs))
@@ -120,13 +119,11 @@ def _resolve_backend(backend):
         return _SessionBackend(Session())
     if isinstance(backend, Session):
         return _SessionBackend(backend)
-    if hasattr(backend, "topology") and hasattr(backend, "run"):
-        return _RemoteBackend(backend, kind="cluster")
     if hasattr(backend, "run"):
-        return _RemoteBackend(backend, kind="service")
+        return _RemoteBackend(backend)
     raise TunerError(
-        f"backend {backend!r} is not a Session, ServiceClient or "
-        f"ClusterCoordinator (nor anything with a run(jobs) method)")
+        f"backend {backend!r} is not a Session or ServiceClient (nor "
+        f"anything with a run(jobs) method)")
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +194,11 @@ class TuningRun:
             metrics across them.
         machine: Target machine spec for every trial; defaults to
             autosized NISQ.
-        backend: A :class:`~repro.api.session.Session`,
-            :class:`~repro.service.client.ServiceClient` or
-            :class:`~repro.cluster.coordinator.ClusterCoordinator`;
-            None builds a fresh serial session.
+        backend: A :class:`~repro.api.session.Session` (wrap a
+            :class:`~repro.cluster.executor.FleetExecutor` in one to
+            tune on a fleet) or a
+            :class:`~repro.service.client.ServiceClient`; None builds a
+            fresh serial session.
         journal_path: Append-only JSONL trial journal; pass the same
             path again to resume a killed run without recompiling its
             journaled trials.

@@ -51,7 +51,7 @@ README_LINES = _command_lines(
 
 
 def test_command_lines_are_found():
-    assert len(CI_LINES) == 31
+    assert len(CI_LINES) == 34
     assert len(README_LINES) >= 15
 
 
@@ -114,6 +114,13 @@ PARSES = [
       "journal": "/tmp/tune.jsonl", "export": "/tmp/board.json",
       "export_best": "/tmp/best.json", "strategy": "halving",
       "trials": None, "seed": 0, "endpoint": None, "jobs": 1}),
+    ("tune RD53 ADDER4 --grid 5 5 --scales quick laptop --objective aqv "
+     "--endpoint http://127.0.0.1:8781 --endpoint http://127.0.0.1:8782 "
+     "--export /tmp/leaderboard-fleet.json", cli._cmd_tune,
+     {"benchmarks": ["RD53", "ADDER4"], "scales": ["quick", "laptop"],
+      "endpoint": ["http://127.0.0.1:8781", "http://127.0.0.1:8782"],
+      "export": "/tmp/leaderboard-fleet.json", "journal": None,
+      "jobs": 1, "cache_dir": None}),
 ]
 
 

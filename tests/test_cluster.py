@@ -6,7 +6,7 @@ Covers three layers:
   `GET /jobs/<id>/entries`, `ServiceClient.iter_entries`) — including
   the cursor invariant: never skip, never duplicate;
 * the cluster building blocks (sharding determinism and stability,
-  topology probing) plus the coordinator's failure paths, driven
+  topology probing) plus the fleet executor's failure paths, driven
   through deterministic fake worker clients (worker killed mid-sweep
   re-dispatches, back-pressured worker sheds to siblings, exhaustion
   raises `ClusterError`);
@@ -31,12 +31,13 @@ from repro.exceptions import (
 )
 from repro.api import CompileJob, MachineSpec, Session, SweepSpec
 from repro.cluster import (
-    ClusterCoordinator,
     ClusterTopology,
+    FleetExecutor,
     WorkerEndpoint,
     assign_endpoint,
     shard_jobs,
 )
+from repro.core.result import CompilationResult, JobFailure
 from repro.queue import DONE, JobManager, QueuedJob
 from repro.service import DiskCache, ServiceClient, make_server
 
@@ -523,12 +524,12 @@ class TestGcOrphans:
 
 
 # ----------------------------------------------------------------------
-# Deterministic fake workers for coordinator failure paths
+# Deterministic fake workers for fleet executor failure paths
 # ----------------------------------------------------------------------
 class FakeWorkerClient:
     """Stands in for ServiceClient against an in-memory 'server'.
 
-    Implements exactly the surface the coordinator uses (health,
+    Implements exactly the surface the fleet executor uses (health,
     submit_async, iter_entries, poll) with deterministic failure knobs:
     ``reject_submits`` answers the next N submissions with 503
     back-pressure; ``die_after`` kills the worker (transport-wise) once
@@ -605,27 +606,31 @@ class FakeWorkerClient:
         }
 
 
-class TestCoordinatorFailurePaths:
+class TestFleetExecutorFailurePaths:
     @staticmethod
-    def coordinator(fakes, **kwargs):
+    def fleet(fakes, **kwargs):
         registry = {fake.url: fake for fake in fakes}
         kwargs.setdefault("retry_delay", 0.01)
-        return ClusterCoordinator(
+        return FleetExecutor(
             list(registry), client_factory=registry.__getitem__, **kwargs)
+
+    @staticmethod
+    def sweep(fleet, work, **kwargs):
+        return Session(fleet, isolate_failures=True, **kwargs).run(work)
 
     def test_clean_two_worker_sweep_matches_serial(self):
         serial = Session().run(SPEC, isolate_failures=True)
         fakes = [FakeWorkerClient(url) for url in URLS]
-        coordinator = self.coordinator(fakes)
         arrivals = []
-        sweep = coordinator.run(SPEC, on_entry=lambda i, e:
-                                arrivals.append(i))
+        fleet = self.fleet(fakes, on_outcome=lambda job, outcome:
+                           arrivals.append(job.fingerprint()))
+        sweep = self.sweep(fleet, SPEC)
         assert sweep.to_json() == serial.to_json()
         assert sweep.to_csv() == serial.to_csv()
-        assert sorted(arrivals) == list(range(len(SPEC)))
+        assert sorted(arrivals) == sorted(fp for fp, _ in spec_pairs())
         # Both workers compiled their own shard — a genuine split.
         assert all(fake.delivered >= 2 for fake in fakes)
-        assert coordinator.stats()["rounds_run"] == 1
+        assert fleet.stats()["rounds_run"] == 1
 
     def test_worker_killed_mid_sweep_redispatches_unfinished(self):
         serial = Session().run(SPEC, isolate_failures=True)
@@ -634,11 +639,11 @@ class TestCoordinatorFailurePaths:
         assert victim_shard >= 2, "suite spec must give the victim >1 job"
         fakes = [FakeWorkerClient(URLS[0]),
                  FakeWorkerClient(URLS[1], die_after=1)]
-        coordinator = self.coordinator(fakes)
-        sweep = coordinator.run(SPEC)
+        fleet = self.fleet(fakes)
+        sweep = self.sweep(fleet, SPEC)
         assert sweep.to_json() == serial.to_json()
         assert sweep.to_csv() == serial.to_csv()
-        stats = coordinator.stats()
+        stats = fleet.stats()
         assert stats["redispatched_jobs"] == victim_shard - 1
         assert stats["rounds_run"] == 2
         # The survivor picked up the dead worker's unfinished jobs.
@@ -649,7 +654,7 @@ class TestCoordinatorFailurePaths:
 
     def test_failed_shard_job_retries_on_alternate_worker(self):
         # Worker B's shard job dies FAILED server-side after one entry;
-        # B itself stays reachable.  The coordinator must not hand the
+        # B itself stays reachable.  The executor must not hand the
         # remainder straight back to B's sick queue: the next round
         # excludes B, so the jobs retry on A — and the merged result is
         # still byte-identical to a serial run.
@@ -659,11 +664,11 @@ class TestCoordinatorFailurePaths:
         assert victim_shard >= 2
         fakes = [FakeWorkerClient(URLS[0]),
                  FakeWorkerClient(URLS[1], fail_job_after=1)]
-        coordinator = self.coordinator(fakes)
-        sweep = coordinator.run(SPEC)
+        fleet = self.fleet(fakes)
+        sweep = self.sweep(fleet, SPEC)
         assert sweep.to_json() == serial.to_json()
         assert sweep.to_csv() == serial.to_csv()
-        stats = coordinator.stats()
+        stats = fleet.stats()
         assert stats["failed_shard_retries"] == victim_shard - 1
         assert stats["redispatched_jobs"] == victim_shard - 1
         assert stats["rounds_run"] == 2
@@ -679,8 +684,8 @@ class TestCoordinatorFailurePaths:
         fakes = {url: FakeWorkerClient(url) for url in URLS}
         heavy = WorkerEndpoint(URLS[0], client=fakes[URLS[0]], weight=64.0)
         light = WorkerEndpoint(URLS[1], client=fakes[URLS[1]], weight=1.0)
-        coordinator = ClusterCoordinator([heavy, light], retry_delay=0.01)
-        sweep = coordinator.run(SPEC)
+        fleet = FleetExecutor([heavy, light], retry_delay=0.01)
+        sweep = self.sweep(fleet, SPEC)
         assert sweep.to_json() == serial.to_json()
         assert fakes[URLS[0]].delivered > fakes[URLS[1]].delivered, \
             "the weight-64 endpoint must draw the bulk of the sweep"
@@ -690,10 +695,10 @@ class TestCoordinatorFailurePaths:
         shards = shard_jobs(spec_pairs(), URLS)
         fakes = [FakeWorkerClient(URLS[0]),
                  FakeWorkerClient(URLS[1], reject_submits=1)]
-        coordinator = self.coordinator(fakes)
-        sweep = coordinator.run(SPEC)
+        fleet = self.fleet(fakes)
+        sweep = self.sweep(fleet, SPEC)
         assert sweep.to_json() == serial.to_json()
-        stats = coordinator.stats()
+        stats = fleet.stats()
         assert stats["shed_jobs"] == len(shards[URLS[1]])
         assert stats["rounds_run"] == 2
         # The saturated worker ran nothing; the sibling absorbed it all,
@@ -704,15 +709,15 @@ class TestCoordinatorFailurePaths:
 
     def test_every_worker_dead_raises_cluster_error(self):
         fakes = [FakeWorkerClient(url, die_after=0) for url in URLS]
-        coordinator = self.coordinator(fakes)
+        fleet = self.fleet(fakes)
         with pytest.raises(ClusterError, match="no live worker"):
-            coordinator.run(SPEC)
+            self.sweep(fleet, SPEC)
 
     def test_round_budget_exhaustion_raises_cluster_error(self):
         fakes = [FakeWorkerClient(URLS[0], reject_submits=99)]
-        coordinator = self.coordinator(fakes, max_rounds=3)
+        fleet = self.fleet(fakes, max_rounds=3)
         with pytest.raises(ClusterError, match="3 dispatch round"):
-            coordinator.run(SPEC)
+            self.sweep(fleet, SPEC)
 
     def test_deterministic_400_rejection_does_not_mark_worker_dead(self):
         class Rejecting(FakeWorkerClient):
@@ -723,18 +728,17 @@ class TestCoordinatorFailurePaths:
                 raise error
 
         fakes = [Rejecting(URLS[0])]
-        coordinator = self.coordinator(fakes)
+        fleet = self.fleet(fakes)
         with pytest.raises(ClusterError, match="rejected the shard"):
-            coordinator.run(SPEC)
+            self.sweep(fleet, SPEC)
         # The worker answered; it is not dead, and no healing round was
         # burned pretending it was.
-        assert coordinator.stats()["topology"]["alive"] == 1
+        assert fleet.stats()["topology"]["alive"] == 1
 
     def test_duplicate_jobs_compile_once_and_merge_as_cache_hits(self):
         job = CompileJob.for_benchmark("RD53", GRID, "square")
         fakes = [FakeWorkerClient(url) for url in URLS]
-        coordinator = self.coordinator(fakes)
-        sweep = coordinator.run([job, job, job])
+        sweep = self.sweep(self.fleet(fakes), [job, job, job])
         assert len(sweep) == 3
         assert sum(fake.delivered for fake in fakes) == 1
         assert [entry.cached for entry in sweep] == [False, True, True]
@@ -748,36 +752,74 @@ class TestCoordinatorFailurePaths:
                                               "square")
         good = CompileJob.for_benchmark("RD53", GRID, "square")
         fakes = [FakeWorkerClient(url) for url in URLS]
-        sweep = self.coordinator(fakes).run([good, impossible])
+        sweep = self.sweep(self.fleet(fakes), [good, impossible])
         assert [entry.ok for entry in sweep] == [True, False]
         serial = Session().run([good, impossible], isolate_failures=True)
         assert sweep.to_json() == serial.to_json()
 
     def test_empty_work_returns_empty_result(self):
         fakes = [FakeWorkerClient(URLS[0])]
-        assert len(self.coordinator(fakes).run([])) == 0
+        assert len(self.sweep(self.fleet(fakes), [])) == 0
 
-    def test_on_entry_exception_propagates_to_caller(self):
+    def test_on_outcome_exception_propagates_to_caller(self):
         # A bug in the caller's callback is not worker death: it must
         # surface as itself, not burn healing rounds and end in a
         # misleading ClusterError about unfinished jobs.
         fakes = [FakeWorkerClient(url) for url in URLS]
-        coordinator = self.coordinator(fakes)
-        def broken(index, entry):
+        def broken(job, outcome):
             raise KeyError("typo in callback")
+        fleet = self.fleet(fakes, on_outcome=broken)
         with pytest.raises(KeyError, match="typo in callback"):
-            coordinator.run(SPEC, on_entry=broken)
-        assert coordinator.stats()["topology"]["alive"] == 2
+            self.sweep(fleet, SPEC)
+        assert fleet.stats()["topology"]["alive"] == 2
 
-    def test_on_entry_reports_first_index_of_duplicates(self):
+    def test_on_outcome_fires_once_per_unique_job(self):
         job = CompileJob.for_benchmark("RD53", GRID, "square")
         other = CompileJob.for_benchmark("ADDER4", GRID, "square")
         fakes = [FakeWorkerClient(url) for url in URLS]
         arrivals = []
-        self.coordinator(fakes).run(
-            [job, job, other], on_entry=lambda i, e:
-            arrivals.append((i, e.job.program_label)))
-        assert sorted(arrivals) == [(0, "RD53"), (2, "ADDER4")]
+        fleet = self.fleet(fakes, on_outcome=lambda ran, outcome:
+                           arrivals.append((ran.program_label,
+                                            outcome.program_name)))
+        self.sweep(fleet, [job, job, other])
+        assert sorted(arrivals) == [("ADDER4", "ADDER4"), ("RD53", "RD53")]
+
+    def test_run_returns_one_outcome_per_job_in_order(self):
+        # The executor contract, without a session around it: duplicate
+        # jobs go out once but each job gets its own outcome back.
+        a = CompileJob.for_benchmark("RD53", GRID, "square")
+        b = CompileJob.for_benchmark("ADDER4", GRID, "square")
+        impossible = CompileJob.for_benchmark("RD53", MachineSpec.nisq(2),
+                                              "square")
+        fakes = [FakeWorkerClient(url) for url in URLS]
+        fleet = self.fleet(fakes)
+        outcomes = fleet.run([a, a, b, impossible])
+        assert [type(outcome) for outcome in outcomes] == \
+            [CompilationResult, CompilationResult, CompilationResult,
+             JobFailure]
+        assert [outcome.program_name for outcome in outcomes] == \
+            ["RD53", "RD53", "ADDER4", "RD53"]
+        assert outcomes[0] is outcomes[1]
+        assert sum(fake.delivered for fake in fakes) == 3
+
+    def test_run_of_no_jobs_submits_nothing(self):
+        fakes = [FakeWorkerClient(url) for url in URLS]
+        assert self.fleet(fakes).run([]) == []
+        assert sum(fake.submissions for fake in fakes) == 0
+
+    def test_fresh_session_on_the_same_disk_cache_submits_nothing(
+            self, tmp_path):
+        # The tiers Session owns now front the fleet too: a second
+        # process on the same cache directory is served from disk.
+        serial = Session().run(SPEC, isolate_failures=True)
+        fakes = [FakeWorkerClient(url) for url in URLS]
+        cold = self.sweep(self.fleet(fakes), SPEC, cache_dir=str(tmp_path))
+        assert not any(entry.disk_hit for entry in cold)
+        submitted = sum(fake.submissions for fake in fakes)
+        warm = self.sweep(self.fleet(fakes), SPEC, cache_dir=str(tmp_path))
+        assert all(entry.disk_hit for entry in warm)
+        assert sum(fake.submissions for fake in fakes) == submitted
+        assert warm.to_csv() == serial.to_csv()
 
 
 class TestTopology:
@@ -866,14 +908,19 @@ class TestClusterHTTPIntegration:
         serial = Session().run(SPEC, isolate_failures=True)
         servers, urls = start_cluster(2, tmp_path)
         try:
-            coordinator = ClusterCoordinator(urls)
-            cold = coordinator.run(SPEC)
+            fleet = FleetExecutor(urls)
+            cold = Session(fleet, isolate_failures=True).run(SPEC)
             assert cold.to_json() == serial.to_json()
             assert cold.to_csv() == serial.to_csv()
-            # Same sweep again: fingerprint affinity keeps every job on
-            # the server that already cached it.
-            warm = ClusterCoordinator(urls).run(SPEC)
-            assert all(entry.cached for entry in warm)
+            before = fleet.topology.fleet_stats()["fleet"]
+            # Same sweep again from a fresh session: fingerprint
+            # affinity keeps every job on the server that already
+            # cached it, so no worker compiles anything new.
+            warm = Session(FleetExecutor(urls),
+                           isolate_failures=True).run(SPEC)
+            after = fleet.topology.fleet_stats()["fleet"]
+            assert after["cache_misses"] == before["cache_misses"]
+            assert after["cache_hits"] == before["cache_hits"] + len(SPEC)
             assert warm.to_json() == serial.to_json()
         finally:
             for server in servers:
@@ -885,15 +932,16 @@ class TestClusterHTTPIntegration:
         servers, urls = start_cluster(2, tmp_path)
         killed = []
 
-        def kill_second_server(index, entry):
+        def kill_second_server(job, outcome):
             if not killed:
                 killed.append(True)
                 threading.Thread(target=stop, args=(servers[1],),
                                  daemon=True).start()
 
         try:
-            coordinator = ClusterCoordinator(urls, retry_delay=0.05)
-            sweep = coordinator.run(spec, on_entry=kill_second_server)
+            fleet = FleetExecutor(urls, retry_delay=0.05,
+                                  on_outcome=kill_second_server)
+            sweep = Session(fleet, isolate_failures=True).run(spec)
             assert sweep.to_json() == serial.to_json()
             assert sweep.to_csv() == serial.to_csv()
         finally:

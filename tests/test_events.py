@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.api import CompileJob, MachineSpec
+from repro.api import CompileJob, MachineSpec, Session
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import make_server
@@ -370,7 +370,7 @@ class TestFleetLogs:
 
     def test_cluster_sweep_logs_merge_from_every_shard(self, tmp_path,
                                                        sweep_covering):
-        from repro.cluster import ClusterCoordinator
+        from repro.cluster import FleetExecutor
 
         servers = []
         for index in range(2):
@@ -384,22 +384,22 @@ class TestFleetLogs:
                 for server, _ in servers]
         try:
             jobs = sweep_covering(urls, ("RD53", "ADDER4", "2OF5", "6SYM"))
-            coordinator = ClusterCoordinator(urls)
-            result = coordinator.run(jobs)
+            fleet = FleetExecutor(urls)
+            result = Session(fleet).run(jobs)
             assert len(result) == len(jobs)
-            merged = coordinator.topology.fleet_logs()
+            merged = fleet.topology.fleet_logs()
             assert {event["worker"] for event in merged["events"]} \
                 == set(urls)
-            assert all(event["trace_id"] == coordinator.trace_id
+            assert all(event["trace_id"] == fleet.trace_id
                        for event in merged["events"])
             keys = [(event["worker"], event["event_id"])
                     for event in merged["events"]]
             assert len(keys) == len(set(keys))
-            # The coordinator's own narrative is local, not fleet-merged.
-            local = coordinator.events.events()
+            # The executor's own narrative is local, not fleet-merged.
+            local = fleet.events.events()
             assert any(event.message == "dispatch round"
                        for event in local)
-            assert all(event.trace_id == coordinator.trace_id
+            assert all(event.trace_id == fleet.trace_id
                        for event in local)
         finally:
             for server, thread in servers:

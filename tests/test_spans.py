@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.api import CompileJob, MachineSpec
+from repro.api import CompileJob, MachineSpec, Session
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import make_server
@@ -396,20 +396,20 @@ class TestFleetTrace:
 
     def test_cluster_sweep_merges_spans_from_every_shard(self, tmp_path,
                                                          sweep_covering):
-        from repro.cluster import ClusterCoordinator
+        from repro.cluster import FleetExecutor
 
         servers, urls = self._servers(tmp_path)
         try:
             jobs = sweep_covering(urls, ("RD53", "ADDER4", "2OF5", "6SYM"))
-            coordinator = ClusterCoordinator(urls)
-            result = coordinator.run(jobs)
+            fleet = FleetExecutor(urls)
+            result = Session(fleet).run(jobs)
             assert len(result) == len(jobs)
 
-            payload = coordinator.topology.fleet_trace()
-            assert payload["trace_id"] == coordinator.trace_id
+            payload = fleet.topology.fleet_trace()
+            assert payload["trace_id"] == fleet.trace_id
             workers = {span.get("worker") for span in payload["spans"]}
             assert workers == set(urls)  # spans from every shard
-            assert all(span["trace_id"] == coordinator.trace_id
+            assert all(span["trace_id"] == fleet.trace_id
                        for span in payload["spans"])
             for name in ("queue.wait", "job.run", "compile",
                          "phase.allocation"):
@@ -421,7 +421,7 @@ class TestFleetTrace:
             # The merged list renders one waterfall, deterministically.
             text = render_waterfall(payload["spans"])
             assert text == render_waterfall(payload["spans"])
-            assert coordinator.trace_id in text.splitlines()[0]
+            assert fleet.trace_id in text.splitlines()[0]
         finally:
             self._stop(servers)
 

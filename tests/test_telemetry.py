@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.api import CompileJob, MachineSpec, Session, SweepSpec
-from repro.cluster import ClusterCoordinator, ClusterTopology
+from repro.cluster import ClusterTopology, FleetExecutor
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import CompilationService, make_server
@@ -553,13 +553,13 @@ class TestClusterTracing:
                 threads.append(thread)
                 host, port = server.server_address[:2]
                 urls.append(f"http://{host}:{port}")
-            coordinator = ClusterCoordinator(urls)
-            trace = coordinator.topology.get(urls[0]).client.trace_id
+            fleet = FleetExecutor(urls)
+            trace = fleet.topology.get(urls[0]).client.trace_id
             # The topology mints one id for the whole fleet.
-            assert coordinator.topology.get(urls[1]).client.trace_id \
+            assert fleet.topology.get(urls[1]).client.trace_id \
                 == trace
             spec = SweepSpec(benchmarks=("RD53", "6SYM", "2OF5", "ADDER4"))
-            result = coordinator.run(spec)
+            result = Session(fleet).run(spec)
             assert len(result) == len(spec)
             for server, url in zip(servers, urls):
                 jobs = server.service.manager.jobs()

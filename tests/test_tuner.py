@@ -12,8 +12,8 @@ Covers four layers:
 * the JSONL trial journal — kill/resume with zero repeat compilations
   (proved by cache accounting), resume idempotence, refusal to resume
   a journal belonging to a different run, torn-tail tolerance;
-* the remote backends (service client and 2-server cluster
-  coordinator) and the ``tune`` CLI command.
+* the remote backends (service client, and a session over a 2-server
+  fleet executor) and the ``tune`` CLI command.
 """
 
 import json
@@ -24,7 +24,7 @@ import pytest
 
 from repro.exceptions import TunerError
 from repro.api import MachineSpec, Session
-from repro.cluster import ClusterCoordinator, assign_endpoint
+from repro.cluster import ClusterTopology, FleetExecutor, assign_endpoint
 from repro.core.compiler import POLICY_PRESETS, preset
 from repro.service import ServiceClient, make_server
 from repro.tuner import (
@@ -521,11 +521,10 @@ class TestRemoteBackends:
         try:
             via_client = small_run(backend=ServiceClient(urls[0])).run()
             assert via_client.to_json() == local.to_json()
-            coordinator = ClusterCoordinator(urls)
-            cluster_run = small_run(backend=coordinator)
-            assert cluster_run.backend.kind == "cluster"
+            executor = FleetExecutor(urls)
+            cluster_run = small_run(backend=Session(executor))
             assert cluster_run.run().to_json() == local.to_json()
-            fleet = coordinator.topology.fleet_stats()
+            fleet = executor.topology.fleet_stats()
             assert fleet["reachable"] == 2
             assert fleet["fleet"]["jobs_run"] >= 1
         finally:
@@ -547,14 +546,15 @@ class TestRemoteBackends:
             names = {span["name"] for span in spans}
             assert {"server.handle", "job.run", "compile"} <= names
 
-            coordinator = ClusterCoordinator(urls)
+            executor = FleetExecutor(urls)
             trials = []
-            small_run(backend=coordinator, on_trial=trials.append).run()
-            merged = coordinator.topology.fleet_trace()
-            assert merged["trace_id"] == coordinator.trace_id
+            small_run(backend=Session(executor),
+                      on_trial=trials.append).run()
+            merged = executor.topology.fleet_trace()
+            assert merged["trace_id"] == executor.trace_id
             assert merged["count"] > 0
             assert {span["trace_id"] for span in merged["spans"]} == \
-                {coordinator.trace_id}
+                {executor.trace_id}
             # Every shard that owns a trial (rendezvous placement
             # depends on the ephemeral-port URLs) ran it under the id.
             owners = {assign_endpoint(trial["fingerprint"], urls)
@@ -591,6 +591,29 @@ class TestTuneCLI:
                      "--objective", "aqv", "--journal", str(journal),
                      "--export", str(rerun_path)]) == 0
         assert rerun_path.read_bytes() == board_path.read_bytes()
+
+    def test_tune_over_endpoints_exports_the_local_leaderboard(
+            self, tmp_path):
+        from repro.experiments.__main__ import main
+
+        common = ["tune", "RD53", "ADDER4", "--grid", "5", "5",
+                  "--scales", "quick", "--strategy", "grid",
+                  "--objective", "aqv"]
+        local_path = tmp_path / "local.json"
+        fleet_path = tmp_path / "fleet.json"
+        assert main([*common, "--export", str(local_path)]) == 0
+        servers, urls = start_servers(2, tmp_path)
+        try:
+            assert main([*common, "--endpoint", urls[0],
+                         "--endpoint", urls[1],
+                         "--export", str(fleet_path)]) == 0
+            # The trials compiled on the servers, not in this process.
+            fleet = ClusterTopology(urls).fleet_stats()["fleet"]
+            assert fleet["cache_misses"] > 0
+        finally:
+            for server in servers:
+                stop(server)
+        assert fleet_path.read_bytes() == local_path.read_bytes()
 
     def test_every_candidate_failing_still_prints_the_leaderboard(
             self, capsys):

@@ -9,7 +9,12 @@ exactly why locality-aware allocation pays off.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from array import array
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
 from repro.arch.topology import Topology
@@ -17,6 +22,20 @@ from repro.arch.topology import Topology
 
 class Layout:
     """Bidirectional virtual-qubit <-> physical-site mapping.
+
+    On a lattice the layout also keeps a *padded index* for the ring
+    walk of :meth:`nearest_free_sites`: the lattice's bounding box sits
+    in a flat cell array with a margin on every side at least as wide as
+    the largest ring (``height + width - 2``, which reaches the far
+    corner from any centre in the box), in rows whose width is rounded
+    up to a power of two.  A ring's cells are then fixed flat offsets
+    from its centre cell, with no bounds checks, and one cached getter
+    per ring and padded width (:func:`_ring_cells`) reads them all at C
+    speed.  Beside the cell -> site array the layout keeps a free mask,
+    one byte per cell, set exactly for the sites no virtual qubit
+    occupies: :meth:`place` clears a byte, and :meth:`move_along`
+    touches the mask only when its path carries an empty site.  An
+    all-to-all machine has no ring walk and no index.
 
     Args:
         topology: The machine topology whose sites are being assigned.
@@ -28,6 +47,30 @@ class Layout:
         self._virtual_at: Dict[int, int] = {}
         # Every site below this one is occupied (the lowest-free-site hint).
         self._lowest_free = 0
+        # The padded index (lattices only): the cell of lattice-box
+        # position (0, 0), each site's cell, each cell's site (-1 off the
+        # machine) and the free mask.
+        self._pad_width = self._origin = 0
+        self._cell_of: List[int] = []
+        self._site_in = array("l")
+        self._free = bytearray()
+        if topology.is_lattice and topology.num_sites:
+            height = topology.height
+            margin = height + topology.width - 2
+            pad_width = self._pad_width = _padded_width(topology.width + 2 * margin)
+            # Ring windows start up to _ring_base(pad_width) cells before
+            # their centre (see _ring_cells): the rows above the box cover it.
+            top = pad_width // 2 + 1
+            origin = self._origin = top * pad_width + margin
+            first = origin - topology.row0 * pad_width - topology.col0
+            self._cell_of = [first + row * pad_width + col for row, col in
+                             zip(topology.site_rows, topology.site_cols)]
+            cells = (top + height + margin) * pad_width
+            self._site_in = array("l", [-1]) * cells
+            self._free = bytearray(cells)
+            for site, cell in enumerate(self._cell_of):
+                self._site_in[cell] = site
+                self._free[cell] = 1
 
     # ------------------------------------------------------------------
     @property
@@ -91,6 +134,8 @@ class Layout:
         self._topology._check_site(site)
         self._site_of[virtual] = site
         self._virtual_at[site] = virtual
+        if self._cell_of:
+            self._free[self._cell_of[site]] = 0
         if site == self._lowest_free:
             self._advance_lowest_free()
 
@@ -115,21 +160,28 @@ class Layout:
 
         On a lattice the search expands Manhattan rings around the
         rounded anchor centroid, nearest ring first, and returns sites in
-        that visiting order; it stays fast on multi-thousand-site
-        machines.  On an all-to-all machine every free site is one hop
-        from every anchor it is not, so free anchor sites come first (the
-        most often named first) and then the lowest-numbered free sites.
-        With no anchors the lowest-numbered free sites are returned.
+        that visiting order (see :meth:`free_sites_near`).  On an
+        all-to-all machine every free site is one hop from every anchor
+        it is not, so free anchor sites come first (the most often named
+        first) and then the lowest-numbered free sites.  With no anchors
+        the lowest-numbered free sites are returned.
         """
         if limit < 1:
             return []
         if not anchor_sites:
             return self._lowest_free_sites(limit)
-        if self._topology.is_lattice:
-            return self._ring_search(anchor_sites, limit)
+        topology = self._topology
+        topology._check_sites(anchor_sites)
+        if topology.is_lattice:
+            rows = topology.site_rows
+            cols = topology.site_cols
+            return self.free_sites_near(len(anchor_sites),
+                                        sum([rows[s] for s in anchor_sites]),
+                                        sum([cols[s] for s in anchor_sites]),
+                                        limit)
         free_anchors = sorted({site for site in anchor_sites
                                if site not in self._virtual_at})
-        totals = self._topology.distance_sums(anchor_sites, free_anchors)
+        totals = topology.distance_sums(anchor_sites, free_anchors)
         free_anchors = [site for _, site in sorted(zip(totals, free_anchors))]
         found = free_anchors[:limit]
         for site in self._lowest_free_sites(limit + len(found)):
@@ -139,47 +191,51 @@ class Layout:
                 found.append(site)
         return found
 
-    def _ring_search(self, anchor_sites: Sequence[int], limit: int) -> List[int]:
-        """Expand Manhattan rings around the anchor centroid on a lattice.
+    def free_sites_near(self, count: int, row_sum: int, col_sum: int,
+                        limit: int = 32) -> List[int]:
+        """Up to ``limit`` free sites nearest a region of ``count``
+        *occupied* sites whose rows and columns add up to ``row_sum`` and
+        ``col_sum``: :meth:`nearest_free_sites` of that region, from its
+        sums alone.
 
-        Ring ``r`` visits its coordinates in the order (offset 0..r-1,
-        each in turn on the north-east, south-east, south-west and
-        north-west edge); rings past the farthest lattice corner hold no
-        site and are not walked.
+        On a lattice, ring ``r`` around the rounded centroid visits its
+        coordinates in the order (offset 0..r-1, each in turn on the
+        north-east, south-east, south-west and north-west edge), and the
+        walk stops after the ring that completes ``limit`` sites or at
+        the ring through the farthest lattice corner (or as soon as every
+        free site is found).  A ring costs two getter calls on windows of
+        the free mask and the site array.  On an all-to-all machine, or
+        for an empty region, these are the lowest-numbered free sites.
         """
         topology = self._topology
-        topology._check_sites(anchor_sites)
-        rows = topology.site_rows
-        cols = topology.site_cols
-        count = len(anchor_sites)
-        # Centre and lattice corners in lattice_sites coordinates.
-        row = int(round(sum([rows[s] for s in anchor_sites]) / count)) - topology.row0
-        col = int(round(sum([cols[s] for s in anchor_sites]) / count)) - topology.col0
-        height = topology.height
-        width = topology.width
-        last = topology.num_sites - 1
-        max_radius = min(2 * (max(rows[last], cols[last]) + 1),
-                         max(row, height - 1 - row) + max(col, width - 1 - col))
-        sites = topology.lattice_sites
-        occupied = self._virtual_at
-        found: List[int] = []
-        if 0 <= row < height and 0 <= col < width:
-            site = sites[row * width + col]
-            if site >= 0 and site not in occupied:
-                found.append(site)
-        for radius in range(1, max_radius + 1):
-            if len(found) >= limit:
+        wanted = min(limit, self.num_free_sites)
+        if wanted < 1:
+            return []
+        if not count or not topology.is_lattice:
+            return self._lowest_free_sites(wanted)
+        # Centre in lattice-box coordinates, then as a padded cell.
+        row = int(round(row_sum / count)) - topology.row0
+        col = int(round(col_sum / count)) - topology.col0
+        max_radius = (max(row, topology.height - 1 - row)
+                      + max(col, topology.width - 1 - col))
+        pad_width = self._pad_width
+        centre = self._origin + row * pad_width + col
+        free = self._free
+        site_in = self._site_in
+        found = [site_in[centre]] if free[centre] else []
+        rings = _ring_cells(pad_width, max_radius)
+        start = centre - _ring_base(pad_width)
+        free_window = memoryview(free)[start:]
+        site_window = memoryview(site_in)[start:]
+        for ring in rings[:max_radius]:
+            # Once every free site is found, later rings add nothing.
+            if len(found) >= wanted:
                 break
-            for offset in range(radius):
-                for r, c in ((row - radius + offset, col + offset),
-                             (row + offset, col + radius - offset),
-                             (row + radius - offset, col - offset),
-                             (row - offset, col - radius + offset)):
-                    if 0 <= r < height and 0 <= c < width:
-                        site = sites[r * width + c]
-                        if site >= 0 and site not in occupied:
-                            found.append(site)
-        return found[:limit]
+            mask = ring(free_window)
+            if 1 in mask:
+                found += compress(ring(site_window), mask)
+        del found[limit:]
+        return found
 
     def _lowest_free_sites(self, limit: int) -> List[int]:
         occupied = self._virtual_at
@@ -215,12 +271,26 @@ class Layout:
         virtual_at = self._virtual_at
         site_of = self._site_of
         occupants = [virtual_at.pop(site, None) for site in path]
+        arrivals = occupants[1:] + occupants[:1]
+        if None not in occupants:
+            for site, virtual in zip(path, arrivals):
+                virtual_at[site] = virtual
+                site_of[virtual] = site
+            return occupants
+        # An empty site travels along the path: the free mask and the
+        # lowest-free hint follow it.
+        free = self._free
+        cell_of = self._cell_of
         lowest_free = self._lowest_free
-        for site, virtual in zip(path, occupants[1:] + occupants[:1]):
+        for site, virtual in zip(path, arrivals):
             if virtual is None:
+                if cell_of:
+                    free[cell_of[site]] = 1
                 if site < lowest_free:
                     lowest_free = site
             else:
+                if cell_of:
+                    free[cell_of[site]] = 0
                 virtual_at[site] = virtual
                 site_of[virtual] = site
         self._lowest_free = lowest_free
@@ -233,3 +303,83 @@ class Layout:
             f"Layout(placed={self.num_placed}, "
             f"free_sites={self.num_free_sites}, topology={self._topology.name})"
         )
+
+
+def _padded_width(width: int) -> int:
+    """A padded row width: ``width`` rounded up to a power of two, so
+    that lattice shapes share their ring cells."""
+    return 1 << (width - 1).bit_length()
+
+
+def _ring_base(pad_width: int) -> int:
+    """How far before a ring's centre cell the window that
+    :func:`_ring_cells` indexes starts."""
+    reach = pad_width // 2
+    return reach * pad_width + reach
+
+
+#: Padded width -> the ring getters built so far (see _ring_cells).
+_RINGS: Dict[int, Tuple[Callable, ...]] = {}
+
+
+def _ring_cells(pad_width: int, radius: int) -> Tuple[Callable, ...]:
+    """The Manhattan rings of radius 1..``radius`` (at least) in a padded
+    index ``pad_width`` cells wide, as cell getters.
+
+    Ring ``r``'s getter, applied to a window of the index that starts
+    :func:`_ring_base` cells before the centre, returns the ring's cells
+    in visiting order: offset 0..r-1, each in turn on the north-east,
+    south-east, south-west and north-west edge.  ``radius`` must not
+    exceed ``pad_width // 2``.  The rings are kept per padded
+    width and grown only as far as a walk has needed; a grown tuple
+    replaces the old one whole, so concurrent callers always see
+    complete rings.
+    """
+    rings = _RINGS.get(pad_width, ())
+    if len(rings) >= radius:
+        return rings
+    base = _ring_base(pad_width)
+    grown = list(rings)
+    for size in range(len(rings) + 1, radius + 1):
+        cells: List[int] = []
+        for offset in range(size):
+            cells += (base + (offset - size) * pad_width + offset,
+                      base + offset * pad_width + size - offset,
+                      base + (size - offset) * pad_width - offset,
+                      base - offset * pad_width - size + offset)
+        grown.append(itemgetter(*cells))
+    rings = _RINGS[pad_width] = tuple(grown)
+    return rings
+
+
+def entry_sites(topology: Topology, count: int) -> Tuple[int, ...]:
+    """Sites of ``count`` qubits placed one at a time on an empty
+    ``topology``, each on the free site nearest the machine centre (site
+    ``num_sites // 2``) and the sites placed before it.
+
+    The answer depends only on the topology's geometry and ``count``, so
+    it is computed once per such pair (a bounded cache).
+
+    Raises:
+        ResourceExhaustedError: If ``count`` qubits do not fit.
+    """
+    sites = _entry_sites(topology.geometry, count)
+    if len(sites) < count:
+        raise ResourceExhaustedError(
+            f"machine {topology.name} has no free qubit sites"
+        )
+    return sites
+
+
+@lru_cache(maxsize=64)
+def _entry_sites(geometry: Tuple[bool, Tuple[int, ...], Tuple[int, ...]],
+                 count: int) -> Tuple[int, ...]:
+    """:func:`entry_sites` uncached, as far as the sites go."""
+    is_lattice, rows, cols = geometry
+    layout = Layout(Topology(list(zip(rows, cols)), "entry", is_lattice))
+    anchors = [len(rows) // 2]
+    for virtual in range(min(count, len(rows))):
+        site = layout.nearest_free_site(anchors)
+        layout.place(virtual, site)
+        anchors.append(site)
+    return tuple(anchors[1:])

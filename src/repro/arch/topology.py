@@ -109,6 +109,13 @@ class Topology:
     # Queries
     # ------------------------------------------------------------------
     @property
+    def geometry(self) -> Tuple[bool, Tuple[int, ...], Tuple[int, ...]]:
+        """What every answer of this topology depends on: the coupling
+        kind and each site's row and column.  Two topologies with equal
+        geometry differ at most in name."""
+        return (self.is_lattice, self.site_rows, self.site_cols)
+
+    @property
     def is_fully_connected(self) -> bool:
         """True when every pair of sites is directly coupled."""
         return not self.is_lattice or self.num_sites <= 2
@@ -215,6 +222,18 @@ class Topology:
                           + base)
         return totals
 
+    def distances_from(self, origin: int, sites: Sequence[int]) -> List[int]:
+        """Each site's hop distance from ``origin`` (one anchor, unchecked:
+        every site must be on the machine)."""
+        if not self.is_lattice:
+            return [0 if site == origin else 1 for site in sites]
+        site_rows = self.site_rows
+        site_cols = self.site_cols
+        row = site_rows[origin]
+        col = site_cols[origin]
+        return [abs(site_rows[site] - row) + abs(site_cols[site] - col)
+                for site in sites]
+
     def centroid_site(self, sites: Sequence[int]) -> int:
         """Site closest to the coordinate centroid of ``sites``.
 
@@ -225,15 +244,29 @@ class Topology:
         self._check_sites(sites)
         site_rows = self.site_rows
         site_cols = self.site_cols
-        target = (sum([site_rows[s] for s in sites]) / len(sites),
-                  sum([site_cols[s] for s in sites]) / len(sites))
-        rounded = (int(round(target[0])), int(round(target[1])))
-        if rounded in self._site_at:
-            return self._site_at[rounded]
-        best_site = sites[0]
+        return self.centroid_of_sums(len(sites),
+                                     sum([site_rows[s] for s in sites]),
+                                     sum([site_cols[s] for s in sites]))
+
+    def centroid_of_sums(self, count: int, row_sum: int, col_sum: int) -> int:
+        """Site closest to the centroid of ``count`` sites whose rows and
+        columns add up to ``row_sum`` and ``col_sum``.
+
+        The site at the rounded centroid when there is one, else the
+        lowest-numbered site nearest (Manhattan) the exact centroid.
+        Returns site 0 when ``count`` is 0.
+        """
+        if not count:
+            return 0
+        target_row = row_sum / count
+        target_col = col_sum / count
+        site = self._site_at.get((int(round(target_row)), int(round(target_col))))
+        if site is not None:
+            return site
+        best_site = 0
         best_cost = float("inf")
         for site, (row, col) in enumerate(self._coordinates):
-            cost = abs(row - target[0]) + abs(col - target[1])
+            cost = abs(row - target_row) + abs(col - target_col)
             if cost < best_cost:
                 best_cost = cost
                 best_site = site

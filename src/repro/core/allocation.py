@@ -11,7 +11,7 @@ distance, serialization and area expansion and picks the cheapest.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ResourceExhaustedError
@@ -31,8 +31,7 @@ class AllocationRequest:
             ``get_interact_qubits()`` in Algorithm 1).
         heap: The ancilla heap of reclaimed qubits.
         scheduler: The gate scheduler (provides the layout, per-qubit
-            clocks and the current frontier time).
-        live_qubits: All currently live virtual qubits (for area estimates).
+            clocks, the current frontier time and the live region).
         create_qubit: Callback that creates a brand new virtual qubit on a
             given physical site and returns its id.
         module_name: Name of the allocating module (for diagnostics).
@@ -42,9 +41,15 @@ class AllocationRequest:
     interacting_qubits: Tuple[int, ...]
     heap: AncillaHeap
     scheduler: GateScheduler
-    live_qubits: Tuple[int, ...]
     create_qubit: Callable[[int], int]
     module_name: str = ""
+
+    @property
+    def live_qubits(self) -> Tuple[int, ...]:
+        """All currently live virtual qubits, built on each read (O(live
+        qubits)); a policy that needs only where they sit should read
+        ``scheduler.live_region`` instead."""
+        return self.scheduler.tracker.live_qubits()
 
 
 class AllocationPolicy(abc.ABC):
@@ -97,6 +102,15 @@ class LocalityAwareAllocation(AllocationPolicy):
       adds a false dependency and delays the computation;
     * area expansion — claiming a brand new qubit grows the active region,
       which lengthens future swap chains / braids.
+
+    The live qubits enter only through the scheduler's live region
+    (their site count and row and column sums), which gives the rounded
+    centroid that the area term measures from and that the new-site
+    search centres on when the ancilla has no interaction anchors.  One
+    allocation therefore costs the same however many qubits are live: a
+    heap scan, a ring walk for at most ``max_candidates`` free sites and
+    their scores.  Distances come from the topology, so all-to-all
+    machines keep their 0/1 hops on the same code path.
 
     Args:
         serialization_weight: Weight applied to the (normalised) extra wait
@@ -179,19 +193,23 @@ class LocalityAwareAllocation(AllocationPolicy):
         self, request: AllocationRequest, anchors: Sequence[int],
         max_candidates: int = 32,
     ) -> Optional[Tuple[int, float]]:
-        layout = request.scheduler.layout
+        scheduler = request.scheduler
+        layout = scheduler.layout
         topology = layout.topology
-        live_sites = layout.sites_of(request.live_qubits)
-        search_anchors = tuple(anchors) if anchors else tuple(live_sites)
-        free = layout.nearest_free_sites(search_anchors, limit=max_candidates)
+        count, row_sum, col_sum = scheduler.live_region
+        if anchors:
+            free = layout.nearest_free_sites(anchors, limit=max_candidates)
+        else:
+            free = layout.free_sites_near(count, row_sum, col_sum,
+                                          limit=max_candidates)
         if not free:
             return None
         scores = self._communication_scores(topology, anchors, free)
-        if live_sites:
-            centroid = topology.centroid_site(live_sites)
-            expansion = topology.distance_sums((centroid,), free)
-            scores = [comm + self.area_weight * hops
-                      for comm, hops in zip(scores, expansion)]
+        if count:
+            centroid = topology.centroid_of_sums(count, row_sum, col_sum)
+            weight = self.area_weight
+            scores = [comm + weight * hops for comm, hops in
+                      zip(scores, topology.distances_from(centroid, free))]
         best: Optional[Tuple[int, float]] = None
         best_score = 0.0
         for site, score in zip(free, scores):

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CompilationError, ResourceExhaustedError
 from repro.arch.machine import Machine
+from repro.arch.mapping import entry_sites
 from repro.core.allocation import AllocationPolicy, AllocationRequest
 from repro.core.cost_model import CommunicationEstimator
 from repro.core.heap import AncillaHeap
@@ -145,7 +146,11 @@ class _Frame:
     ancilla_virtuals: List[int]
     parent: Optional["_Frame"]
     record: CallRecord
-    in_compute: bool = True
+    #: The scheduler's gate count when the frame was created: while the
+    #: frame is in its Compute block, the gates emitted there (by it and
+    #: its callees) number ``gate_count - compute_start``.
+    compute_start: int = 0
+    #: That count, frozen when the Compute block ends.
     compute_gates_emitted: int = 0
     local_comm_cost: float = 0.0
     local_two_qubit_gates: int = 0
@@ -285,16 +290,11 @@ class SquareCompiler:
     # ------------------------------------------------------------------
     def _place_entry_params(self, entry: QModule) -> List[int]:
         """Create the entry module's parameter qubits near the machine centre."""
-        topology = self.machine.topology
-        center = topology.num_sites // 2
         virtuals: List[int] = []
-        anchor_sites = [center]
-        for _ in entry.params:
-            site = self._scheduler.layout.nearest_free_site(anchor_sites)
+        for site in entry_sites(self.machine.topology, len(entry.params)):
             virtual = self._create_qubit(site)
-            self._tracker.allocate(virtual, 0)
+            self._scheduler.allocate(virtual, 0)
             virtuals.append(virtual)
-            anchor_sites.append(site)
         return virtuals
 
     def _create_qubit(self, site: int) -> int:
@@ -311,8 +311,8 @@ class SquareCompiler:
     # Program walk
     # ------------------------------------------------------------------
     def _exec_call(self, stmt: CallStmt, parent: _Frame) -> CallRecord:
-        args = tuple(parent.binding[arg] for arg in stmt.args)
-        binding = dict(zip(stmt.module.params, args))
+        binding = dict(zip(stmt.module.params,
+                           map(parent.binding.__getitem__, stmt.args)))
         return self._exec_call_with_binding(
             stmt.module, binding, level=parent.level + 1, parent=parent
         )
@@ -327,7 +327,8 @@ class SquareCompiler:
         record = CallRecord(module=module, level=level, binding=dict(binding),
                             ancilla_virtuals=[])
         frame = _Frame(module=module, level=level, binding=binding,
-                       ancilla_virtuals=[], parent=parent, record=record)
+                       ancilla_virtuals=[], parent=parent, record=record,
+                       compute_start=self._scheduler.gate_count)
 
         if module.num_ancilla:
             ancillas = self._allocate_ancillas(module, frame)
@@ -337,10 +338,9 @@ class SquareCompiler:
             record.binding.update(zip(module.ancillas, ancillas))
 
         frame.current_block = "compute"
-        frame.in_compute = True
         self._exec_block(module.compute, frame, record.compute_records)
+        frame.compute_gates_emitted = self._compute_gates(frame)
         frame.current_block = "store"
-        frame.in_compute = False
         self._exec_block(module.store, frame, record.store_records)
 
         self._process_free(module, frame, record, parent)
@@ -351,7 +351,7 @@ class SquareCompiler:
         for index, stmt in enumerate(statements):
             frame.statement_index = index
             if isinstance(stmt, GateStmt):
-                qubits = tuple(frame.binding[q] for q in stmt.qubits)
+                qubits = tuple(map(frame.binding.__getitem__, stmt.qubits))
                 self._emit_gate(frame, stmt.name, qubits)
             elif isinstance(stmt, CallStmt):
                 records.append(self._exec_call(stmt, frame))
@@ -363,7 +363,7 @@ class SquareCompiler:
         record_index = len(records)
         for stmt in reversed(statements):
             if isinstance(stmt, GateStmt):
-                qubits = tuple(frame.binding[q] for q in stmt.qubits)
+                qubits = tuple(map(frame.binding.__getitem__, stmt.qubits))
                 self._emit_gate(frame, inverse_gate_name(stmt.name), qubits)
             elif isinstance(stmt, CallStmt):
                 record_index -= 1
@@ -387,11 +387,13 @@ class SquareCompiler:
             self._comm.observe(execution.comm_cost)
             frame.local_comm_cost += execution.comm_cost
             frame.local_two_qubit_gates += 1
-        ancestor: Optional[_Frame] = frame
-        while ancestor is not None:
-            if ancestor.current_block == "compute":
-                ancestor.compute_gates_emitted += 1
-            ancestor = ancestor.parent
+
+    def _compute_gates(self, frame: _Frame) -> int:
+        """Gates emitted in ``frame``'s Compute block so far, by the frame
+        and its callees (what its Uncompute would replay)."""
+        if frame.current_block == "compute":
+            return self._scheduler.gate_count - frame.compute_start
+        return frame.compute_gates_emitted
 
     # ------------------------------------------------------------------
     # Allocation and reclamation
@@ -420,12 +422,11 @@ class SquareCompiler:
                 interacting_qubits=tuple(anchors),
                 heap=self._heap,
                 scheduler=self._scheduler,
-                live_qubits=self._tracker.live_qubits(),
                 create_qubit=self._create_qubit,
                 module_name=module.name,
             )
             virtual = self.allocation_policy.allocate(request)[0]
-            self._tracker.allocate(virtual, now)
+            self._scheduler.allocate(virtual, now)
             allocated.append(virtual)
         return allocated
 
@@ -489,7 +490,7 @@ class SquareCompiler:
             level=frame.level,
             num_active=self._tracker.num_live,
             num_ancilla=num_ancilla,
-            uncompute_gates=frame.compute_gates_emitted,
+            uncompute_gates=self._compute_gates(frame),
             gates_to_parent_uncompute=self._gates_to_parent_uncompute(parent),
             comm_factor=comm_factor,
             locality_constrained=self.machine.communication != "none"
@@ -534,7 +535,7 @@ class SquareCompiler:
     def _reclaim_record(self, record: CallRecord) -> None:
         """Free this record's own ancillas (children free theirs when inverted)."""
         for virtual in record.ancilla_virtuals:
-            self._tracker.reclaim(virtual, self._scheduler.qubit_time(virtual))
+            self._scheduler.reclaim(virtual)
             self._heap.push(virtual)
         record.reclaimed = True
 
@@ -550,11 +551,12 @@ class SquareCompiler:
         # so its inverse is Store^-1 ; Compute^-1 on the original qubits.
         frame = _Frame(module=module, level=record.level, binding=dict(record.binding),
                        ancilla_virtuals=list(record.ancilla_virtuals), parent=parent,
-                       record=record, current_block=parent.current_block)
+                       record=record, current_block=parent.current_block,
+                       compute_start=self._scheduler.gate_count)
         self._exec_block_inverse(module.store, frame, record.store_records)
         self._exec_block_inverse(module.compute, frame, record.compute_records)
         for virtual in record.ancilla_virtuals:
-            self._tracker.reclaim(virtual, self._scheduler.qubit_time(virtual))
+            self._scheduler.reclaim(virtual)
             self._heap.push(virtual)
         record.cleaned = True
 
@@ -566,7 +568,8 @@ class SquareCompiler:
                        ancilla_virtuals=[], parent=parent,
                        record=CallRecord(module=module, level=record.level,
                                          binding=dict(binding), ancilla_virtuals=[]),
-                       current_block=parent.current_block)
+                       current_block=parent.current_block,
+                       compute_start=self._scheduler.gate_count)
         if module.num_ancilla:
             ancillas = self._allocate_ancillas(module, frame)
             frame.ancilla_virtuals = ancillas
@@ -576,7 +579,7 @@ class SquareCompiler:
         self._exec_block_inverse(module.store, frame, record.store_records)
         self._exec_block_inverse(module.compute, frame, replay_records)
         for virtual in frame.ancilla_virtuals:
-            self._tracker.reclaim(virtual, self._scheduler.qubit_time(virtual))
+            self._scheduler.reclaim(virtual)
             self._heap.push(virtual)
 
     # ------------------------------------------------------------------
@@ -591,9 +594,10 @@ class SquareCompiler:
             # The entry module never uncomputes; garbage deferred to it is
             # only held until the end of the program.
             return remaining
-        uncompute_estimate = parent.compute_gates_emitted + self._remaining_block_static(
-            parent.module.compute, parent.statement_index + 1
-        ) if parent.current_block == "compute" else parent.compute_gates_emitted
+        uncompute_estimate = self._compute_gates(parent)
+        if parent.current_block == "compute":
+            uncompute_estimate += self._remaining_block_static(
+                parent.module.compute, parent.statement_index + 1)
         return remaining + uncompute_estimate
 
     def _remaining_static_gates(self, frame: _Frame) -> int:

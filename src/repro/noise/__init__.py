@@ -13,18 +13,15 @@ from repro.noise.monte_carlo import (
     total_variation_distance,
     tvd_from_ideal,
 )
-from repro.noise.statevector import StateVector, simulate_statevector
 
 __all__ = [
     "MonteCarloSimulator",
     "NoiseModel",
     "NoisyRunResult",
-    "StateVector",
     "SuccessEstimate",
     "TABLE_IV_DEVICES",
     "estimate_success",
     "improvement_over",
-    "simulate_statevector",
     "success_rates",
     "table_iv_rows",
     "total_variation_distance",

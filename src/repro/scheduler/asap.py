@@ -11,12 +11,18 @@ The scheduler also drives the liveness tracker, so that usage segments
 reflect actual scheduled times.  A segment needs only its first gate
 (see :mod:`repro.scheduler.tracker`), so the tracker is called only for
 the qubits in its ``awaiting_first_gate`` set.
+
+Qubits become live and are reclaimed through the scheduler
+(:meth:`GateScheduler.allocate`, :meth:`GateScheduler.reclaim`), which
+keeps the *live region*: the count and the row and column sums of the
+live qubits' sites, updated as swap chains move them.  Locality-aware
+allocation reads the region's centroid from it in O(1).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CompilationError
 from repro.arch.machine import Machine
@@ -49,6 +55,10 @@ class GateScheduler:
         self.events: List[ScheduledGate] = []
         self._placement = self.layout.placement
         self._awaiting = self.tracker.awaiting_first_gate
+        self._live = self.tracker.live
+        self._rows = machine.topology.site_rows
+        self._cols = machine.topology.site_cols
+        self._live_count = self._live_row_sum = self._live_col_sum = 0
         self._qubit_time: Dict[int, int] = {}
         self._site_time: List[int] = [0] * machine.topology.num_sites
         self.makespan = 0
@@ -64,6 +74,35 @@ class GateScheduler:
         """Place a freshly created virtual qubit on ``site``."""
         self.layout.place(virtual, site)
         self._qubit_time[virtual] = self._site_time[site]
+
+    def allocate(self, virtual: int, time: int) -> None:
+        """Make the placed qubit ``virtual`` live from ``time`` (a no-op
+        for a qubit already live), adding its site to the live region."""
+        if virtual not in self._live:
+            site = self._placement[virtual]
+            self._live_count += 1
+            self._live_row_sum += self._rows[site]
+            self._live_col_sum += self._cols[site]
+        self.tracker.allocate(virtual, time)
+
+    def reclaim(self, virtual: int) -> None:
+        """Close the live segment of ``virtual`` at its clock (a no-op for
+        a qubit not live), taking its site out of the live region."""
+        if virtual in self._live:
+            site = self._placement[virtual]
+            self._live_count -= 1
+            self._live_row_sum -= self._rows[site]
+            self._live_col_sum -= self._cols[site]
+        self.tracker.reclaim(virtual, self._qubit_time.get(virtual, 0))
+
+    @property
+    def live_region(self) -> Tuple[int, int, int]:
+        """``(count, row sum, column sum)`` of the live qubits' sites.
+
+        Kept up to date by :meth:`allocate`, :meth:`reclaim` and every
+        swap chain, so reading it is O(1) however many qubits are live.
+        """
+        return self._live_count, self._live_row_sum, self._live_col_sum
 
     def qubit_time(self, virtual: int) -> int:
         """Current availability time of a virtual qubit."""
@@ -173,9 +212,16 @@ class GateScheduler:
         qubit_time = self._qubit_time
         site_time = self._site_time
         awaiting = self._awaiting
+        live = self._live
+        rows = self._rows
+        cols = self._cols
         record = self._record
         duration = self.machine.swap_duration
         moving = occupants[0]
+        # Row and column shift of the live region.  A chain rotates the
+        # contents of its sites, so the live qubits move by the opposite
+        # of the rest: the empty sites and the reclaimed qubits.
+        shift_row = shift_col = 0
         # Before each step, `finish` is when the previous step released
         # the moving qubit and the site it now occupies.
         previous = path[0]
@@ -202,6 +248,9 @@ class GateScheduler:
                 qubit_time[occupant] = finish
                 if occupant in awaiting:
                     self.tracker.record_gate(occupant, start, finish)
+            if occupant is None or occupant not in live:
+                shift_row += rows[site] - rows[previous]
+                shift_col += cols[site] - cols[previous]
             if record:
                 self.events.append(ScheduledGate(
                     name="swap",
@@ -217,6 +266,11 @@ class GateScheduler:
             qubit_time[moving] = finish
             if moving in awaiting:
                 self.tracker.record_gate(moving, first_start, finish)
+        if moving is None or moving not in live:
+            shift_row += rows[path[0]] - rows[previous]
+            shift_col += cols[path[0]] - cols[previous]
+        self._live_row_sum += shift_row
+        self._live_col_sum += shift_col
         if finish > self.makespan:
             self.makespan = finish
         self.swap_count += len(path) - 1

@@ -72,6 +72,12 @@ class LivenessTracker:
         return tuple(self._start)
 
     @property
+    def live(self) -> AbstractSet[int]:
+        """Ids of currently live qubits, as a view of the tracker's own
+        state that stays up to date (a scheduler may hold on to it)."""
+        return self._start.keys()
+
+    @property
     def awaiting_first_gate(self) -> AbstractSet[int]:
         """Live qubits whose segment has had no gate yet.
 

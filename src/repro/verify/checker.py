@@ -167,14 +167,15 @@ def verify_result(result: CompilationResult, *,
     for buckets in by_qubit.values():
         buckets.sort(key=lambda pair: (pair[1].start, pair[1].end))
 
-    _check_structure(result, out)                                 # RV006
+    adjacency_skip = _adjacency_skip_reason(result, topology, communication)
+    stream = _check_stream(result, by_qubit, topology,
+                           adjacency_skip is None, out)   # RV006 RV001 RV003
     _check_segments(result, by_qubit, out)                        # RV005
-    _check_metrics(result, topology, out, skipped)                # RV004
+    _check_metrics(result, topology, stream, out, skipped)        # RV004
     if events:
-        _check_liveness(result, by_qubit, out)                    # RV001
         _check_mapping(result, out)                               # RV002
-        _check_adjacency(result, topology, communication, out,
-                         skipped)                                 # RV003
+        if adjacency_skip is not None:
+            skipped.append(("RV003", adjacency_skip))
     else:
         reason = ("no recorded gate stream; compile with "
                   "record_schedule=True for full coverage")
@@ -193,57 +194,163 @@ def verify_result(result: CompilationResult, *,
 
 
 # ----------------------------------------------------------------------
-# RV006: structural gate-stream lint
+# The forward pass over the gate stream: RV006 structural lint, RV001
+# liveness, RV003 adjacency, and what RV004 needs of the stream
 # ----------------------------------------------------------------------
-def _check_structure(result: CompilationResult, out: _Collector) -> None:
+class _StreamTotals:
+    """What the forward pass measured for RV004: non-routed gates,
+    router swaps, the makespan, and each ``(index, event, site)`` whose
+    site is off the machine (empty when the capacity is unknown)."""
+
+    def __init__(self) -> None:
+        self.gates = 0
+        self.swaps = 0
+        self.depth = 0
+        self.outside: List[Tuple[int, object, int]] = []
+
+
+def _adjacency_skip_reason(result: CompilationResult,
+                           topology: Optional[Topology],
+                           communication: str) -> Optional[str]:
+    """Why RV003 cannot run on this machine, or None when it can."""
+    if topology is None:
+        return f"machine {result.machine_name!r} has no recognisable topology"
+    if communication != "swap" or topology.is_fully_connected:
+        return (f"machine {result.machine_name!r} imposes no "
+                f"swap-routing adjacency constraints")
+    return None
+
+
+def _check_stream(result: CompilationResult, by_qubit: Dict[int, List],
+                  topology: Optional[Topology], check_adjacency: bool,
+                  out: _Collector) -> _StreamTotals:
+    """One pass over ``scheduled_gates`` for every forward rule.
+
+    Each rule's findings come out in stream order, as from a pass of its
+    own, so the per-rule caps keep the same findings.
+    """
+    totals = _StreamTotals()
+    events = result.scheduled_gates
+    if not events:
+        return totals
+    capacity = topology.num_sites if topology is not None else -1
+    if check_adjacency:
+        # Topology.are_adjacent inlined: RV003 runs on lattices only.
+        rows = topology.site_rows
+        cols = topology.site_cols
     last_finish: Dict[int, int] = {}
-    for index, event in enumerate(result.scheduled_gates):
-        if event.start < 0 or event.finish < event.start:
+    gates = 0
+    depth = events[0].finish
+    outside = totals.outside
+    for index, event in enumerate(events):
+        name = event.name
+        start = event.start
+        finish = event.finish
+        qubits = event.virtual_qubits
+        sites = event.sites
+        routed = event.routed
+        arity = len(qubits)
+        num_sites = len(sites)
+        if finish > depth:
+            depth = finish
+        # RV006: structural lint.
+        if start < 0 or finish < start:
             out.add("RV006",
-                    f"gate {event.name!r} has an invalid time window "
-                    f"[{event.start}, {event.finish}]",
-                    instruction=index, time=event.start)
-        if len(set(event.virtual_qubits)) != len(event.virtual_qubits):
+                    f"gate {name!r} has an invalid time window "
+                    f"[{start}, {finish}]",
+                    instruction=index, time=start)
+        if arity > 1 and len(set(qubits)) != arity:
             out.add("RV006",
-                    f"gate {event.name!r} has duplicate wire operands "
-                    f"{event.virtual_qubits}",
-                    instruction=index, time=event.start)
-        if event.routed:
+                    f"gate {name!r} has duplicate wire operands "
+                    f"{qubits}",
+                    instruction=index, time=start)
+        if routed:
             # A router swap records its two sites; virtual_qubits holds
             # only the live occupants (0-2: swapping into an empty site
             # is how fresh ancillas travel).
-            if (event.name != "swap" or len(event.sites) != 2
-                    or len(event.virtual_qubits) > 2):
+            if name != "swap" or num_sites != 2 or arity > 2:
                 out.add("RV006",
                         f"routed event {index} must be a two-site swap, "
-                        f"got {event.name!r} on {event.sites}",
-                        instruction=index, time=event.start)
+                        f"got {name!r} on {sites}",
+                        instruction=index, time=start)
         else:
-            if len(event.sites) != len(event.virtual_qubits):
+            gates += 1
+            if num_sites != arity:
                 out.add("RV006",
-                        f"gate {event.name!r} records {len(event.sites)} "
-                        f"site(s) for {len(event.virtual_qubits)} "
+                        f"gate {name!r} records {num_sites} "
+                        f"site(s) for {arity} "
                         f"operand(s)",
-                        instruction=index, time=event.start)
-            spec = GATE_SPECS.get(event.name)
+                        instruction=index, time=start)
+            spec = GATE_SPECS.get(name)
             if spec is None:
                 out.add("RV006",
-                        f"unknown gate {event.name!r}",
-                        instruction=index, time=event.start)
-            elif spec.num_qubits and len(event.virtual_qubits) != spec.num_qubits:
+                        f"unknown gate {name!r}",
+                        instruction=index, time=start)
+            elif spec.num_qubits and arity != spec.num_qubits:
                 out.add("RV006",
-                        f"gate {event.name!r} expects {spec.num_qubits} "
-                        f"operand(s), got {len(event.virtual_qubits)}",
-                        instruction=index, time=event.start)
-        for qubit in event.virtual_qubits:
+                        f"gate {name!r} expects {spec.num_qubits} "
+                        f"operand(s), got {arity}",
+                        instruction=index, time=start)
+        for qubit in qubits:
             previous = last_finish.get(qubit)
-            if previous is not None and event.start < previous:
+            if previous is not None and start < previous:
                 out.add("RV006",
-                        f"gate {event.name!r} starts at {event.start} but "
+                        f"gate {name!r} starts at {start} but "
                         f"qubit {qubit} is busy until {previous} "
                         f"(stream out of per-qubit time order)",
-                        instruction=index, qubit=qubit, time=event.start)
-            last_finish[qubit] = max(previous or 0, event.finish)
+                        instruction=index, qubit=qubit, time=start)
+            if previous is None:
+                previous = 0
+            last_finish[qubit] = finish if finish > previous else previous
+            # RV001: router swaps may legally move a reclaimed |0>
+            # qubit; they act on sites, not on live program state.
+            if routed:
+                continue
+            for _, segment in by_qubit.get(qubit, ()):
+                if segment.start <= start and finish <= segment.end:
+                    break
+            else:
+                out.add("RV001",
+                        f"gate {name!r} acts on qubit {qubit} during "
+                        f"[{start}, {finish}], outside every "
+                        f"recorded live segment (use after reclaim, or use "
+                        f"before allocation)",
+                        instruction=index, qubit=qubit, time=start)
+        # RV003: adjacency.
+        if check_adjacency:
+            if routed:
+                if num_sites == 2:
+                    site_a, site_b = sites
+                    if (site_a == site_b
+                            or not (0 <= site_a < capacity
+                                    and 0 <= site_b < capacity)
+                            or abs(rows[site_a] - rows[site_b])
+                            + abs(cols[site_a] - cols[site_b]) > 1):
+                        out.add("RV003",
+                                f"router swap acts on non-adjacent sites "
+                                f"({site_a}, {site_b})",
+                                instruction=index, site=site_a, time=start)
+            elif num_sites >= 2:
+                # Pairwise resolution routes each control next to the
+                # target in turn; only the last-resolved control is
+                # guaranteed to still be adjacent when the gate commits.
+                control, target = sites[-2], sites[-1]
+                if (not (0 <= control < capacity and 0 <= target < capacity)
+                        or abs(rows[control] - rows[target])
+                        + abs(cols[control] - cols[target]) > 1):
+                    out.add("RV003",
+                            f"gate {name!r} commits with operand sites "
+                            f"({control}, {target}) that are not adjacent",
+                            instruction=index, site=control, time=start)
+        # RV004's machine-capacity check, reported with the other RV004s.
+        if capacity >= 0:
+            for site in sites:
+                if not 0 <= site < capacity:
+                    outside.append((index, event, site))
+    totals.gates = gates
+    totals.swaps = len(events) - gates
+    totals.depth = depth
+    return totals
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +392,7 @@ def _check_segments(result: CompilationResult,
 # RV004: capacity and headline-metric closure
 # ----------------------------------------------------------------------
 def _check_metrics(result: CompilationResult, topology: Optional[Topology],
-                   out: _Collector,
+                   stream: _StreamTotals, out: _Collector,
                    skipped: List[Tuple[str, str]]) -> None:
     aqv = sum(segment.duration for segment in result.usage_segments)
     if aqv != result.active_quantum_volume:
@@ -322,11 +429,10 @@ def _check_metrics(result: CompilationResult, topology: Optional[Topology],
                         f"usage segment",
                         qubit=qubit)
 
-    events = result.scheduled_gates
-    if events:
-        gates = sum(1 for event in events if not event.routed)
-        swaps = sum(1 for event in events if event.routed)
-        depth = max(event.finish for event in events)
+    if result.scheduled_gates:
+        gates = stream.gates
+        swaps = stream.swaps
+        depth = stream.depth
         if gates != result.gate_count:
             out.add("RV004",
                     f"gate_count={result.gate_count} but the stream holds "
@@ -369,37 +475,11 @@ def _check_metrics(result: CompilationResult, topology: Optional[Topology],
                     f"virtual qubit {virtual} mapped to site {site}, "
                     f"outside the {capacity}-site machine",
                     qubit=virtual, site=site)
-    for index, event in enumerate(events):
-        for site in event.sites:
-            if not 0 <= site < capacity:
-                out.add("RV004",
-                        f"gate {event.name!r} touches site {site}, outside "
-                        f"the {capacity}-site machine",
-                        instruction=index, site=site, time=event.start)
-
-
-# ----------------------------------------------------------------------
-# RV001: gates stay inside live segments
-# ----------------------------------------------------------------------
-def _check_liveness(result: CompilationResult,
-                    by_qubit: Dict[int, List], out: _Collector) -> None:
-    for index, event in enumerate(result.scheduled_gates):
-        if event.routed:
-            # Router swaps may legally move a reclaimed |0> qubit; they
-            # act on sites, not on live program state.
-            continue
-        for qubit in event.virtual_qubits:
-            buckets = by_qubit.get(qubit, ())
-            covered = any(segment.start <= event.start
-                          and event.finish <= segment.end
-                          for _, segment in buckets)
-            if not covered:
-                out.add("RV001",
-                        f"gate {event.name!r} acts on qubit {qubit} during "
-                        f"[{event.start}, {event.finish}], outside every "
-                        f"recorded live segment (use after reclaim, or use "
-                        f"before allocation)",
-                        instruction=index, qubit=qubit, time=event.start)
+    for index, event, site in stream.outside:
+        out.add("RV004",
+                f"gate {event.name!r} touches site {site}, outside "
+                f"the {capacity}-site machine",
+                instruction=index, site=site, time=event.start)
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +511,12 @@ def _check_mapping(result: CompilationResult, out: _Collector) -> None:
     # through router swaps and never host two virtuals at once (the
     # layout never frees a site, so tracking a qubit's site across its
     # whole history cannot collide with another qubit's legally).
-    for index in range(len(result.scheduled_gates) - 1, -1, -1):
-        event = result.scheduled_gates[index]
-        if event.routed and len(event.sites) == 2:
-            site_a, site_b = event.sites
+    events = result.scheduled_gates
+    for index in range(len(events) - 1, -1, -1):
+        event = events[index]
+        sites = event.sites
+        if event.routed and len(sites) == 2:
+            site_a, site_b = sites
             for qubit in event.virtual_qubits:
                 current = position.get(qubit)
                 if current == site_a:
@@ -456,9 +538,9 @@ def _check_mapping(result: CompilationResult, out: _Collector) -> None:
                             instruction=index, qubit=qubit, site=current,
                             time=event.start)
             continue
-        for qubit, site in zip(event.virtual_qubits, event.sites):
+        for qubit, site in zip(event.virtual_qubits, sites):
             current = position.get(qubit)
-            if qubit not in position:
+            if current is None:
                 if qubit not in unmapped_reported:
                     unmapped_reported.add(qubit)
                     out.add("RV002",
@@ -474,13 +556,11 @@ def _check_mapping(result: CompilationResult, out: _Collector) -> None:
                         instruction=index, qubit=qubit, site=site,
                         time=event.start)
                 position[qubit] = site  # resync to bound the cascade
-        if not event.routed:
-            distinct = set(event.sites)
-            if len(distinct) != len(event.sites):
-                out.add("RV002",
-                        f"gate {event.name!r} places two operands on one "
-                        f"site ({event.sites})",
-                        instruction=index, time=event.start)
+        if not event.routed and len(sites) > 1 and len(set(sites)) != len(sites):
+            out.add("RV002",
+                    f"gate {event.name!r} places two operands on one "
+                    f"site ({sites})",
+                    instruction=index, time=event.start)
 
     # Note: the replayed *initial* placement is deliberately not checked
     # for injectivity.  A qubit created mid-program replays back to its
@@ -490,45 +570,3 @@ def _check_mapping(result: CompilationResult, out: _Collector) -> None:
     # fictitious.  Double-booking is instead caught by the final-mapping
     # injectivity above plus the per-gate site consistency along the
     # replay.
-
-
-# ----------------------------------------------------------------------
-# RV003: adjacency / routing closure
-# ----------------------------------------------------------------------
-def _check_adjacency(result: CompilationResult,
-                     topology: Optional[Topology], communication: str,
-                     out: _Collector,
-                     skipped: List[Tuple[str, str]]) -> None:
-    if topology is None:
-        skipped.append(("RV003",
-                        f"machine {result.machine_name!r} has no "
-                        f"recognisable topology"))
-        return
-    if communication != "swap" or topology.is_fully_connected:
-        skipped.append(("RV003",
-                        f"machine {result.machine_name!r} imposes no "
-                        f"swap-routing adjacency constraints"))
-        return
-    for index, event in enumerate(result.scheduled_gates):
-        if event.routed:
-            if len(event.sites) == 2:
-                site_a, site_b = event.sites
-                if site_a == site_b or not topology.are_adjacent(site_a,
-                                                                 site_b):
-                    out.add("RV003",
-                            f"router swap acts on non-adjacent sites "
-                            f"({site_a}, {site_b})",
-                            instruction=index, site=site_a,
-                            time=event.start)
-            continue
-        if len(event.sites) < 2:
-            continue
-        # Pairwise resolution routes each control next to the target in
-        # turn; only the last-resolved control is guaranteed to still be
-        # adjacent when the gate commits.
-        control, target = event.sites[-2], event.sites[-1]
-        if not topology.are_adjacent(control, target):
-            out.add("RV003",
-                    f"gate {event.name!r} commits with operand sites "
-                    f"({control}, {target}) that are not adjacent",
-                    instruction=index, site=control, time=event.start)

@@ -1,11 +1,10 @@
-"""Dense state-vector simulator (pure NumPy).
+"""Dense state-vector simulator (pure NumPy), a test reference.
 
 A small but complete simulator supporting the full gate set of the IR,
-used for unitary-equivalence tests (e.g. checking the Toffoli
-decomposition) and for noise studies on very small circuits.  It stands
-in for the Qiskit Aer simulator used in the paper's evaluation; the
-large-benchmark noise runs use the stochastic bit-level simulator in
-:mod:`repro.noise.monte_carlo` instead, which is exact for the classical
+used by the tests for unitary-equivalence checks (e.g. the Toffoli
+decomposition) and as an exact model of very small noisy circuits.  The
+library's noise runs use the stochastic bit-level simulator in
+:mod:`repro.noise.monte_carlo`, which is exact for the classical
 reversible circuits the benchmarks compile to.
 """
 

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import repro.core.compiler
+from repro.api import CompileJob, MachineSpec, execute_job
 from repro.exceptions import ResourceExhaustedError
 from repro.arch.nisq import NISQMachine
 from repro.arch.topology import Topology
@@ -14,6 +16,8 @@ from repro.core.allocation import (
 )
 from repro.core.heap import AncillaHeap
 from repro.scheduler.asap import GateScheduler
+from tests.test_golden import SIZED_PROGRAMS
+from tests.test_scheduler import recomputed_live_region
 
 
 def _environment(grid=3, placed=()):
@@ -35,12 +39,13 @@ def _environment(grid=3, placed=()):
 
 
 def _request(scheduler, heap, create_qubit, count=1, interacting=(), live=()):
+    for qubit in live:
+        scheduler.allocate(qubit, 0)
     return AllocationRequest(
         count=count,
         interacting_qubits=tuple(interacting),
         heap=heap,
         scheduler=scheduler,
-        live_qubits=tuple(live),
         create_qubit=create_qubit,
         module_name="test",
     )
@@ -152,3 +157,40 @@ def test_lifo_takes_the_lowest_free_site_after_swaps(grid):
         qubit = LifoAllocation().allocate(_request(scheduler, heap, create))[0]
         assert layout.site_of(qubit) == lowest
         layout.swap(rng.choice(sites), rng.choice(sites))
+
+
+class LiveRegionCheckingAllocation(LocalityAwareAllocation):
+    """LAA that first checks the scheduler's incremental live region
+    against a recompute from the tracker's live qubits."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = 0
+
+    def allocate(self, request):
+        scheduler = request.scheduler
+        assert scheduler.live_region == recomputed_live_region(scheduler)
+        assert request.live_qubits == scheduler.tracker.live_qubits()
+        self.checked += 1
+        return super().allocate(request)
+
+
+@pytest.mark.parametrize("machine", [MachineSpec.nisq_autosize(),
+                                     MachineSpec.ft_autosize()],
+                         ids=lambda spec: spec.describe())
+@pytest.mark.parametrize("policy", ["square", "square-laa"])
+@pytest.mark.parametrize("program", sorted(SIZED_PROGRAMS))
+def test_live_region_matches_recompute_at_every_allocation(program, policy,
+                                                           machine, monkeypatch):
+    policies = []
+
+    def checking_policy(name):
+        assert name == "laa"
+        policies.append(LiveRegionCheckingAllocation())
+        return policies[-1]
+
+    monkeypatch.setattr(repro.core.compiler, "create_allocation_policy",
+                        checking_policy)
+    execute_job(CompileJob.for_benchmark(program, machine, policy,
+                                         overrides=SIZED_PROGRAMS[program]))
+    assert sum(policy.checked for policy in policies) > 0

@@ -15,7 +15,7 @@ from repro.ir.decompose import (
     t_count,
 )
 from repro.ir.gates import make_gate
-from repro.noise.statevector import simulate_statevector
+from tests.statevector import simulate_statevector
 
 
 class TestDecomposition:

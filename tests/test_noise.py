@@ -18,8 +18,8 @@ from repro.noise.monte_carlo import (
     total_variation_distance,
     tvd_from_ideal,
 )
-from repro.noise.statevector import StateVector, simulate_statevector
 from repro.workloads import rd53
+from tests.statevector import StateVector, simulate_statevector
 
 
 class TestNoiseModel:

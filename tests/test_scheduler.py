@@ -207,6 +207,10 @@ class ReferenceLivenessTracker:
         return tuple(self._open)
 
     @property
+    def live(self):
+        return self._open.keys()
+
+    @property
     def awaiting_first_gate(self):
         return self._open
 
@@ -314,7 +318,7 @@ def _seeded_scheduler(machine, seed, tracker):
     for virtual, site in enumerate(sites[:rng.randint(1, num_sites)]):
         scheduler.register_qubit(virtual, site)
         if rng.random() < 0.8:
-            scheduler.tracker.allocate(virtual, 0)
+            scheduler.allocate(virtual, 0)
         gate_finish = 0
         if rng.random() < 0.3:
             gate_finish = rng.randrange(2, 9)
@@ -326,9 +330,19 @@ def _seeded_scheduler(machine, seed, tracker):
     return scheduler, rng
 
 
+def recomputed_live_region(scheduler):
+    """``(count, row sum, column sum)`` of the live qubits' sites, from
+    scratch."""
+    topology = scheduler.machine.topology
+    sites = scheduler.layout.sites_of(scheduler.tracker.live_qubits())
+    return (len(sites), sum(topology.site_rows[s] for s in sites),
+            sum(topology.site_cols[s] for s in sites))
+
+
 def _assert_same_state(fast, reference):
     """Same clocks, layout, events and (after reclaiming every live qubit
-    at its clock) the same usage segments."""
+    at its clock) the same usage segments; the fast scheduler's live
+    region is its recomputed one throughout."""
     topology = fast.machine.topology
     assert fast._qubit_time == reference._qubit_time
     assert fast._site_time == reference._site_time
@@ -342,10 +356,12 @@ def _assert_same_state(fast, reference):
                 for s in range(topology.num_sites)})
     assert fast.layout.lowest_free_site() == reference.layout.lowest_free_site()
     assert fast.tracker.live_qubits() == reference.tracker.live_qubits()
+    assert fast.live_region == recomputed_live_region(fast)
     for scheduler in (fast, reference):
         for qubit in scheduler.tracker.live_qubits():
-            scheduler.tracker.reclaim(qubit, scheduler.qubit_time(qubit))
+            scheduler.reclaim(qubit)
     assert fast.tracker.segments == reference.tracker.segments
+    assert fast.live_region == (0, 0, 0)
 
 
 @pytest.mark.parametrize("machine", [

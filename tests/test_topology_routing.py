@@ -9,15 +9,24 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ArchitectureError, ResourceExhaustedError
 from repro.arch.braid import Braid, BraidTracker, manhattan_route, route_vertices
-from repro.arch.mapping import Layout
+from repro.arch.mapping import Layout, entry_sites
 from repro.arch.machine import NO_COMMUNICATION
 from repro.arch.nisq import NISQMachine
 from repro.arch.topology import Topology
 
 
-#: Square, non-square and line lattices and an all-to-all machine.
+def reversed_grid(rows, cols):
+    """A lattice whose sites are numbered from the far corner back, so
+    its last site sits at (0, 0)."""
+    coords = [(row, col) for row in range(rows) for col in range(cols)]
+    return Topology(coords[::-1], f"grid-{rows}x{cols}-reversed", is_lattice=True)
+
+
+#: Square, non-square and line lattices, an all-to-all machine and a
+#: lattice numbered in reverse.
 TOPOLOGIES = (Topology.grid(6, 6), Topology.grid(3, 7), Topology.grid(7, 2),
-              Topology.line(9), Topology.fully_connected(11))
+              Topology.line(9), Topology.fully_connected(11),
+              reversed_grid(6, 6))
 
 
 class TestTopology:
@@ -218,6 +227,19 @@ class TestLayout:
         with pytest.raises(ResourceExhaustedError):
             layout.nearest_free_site([0])
 
+    def test_ring_walk_reaches_the_far_corner(self):
+        # The last site of a reversed grid is (0, 0): a ring bound taken
+        # from its coordinates stopped the walk short of the one free
+        # site, (5, 5), and reported a full machine.
+        topology = reversed_grid(6, 6)
+        layout = Layout(topology)
+        free = topology.site_at((5, 5))
+        for virtual, site in enumerate(s for s in range(36) if s != free):
+            layout.place(virtual, site)
+        corner = topology.site_at((0, 0))
+        assert layout.nearest_free_sites([corner], 4) == [free]
+        assert layout.nearest_free_site([corner]) == free
+
     def test_nearest_free_sites_ordering(self):
         topology = Topology.grid(5, 5)
         layout = Layout(topology)
@@ -331,11 +353,13 @@ def reference_nearest_free_sites(layout, anchor_sites, limit):
         coords = [topology.coordinate(site) for site in anchor_sites]
         center_row = int(round(sum(r for r, _ in coords) / len(coords)))
         center_col = int(round(sum(c for _, c in coords) / len(coords)))
-        corner_row, corner_col = topology.coordinate(topology.num_sites - 1)
-        grid_span = max(corner_row, corner_col) + 1
+        # The ring through the site farthest from the centre.
+        far_corner = max(abs(r - center_row) + abs(c - center_col)
+                         for r, c in map(topology.coordinate,
+                                         range(topology.num_sites)))
         found = []
         radius = 0
-        while len(found) < limit and radius <= 2 * grid_span:
+        while len(found) < limit and radius <= far_corner:
             for coord in reference_ring_coordinates(center_row, center_col,
                                                     radius):
                 site = topology.site_at(coord)
@@ -347,6 +371,21 @@ def reference_nearest_free_sites(layout, anchor_sites, limit):
     free.sort(key=lambda site: sum(
         topology.distance(site, anchor) for anchor in anchor_sites))
     return free[:limit]
+
+
+def reference_entry_sites(topology, count):
+    """Entry parameters placed one at a time on an empty machine, each on
+    the reference's nearest free site to the centre and the earlier
+    ones."""
+    layout = Layout(topology)
+    anchors = [topology.num_sites // 2]
+    for virtual in range(count):
+        found = reference_nearest_free_sites(layout, anchors, 1)
+        if not found:
+            raise ResourceExhaustedError("no free site")
+        layout.place(virtual, found[0])
+        anchors.append(found[0])
+    return tuple(anchors[1:])
 
 
 def reference_shortest_path(topology, a, b):
@@ -432,6 +471,56 @@ class TestReferenceEquivalence:
             for limit in (0, 1, 5, 32):
                 assert (layout.nearest_free_sites(anchors, limit)
                         == reference_nearest_free_sites(layout, anchors, limit))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
+    def test_nearest_free_sites_follow_move_along(self, topology):
+        # Chains through empty sites move free cells around: the free
+        # mask must follow every one of them.
+        rng = random.Random(topology.num_sites + 1)
+        sites = range(topology.num_sites)
+        for trial in range(40):
+            layout = random_layout(topology, rng, rng.uniform(0.3, 0.95))
+            for _ in range(30):
+                free = [s for s in sites if layout.virtual_at(s) is None]
+                if not free:
+                    break
+                if topology.is_lattice:
+                    path = topology.shortest_path(rng.choice(sites),
+                                                  rng.choice(free))
+                else:
+                    path = rng.sample(sites, rng.randint(2, 5))
+                    path.insert(rng.randrange(len(path)), rng.choice(free))
+                    path = list(dict.fromkeys(path))
+                layout.move_along(path)
+                occupied = [s for s in sites if layout.virtual_at(s) is not None]
+                anchors = rng.sample(occupied,
+                                     min(len(occupied), rng.randint(1, 6)))
+                for limit in (1, 5, 32):
+                    assert (layout.nearest_free_sites(anchors, limit)
+                            == reference_nearest_free_sites(layout, anchors, limit))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
+    def test_entry_sites_match_the_uncached_walk(self, topology):
+        size = topology.num_sites
+        coords = [topology.coordinate(site) for site in range(size)]
+        twin = Topology(coords, "twin", topology.is_lattice)
+        for count in (0, 1, 2, 5, size // 2, size):
+            expected = reference_entry_sites(topology, count)
+            assert entry_sites(topology, count) == expected
+            # The cache is keyed on geometry: a renamed twin shares it.
+            assert entry_sites(twin, count) == expected
+        with pytest.raises(ResourceExhaustedError):
+            reference_entry_sites(topology, size + 1)
+        with pytest.raises(ResourceExhaustedError, match=topology.name):
+            entry_sites(topology, size + 1)
+
+    def test_entry_sites_are_not_keyed_on_the_name(self):
+        grid = Topology.grid(6, 6)
+        impostor = Topology(list(reversed([grid.coordinate(s) for s in range(36)])),
+                            grid.name, is_lattice=True)
+        assert entry_sites(grid, 9) == reference_entry_sites(grid, 9)
+        assert entry_sites(impostor, 9) == reference_entry_sites(impostor, 9)
+        assert entry_sites(impostor, 9) != entry_sites(grid, 9)
 
     @pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
     def test_shortest_path_matches_reference(self, topology):

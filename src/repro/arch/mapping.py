@@ -13,6 +13,7 @@ from array import array
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
+from threading import Lock
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -24,18 +25,22 @@ class Layout:
     """Bidirectional virtual-qubit <-> physical-site mapping.
 
     On a lattice the layout also keeps a *padded index* for the ring
-    walk of :meth:`nearest_free_sites`: the lattice's bounding box sits
-    in a flat cell array with a margin on every side at least as wide as
-    the largest ring (``height + width - 2``, which reaches the far
-    corner from any centre in the box), in rows whose width is rounded
-    up to a power of two.  A ring's cells are then fixed flat offsets
-    from its centre cell, with no bounds checks, and one cached getter
-    per ring and padded width (:func:`_ring_cells`) reads them all at C
-    speed.  Beside the cell -> site array the layout keeps a free mask,
+    walk of :meth:`nearest_free_sites`: the lattice's bounding box
+    (``height`` x ``width``) sits in a flat cell array whose rows are
+    ``2 * width - 1`` cells wide, with ``height - 1`` padding rows above
+    and below the box.  The rings leave out every cell more than
+    ``height - 1`` rows or ``width - 1`` columns from their centre (from
+    any centre in the box such a cell is off the box), so a ring cell
+    off the machine lands in a padding row or in the ``width - 1``
+    padding cells that end each row.  A ring's cells are then fixed flat
+    offsets from its centre cell, with no bounds checks, and one cached
+    getter per ring and lattice shape (:func:`_ring_cells`) reads them
+    all at C speed.  The index has fewer than ``6 * height * width``
+    cells.  Beside the cell -> site array the layout keeps a free mask,
     one byte per cell, set exactly for the sites no virtual qubit
-    occupies: :meth:`place` clears a byte, and :meth:`move_along`
-    touches the mask only when its path carries an empty site.  An
-    all-to-all machine has no ring walk and no index.
+    occupies: :meth:`place` clears a byte, and :meth:`move_along` writes
+    the byte of each site on its path.  An all-to-all machine has no
+    ring walk and no index.
 
     Args:
         topology: The machine topology whose sites are being assigned.
@@ -47,26 +52,24 @@ class Layout:
         self._virtual_at: Dict[int, int] = {}
         # Every site below this one is occupied (the lowest-free-site hint).
         self._lowest_free = 0
-        # The padded index (lattices only): the cell of lattice-box
-        # position (0, 0), each site's cell, each cell's site (-1 off the
-        # machine) and the free mask.
+        # The padded index (lattices only): its row width, the cell of
+        # lattice-box position (0, 0), each site's cell, each cell's site
+        # (-1 off the machine) and the free mask.
         self._pad_width = self._origin = 0
-        self._cell_of: List[int] = []
-        self._site_in = array("l")
+        self._cell_of = array("i")
+        self._site_in = array("i")
         self._free = bytearray()
         if topology.is_lattice and topology.num_sites:
-            height = topology.height
-            margin = height + topology.width - 2
-            pad_width = self._pad_width = _padded_width(topology.width + 2 * margin)
-            # Ring windows start up to _ring_base(pad_width) cells before
-            # their centre (see _ring_cells): the rows above the box cover it.
-            top = pad_width // 2 + 1
-            origin = self._origin = top * pad_width + margin
+            width = topology.width
+            pad_width = self._pad_width = 2 * width - 1
+            origin = self._origin = (topology.height - 1) * pad_width + width - 1
             first = origin - topology.row0 * pad_width - topology.col0
-            self._cell_of = [first + row * pad_width + col for row, col in
-                             zip(topology.site_rows, topology.site_cols)]
-            cells = (top + height + margin) * pad_width
-            self._site_in = array("l", [-1]) * cells
+            self._cell_of = array("i", [first + row * pad_width + col for row, col
+                                        in zip(topology.site_rows, topology.site_cols)])
+            # A ring around the box's far corner (cell 2 * origin) reaches
+            # at most cell 3 * origin.
+            cells = 3 * origin + 1
+            self._site_in = array("i", [-1]) * cells
             self._free = bytearray(cells)
             for site, cell in enumerate(self._cell_of):
                 self._site_in[cell] = site
@@ -204,7 +207,8 @@ class Layout:
         walk stops after the ring that completes ``limit`` sites or at
         the ring through the farthest lattice corner (or as soon as every
         free site is found).  A ring costs two getter calls on windows of
-        the free mask and the site array.  On an all-to-all machine, or
+        the free mask and the site array that start ``origin`` cells
+        before the centre cell.  On an all-to-all machine, or
         for an empty region, these are the lowest-numbered free sites.
         """
         topology = self._topology
@@ -218,19 +222,23 @@ class Layout:
         col = int(round(col_sum / count)) - topology.col0
         max_radius = (max(row, topology.height - 1 - row)
                       + max(col, topology.width - 1 - col))
-        pad_width = self._pad_width
-        centre = self._origin + row * pad_width + col
+        start = row * self._pad_width + col
+        centre = start + self._origin
         free = self._free
         site_in = self._site_in
         found = [site_in[centre]] if free[centre] else []
-        rings = _ring_cells(pad_width, max_radius)
-        start = centre - _ring_base(pad_width)
         free_window = memoryview(free)[start:]
         site_window = memoryview(site_in)[start:]
-        for ring in rings[:max_radius]:
-            # Once every free site is found, later rings add nothing.
-            if len(found) >= wanted:
-                break
+        rings: Tuple[Callable, ...] = ()
+        radius = 0
+        # Once every free site is found, later rings add nothing.
+        while len(found) < wanted and radius < max_radius:
+            if radius == len(rings):
+                # Rings are built only a little beyond where walks reach.
+                rings = _ring_cells(topology.height, topology.width,
+                                    min(max_radius, 2 * radius + 4))
+            ring = rings[radius]
+            radius += 1
             mask = ring(free_window)
             if 1 in mask:
                 found += compress(ring(site_window), mask)
@@ -271,18 +279,12 @@ class Layout:
         virtual_at = self._virtual_at
         site_of = self._site_of
         occupants = [virtual_at.pop(site, None) for site in path]
-        arrivals = occupants[1:] + occupants[:1]
-        if None not in occupants:
-            for site, virtual in zip(path, arrivals):
-                virtual_at[site] = virtual
-                site_of[virtual] = site
-            return occupants
-        # An empty site travels along the path: the free mask and the
-        # lowest-free hint follow it.
+        # The free mask and the lowest-free hint follow the sites' new
+        # occupants (an empty site travels along the path).
         free = self._free
         cell_of = self._cell_of
         lowest_free = self._lowest_free
-        for site, virtual in zip(path, arrivals):
+        for site, virtual in zip(path, occupants[1:] + occupants[:1]):
             if virtual is None:
                 if cell_of:
                     free[cell_of[site]] = 1
@@ -305,51 +307,69 @@ class Layout:
         )
 
 
-def _padded_width(width: int) -> int:
-    """A padded row width: ``width`` rounded up to a power of two, so
-    that lattice shapes share their ring cells."""
-    return 1 << (width - 1).bit_length()
+class _ShapeRings:
+    """The ring getters of one lattice shape built so far."""
+
+    __slots__ = ("getters",)
+
+    def __init__(self) -> None:
+        self.getters: Tuple[Callable, ...] = ()
 
 
-def _ring_base(pad_width: int) -> int:
-    """How far before a ring's centre cell the window that
-    :func:`_ring_cells` indexes starts."""
-    reach = pad_width // 2
-    return reach * pad_width + reach
+@lru_cache(maxsize=16)
+def _shape_rings(height: int, width: int) -> _ShapeRings:
+    return _ShapeRings()
 
 
-#: Padded width -> the ring getters built so far (see _ring_cells).
-_RINGS: Dict[int, Tuple[Callable, ...]] = {}
-
-
-def _ring_cells(pad_width: int, radius: int) -> Tuple[Callable, ...]:
-    """The Manhattan rings of radius 1..``radius`` (at least) in a padded
-    index ``pad_width`` cells wide, as cell getters.
+def _ring_cells(height: int, width: int, radius: int) -> Tuple[Callable, ...]:
+    """The Manhattan rings of radius 1..``radius`` (at least) in the
+    padded index of a ``height`` x ``width`` lattice box, as cell getters.
 
     Ring ``r``'s getter, applied to a window of the index that starts
-    :func:`_ring_base` cells before the centre, returns the ring's cells
-    in visiting order: offset 0..r-1, each in turn on the north-east,
-    south-east, south-west and north-west edge.  ``radius`` must not
-    exceed ``pad_width // 2``.  The rings are kept per padded
-    width and grown only as far as a walk has needed; a grown tuple
+    ``origin`` cells before the centre (``(height - 1) * (2 * width - 1)
+    + width - 1``, see :class:`Layout`), returns the ring's cells in
+    visiting order: offset 0..r-1, each in turn on the north-east,
+    south-east, south-west and north-west edge, leaving out the cells
+    more than ``height - 1`` rows or ``width - 1`` columns from the
+    centre.  ``radius`` must not exceed ``height + width - 2``, so every
+    ring keeps at least two cells.  The rings are kept for the 16 most
+    recent shapes, each grown about twice as far as walks have reached (at most
+    ``(2 * height - 1) * (2 * width - 1)`` cells in all); a grown tuple
     replaces the old one whole, so concurrent callers always see
     complete rings.
     """
-    rings = _RINGS.get(pad_width, ())
+    shape = _shape_rings(height, width)
+    rings = shape.getters
     if len(rings) >= radius:
         return rings
-    base = _ring_base(pad_width)
+    pad_width = 2 * width - 1
+    base = (height - 1) * pad_width + width - 1
     grown = list(rings)
     for size in range(len(rings) + 1, radius + 1):
+        # The offsets whose north-east and south-west cells are kept, and
+        # those whose south-east and north-west cells are.
+        ne_sw = range(max(0, size - height + 1), min(size, width))
+        se_nw = range(max(0, size - width + 1), min(size, height))
         cells: List[int] = []
-        for offset in range(size):
-            cells += (base + (offset - size) * pad_width + offset,
-                      base + offset * pad_width + size - offset,
-                      base + (size - offset) * pad_width - offset,
-                      base - offset * pad_width - size + offset)
+        for offset in sorted({*ne_sw, *se_nw}):
+            if offset in ne_sw:
+                cells.append(base + (offset - size) * pad_width + offset)
+            if offset in se_nw:
+                cells.append(base + offset * pad_width + size - offset)
+            if offset in ne_sw:
+                cells.append(base + (size - offset) * pad_width - offset)
+            if offset in se_nw:
+                cells.append(base - offset * pad_width + offset - size)
         grown.append(itemgetter(*cells))
-    rings = _RINGS[pad_width] = tuple(grown)
+    rings = shape.getters = tuple(grown)
     return rings
+
+
+#: (geometry, count) -> entry sites, oldest first (see entry_sites).
+_ENTRY_SITES: Dict[Tuple[Tuple[bool, Tuple[int, ...], Tuple[int, ...]], int],
+                   Tuple[int, ...]] = {}
+_ENTRY_SITES_SIZE = 64
+_ENTRY_SITES_LOCK = Lock()
 
 
 def entry_sites(topology: Topology, count: int) -> Tuple[int, ...]:
@@ -358,28 +378,23 @@ def entry_sites(topology: Topology, count: int) -> Tuple[int, ...]:
     ``num_sites // 2``) and the sites placed before it.
 
     The answer depends only on the topology's geometry and ``count``, so
-    it is computed once per such pair (a bounded cache).
+    it is kept for the 64 most recently computed such pairs.
 
     Raises:
         ResourceExhaustedError: If ``count`` qubits do not fit.
     """
-    sites = _entry_sites(topology.geometry, count)
-    if len(sites) < count:
-        raise ResourceExhaustedError(
-            f"machine {topology.name} has no free qubit sites"
-        )
+    key = (topology.geometry, count)
+    sites = _ENTRY_SITES.get(key)
+    if sites is None:
+        layout = Layout(topology)
+        anchors = [topology.num_sites // 2]
+        for virtual in range(count):
+            site = layout.nearest_free_site(anchors)
+            layout.place(virtual, site)
+            anchors.append(site)
+        sites = tuple(anchors[1:])
+        with _ENTRY_SITES_LOCK:
+            if len(_ENTRY_SITES) >= _ENTRY_SITES_SIZE:
+                del _ENTRY_SITES[next(iter(_ENTRY_SITES))]
+            _ENTRY_SITES[key] = sites
     return sites
-
-
-@lru_cache(maxsize=64)
-def _entry_sites(geometry: Tuple[bool, Tuple[int, ...], Tuple[int, ...]],
-                 count: int) -> Tuple[int, ...]:
-    """:func:`entry_sites` uncached, as far as the sites go."""
-    is_lattice, rows, cols = geometry
-    layout = Layout(Topology(list(zip(rows, cols)), "entry", is_lattice))
-    anchors = [len(rows) // 2]
-    for virtual in range(min(count, len(rows))):
-        site = layout.nearest_free_site(anchors)
-        layout.place(virtual, site)
-        anchors.append(site)
-    return tuple(anchors[1:])

@@ -234,20 +234,6 @@ class Topology:
         return [abs(site_rows[site] - row) + abs(site_cols[site] - col)
                 for site in sites]
 
-    def centroid_site(self, sites: Sequence[int]) -> int:
-        """Site closest to the coordinate centroid of ``sites``.
-
-        Returns site 0 when ``sites`` is empty.
-        """
-        if not sites:
-            return 0
-        self._check_sites(sites)
-        site_rows = self.site_rows
-        site_cols = self.site_cols
-        return self.centroid_of_sums(len(sites),
-                                     sum([site_rows[s] for s in sites]),
-                                     sum([site_cols[s] for s in sites]))
-
     def centroid_of_sums(self, count: int, row_sum: int, col_sum: int) -> int:
         """Site closest to the centroid of ``count`` sites whose rows and
         columns add up to ``row_sum`` and ``col_sum``.

@@ -66,9 +66,11 @@ class TestTopology:
         with pytest.raises(ArchitectureError):
             Topology.line(3).distance(0, 9)
 
-    def test_centroid_site_on_grid(self):
+    def test_centroid_of_sums_on_grid(self):
         grid = Topology.grid(3, 3)
-        assert grid.centroid_site([0, 2, 6, 8]) == 4
+        # Sites 0, 2, 6 and 8: the corners.
+        assert grid.centroid_of_sums(4, 0 + 0 + 2 + 2, 0 + 2 + 0 + 2) == 4
+        assert grid.centroid_of_sums(0, 0, 0) == 0
 
     @settings(max_examples=60)
     @given(st.sampled_from(["line", "grid", "full"]),
@@ -240,6 +242,21 @@ class TestLayout:
         assert layout.nearest_free_sites([corner], 4) == [free]
         assert layout.nearest_free_site([corner]) == free
 
+    @pytest.mark.parametrize("rows, cols", [(1, 4096), (4096, 1), (4, 1024),
+                                            (64, 64)])
+    def test_padded_index_grows_with_the_site_count(self, rows, cols):
+        # The index once had a margin as wide as the largest ring on every
+        # side, so it grew with the square of the long side (201M cells
+        # for a 1 x 4096 line).
+        topology = Topology.grid(rows, cols)
+        layout = Layout(topology)
+        assert len(layout._site_in) == len(layout._free) < 6 * topology.num_sites
+        # The walk from one end still reaches the other.
+        far = topology.num_sites - 1
+        for site in range(far):
+            layout.place(site, site)
+        assert layout.nearest_free_sites([0], 4) == [far]
+
     def test_nearest_free_sites_ordering(self):
         topology = Topology.grid(5, 5)
         layout = Layout(topology)
@@ -254,10 +271,10 @@ class TestLayout:
         layout.place(1, 8)
         sites = layout.sites_of([0, 5, 1])
         assert sites == [0, 8]
-        centroid = topology.centroid_site(sites)
+        centroid = topology.centroid_of_sums(2, 0 + 2, 0 + 2)
         assert centroid == 4
         assert topology.distance_sums(sites, [centroid]) == [4]
-        assert topology.distance_sums([0], [topology.centroid_site([0])]) == [0]
+        assert topology.distance_sums([0], [topology.centroid_of_sums(1, 0, 0)]) == [0]
 
     def test_lowest_free_site_hint_follows_place_and_swaps(self):
         # Reference model: a site -> occupant dict, swapped one pair at a time.

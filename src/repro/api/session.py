@@ -21,6 +21,7 @@ and parallelism live in exactly one place::
 from __future__ import annotations
 
 import threading
+import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ExperimentError
@@ -30,7 +31,8 @@ from repro.api.sweep import SweepEntry, SweepResult, SweepSpec
 from repro.core.compiler import preset
 from repro.core.result import CompilationResult, JobFailure
 from repro.ir.program import Program
-from repro.telemetry.spans import child_span, record_compile_spans
+from repro.telemetry.spans import (child_span, current_span,
+                                   record_compile_spans)
 
 
 class _Flight:
@@ -315,6 +317,39 @@ class Session:
         if self.verify:
             entries = self._verify_entries(entries)
         return SweepResult(entries)
+
+    def recall(self, job: CompileJob) -> Optional[SweepEntry]:
+        """Answer ``job`` from the in-memory tier alone; None on a miss.
+
+        A hit is accounted as :meth:`run` accounts one: a cache hit, a
+        ``cache.memory`` span under the active span, the tier event, and
+        the verifier report when :attr:`verify` is on.  A miss records
+        nothing, so a caller that falls back to :meth:`run` is counted
+        once.  The service answers ``/compile`` memory hits with this on
+        the request's own thread.
+        """
+        fingerprint = job.fingerprint()
+        started = time.perf_counter()
+        with self._lock:
+            result = self._cache.get(fingerprint)
+            if result is None:
+                return None
+            self.cache_hits += 1
+        active = current_span()
+        if active is not None and active.recorder is not None:
+            active.recorder.add(
+                "cache.memory", trace_id=active.trace_id,
+                parent_id=active.span_id, start_mono=started,
+                duration=time.perf_counter() - started,
+                labels={"hits": "1", "misses": "0"})
+        if self.events is not None:
+            self.events.debug("cache.memory consulted", component="cache",
+                              fields={"tier": "memory", "hits": 1,
+                                      "misses": 0})
+        entry = SweepEntry(job=job, result=result, cached=True)
+        if self.verify:
+            entry = self._verify_entries([entry])[0]
+        return entry
 
     def _observe_compile_metrics(self, resolved: Dict[str, object],
                                  fresh) -> None:

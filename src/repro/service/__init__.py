@@ -21,9 +21,9 @@ HTTP with results that survive restarts:
   calls and the async ``submit_async``/``poll``/``wait_for``/``cancel``
   surface, plus ``iter_entries`` streaming a sweep's per-entry results
   as workers finish them (the feed
-  :class:`~repro.cluster.FleetExecutor` shards over a fleet);
-  idempotent GETs retry with exponential backoff, so poll loops
-  survive server restarts.
+  :class:`~repro.cluster.FleetExecutor` shards over a fleet); one
+  persistent connection per calling thread, and idempotent GETs retry
+  with exponential backoff, so poll loops survive server restarts.
 
 Quick start (one process)::
 

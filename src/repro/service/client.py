@@ -20,14 +20,21 @@ finished ticket into the usual result objects, and ``iter_entries``
 streams a sweep's per-entry results as workers finish them — the feed
 the :class:`~repro.cluster.FleetExecutor` gathers across servers.
 
-Pure stdlib (``urllib``).  Transport and protocol problems raise
+Pure stdlib (:mod:`http.client`).  Each thread that uses a client
+keeps one persistent HTTP/1.1 connection to the service, so a request
+costs one round trip, not a connect; a connection the server has
+closed (restart, idle timeout) is noticed before the next request and
+reopened.  ``close()`` or a ``with`` block closes them all.
+
+Transport and protocol problems raise
 :class:`~repro.exceptions.ServiceError` — except a full server queue,
 which raises the structured
 :class:`~repro.exceptions.BackPressureError` so callers can tell
 "retry later" from "bad request".  Idempotent GETs (health, stats,
 polling) retry with exponential backoff on connection refused/reset, so
-a poll loop survives a server restart.  A job that failed on the server
-re-raises client-side as its original library exception type (via
+a poll loop survives a server restart; a POST is sent at most once.  A
+job that failed on the server re-raises client-side as its original
+library exception type (via
 :meth:`~repro.core.result.JobFailure.to_exception`), exactly like a
 local session would.
 """
@@ -36,10 +43,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
+import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import (
@@ -58,12 +66,30 @@ from repro.telemetry import TRACE_HEADER, SpanRecorder, coerce_trace_id
 #: Job states a ticket can never leave (mirror of repro.queue).
 _TERMINAL_STATES = ("DONE", "FAILED", "CANCELLED")
 
+_CONNECTION_TYPES = {"http": http.client.HTTPConnection,
+                     "https": http.client.HTTPSConnection}
+
+
+def _readable(sock) -> bool:
+    """True when ``sock`` has something to read right now.
+
+    Between requests a keep-alive connection has nothing to read, so a
+    readable one was closed by the server (EOF) or is out of step.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    readable, _, _ = select.select([sock], [], [], 0)
+    return bool(readable)
+
 
 class ServiceClient:
     """Talks JSON to a running compilation service endpoint.
 
     Args:
-        base_url: Service root, e.g. ``"http://127.0.0.1:8731"``.
+        base_url: Service root, e.g. ``"http://127.0.0.1:8731"``;
+            ``https://`` connects over TLS.
         timeout: Per-request timeout in seconds.  Synchronous
             compilation happens inside the request, so size this to the
             largest job you submit (async submissions return at once
@@ -93,12 +119,30 @@ class ServiceClient:
                  trace_id: Optional[str] = None,
                  spans: Optional[SpanRecorder] = None) -> None:
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        try:
+            self._connection_type = _CONNECTION_TYPES[url.scheme]
+            self._port = url.port
+            if not url.hostname:
+                raise ValueError("no host")
+        except (KeyError, ValueError):
+            raise ServiceError(f"service URL must be http://host[:port] or "
+                               f"https://host[:port], got {base_url!r}"
+                               ) from None
+        self._host = url.hostname
+        self._prefix = url.path
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.api_key = api_key
         self.trace_id = coerce_trace_id(trace_id)
         self.spans = spans
+        # One connection per thread; a thread's goes when the thread
+        # ends, and _open reaches every live one for close().
+        self._local = threading.local()
+        self._open: "weakref.WeakSet[http.client.HTTPConnection]" = \
+            weakref.WeakSet()
+        self._open_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str,
@@ -111,10 +155,51 @@ class ServiceClient:
                                      "path": path.partition("?")[0]}):
             return self._send(method, path, payload, raw)
 
+    def _connect(self) -> http.client.HTTPConnection:
+        """Open a new connection to the service (the transport seam)."""
+        connection = self._connection_type(self._host, self._port,
+                                           timeout=self.timeout)
+        connection.connect()
+        return connection
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's open connection, reopened if the server closed it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            if connection.sock is not None and not _readable(connection.sock):
+                return connection
+            self._drop()
+        connection = self._connect()
+        self._local.connection = connection
+        with self._open_lock:
+            self._open.add(connection)
+        return connection
+
+    def _drop(self) -> None:
+        """Close and forget this thread's connection."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            self._local.connection = None
+            with self._open_lock:
+                self._open.discard(connection)
+            connection.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; later requests reopen one."""
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def _send(self, method: str, path: str,
               payload: Optional[Mapping[str, object]] = None,
               raw: bool = False):
-        url = f"{self.base_url}{path}"
         data = None
         headers = {"Accept": "application/json",
                    TRACE_HEADER: self.trace_id}
@@ -123,42 +208,42 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers,
-                                         method=method)
         attempts = 1 + (self.retries if method == "GET" else 0)
         for attempt in range(attempts):
+            connection = None
             try:
-                with urllib.request.urlopen(
-                        request, timeout=self.timeout) as response:
-                    body = response.read()
+                connection = self._connection()
+                connection.request(method, self._prefix + path, body=data,
+                                   headers=headers)
+                response = connection.getresponse()
+                body = response.read()
                 break
-            except urllib.error.HTTPError as error:
-                raise self._http_error(path, error) from None
-            except urllib.error.URLError as error:
-                # Only connection refused/reset retries: those are the
-                # restart-in-progress signatures, and only for GETs,
-                # which are idempotent against this service.
-                transient = isinstance(error.reason, (ConnectionRefusedError,
-                                                      ConnectionResetError))
-                if transient and attempt + 1 < attempts:
+            except (OSError, http.client.HTTPException) as error:
+                self._drop()
+                # A refused/reset connect, or a connection dropped
+                # mid-request, is what a server restart looks like.  A
+                # GET is safe to reissue (a died long-poll included); a
+                # POST may have been acted on, so it is sent once.
+                if (method == "GET" and attempt + 1 < attempts
+                        and isinstance(error, (ConnectionError,
+                                               http.client.HTTPException))):
                     time.sleep(self.backoff * (2 ** attempt))
                     continue
-                raise ServiceError(
-                    f"cannot reach compilation service at {self.base_url}: "
-                    f"{error.reason}"
-                ) from None
-            except (ConnectionError, http.client.HTTPException) as error:
-                # A server dying *mid-request* surfaces as a raw socket
-                # reset or a half-written HTTP response rather than a
-                # URLError; same transient treatment, same GET-only
-                # retry (a died long-poll is safe to reissue).
-                if method == "GET" and attempt + 1 < attempts:
-                    time.sleep(self.backoff * (2 ** attempt))
-                    continue
+                if connection is None:
+                    raise ServiceError(
+                        f"cannot reach compilation service at "
+                        f"{self.base_url}: {error}") from None
                 raise ServiceError(
                     f"connection to {self.base_url} failed mid-request "
                     f"on {path}: {error!r}"
                 ) from None
+            except BaseException:
+                # Interrupted mid-exchange: the connection cannot carry
+                # another request.
+                self._drop()
+                raise
+        if response.status >= 400:
+            raise self._http_error(path, response.status, body)
         if raw:
             return body.decode("utf-8")
         try:
@@ -172,8 +257,7 @@ class ServiceClient:
         return decoded
 
     @staticmethod
-    def _http_error(path: str,
-                    error: urllib.error.HTTPError) -> ServiceError:
+    def _http_error(path: str, status: int, body: bytes) -> ServiceError:
         """Rebuild the service-side error as the right client exception.
 
         The returned exception carries the HTTP status as
@@ -184,13 +268,13 @@ class ServiceClient:
         detail = ""
         record: Dict[str, object] = {}
         try:
-            payload = json.loads(error.read())
+            payload = json.loads(body)
             record = payload["error"]
             detail = record["message"]
         except Exception:
             pass
         suffix = f": {detail}" if detail else ""
-        message = f"{path} failed with HTTP {error.code}{suffix}"
+        message = f"{path} failed with HTTP {status}{suffix}"
         if record.get("type") == "QuotaExceededError":
             rebuilt: ServiceError = QuotaExceededError(
                 message, tenant=str(record.get("tenant", "")),
@@ -206,7 +290,7 @@ class ServiceClient:
             rebuilt = UnknownJobError(message)
         else:
             rebuilt = ServiceError(message)
-        rebuilt.http_status = error.code
+        rebuilt.http_status = status
         return rebuilt
 
     def _get(self, path: str) -> Dict:

@@ -1,14 +1,17 @@
 """HTTP compilation service: the `repro.api` Session over a network endpoint.
 
-Pure stdlib (:class:`http.server.ThreadingHTTPServer`).  Every request —
-synchronous or asynchronous — flows through one
+Pure stdlib (:class:`http.server.ThreadingHTTPServer`), HTTP/1.1 with
+persistent connections.  Work flows through one
 :class:`~repro.queue.manager.JobManager`: submissions enqueue onto a
 bounded priority queue and a :class:`~repro.queue.workers.WorkerPool`
 drains it into one shared thread-safe memoizing
 :class:`~repro.api.session.Session` (optionally backed by a persistent
 :class:`~repro.service.cache.DiskCache`).  A large sweep therefore
 occupies one worker while other workers keep serving small requests —
-nothing serializes behind a single lock any more.  Jobs always run with
+nothing serializes behind a single lock any more.  The one exception is
+a ``/compile`` whose job is already in the session's memory tier: the
+handler thread answers it at once, with no job record, no queue and no
+worker (see :meth:`CompilationService.compile`).  Jobs always run with
 failure isolation: a request for an impossible machine comes back as a
 structured error entry, never as a dead batch or a dead server.
 
@@ -26,9 +29,10 @@ Endpoints (all JSON):
   it across shards.
 * ``GET  /registry``          — benchmarks, policies, machine kinds,
   scales.
-* ``POST /compile``           — one job descriptor, synchronous
-  (submit + wait): returns the result payload plus ``cached``/
-  ``disk_hit`` provenance flags.
+* ``POST /compile``           — one job descriptor, synchronous: a
+  memory hit is answered on the handler thread, anything else is
+  submitted and waited for; returns the result payload plus
+  ``cached``/``disk_hit`` provenance flags.
 * ``POST /sweep``             — sweep descriptor or explicit job list,
   synchronous: per-entry payloads, table rows, cache stats.
 * ``POST /jobs``              — asynchronous submission: the same
@@ -77,6 +81,7 @@ programmatically with :func:`make_server`.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.parse
@@ -93,7 +98,7 @@ from repro.exceptions import (
 )
 from repro.api.job import CompileJob, MACHINE_KINDS
 from repro.api.session import Session
-from repro.api.sweep import SweepResult, SweepSpec
+from repro.api.sweep import SweepEntry, SweepResult, SweepSpec
 from repro.core.compiler import POLICY_PRESETS
 from repro.queue import DONE, FAILED, JobManager, QueuedJob
 from repro.tenancy import (
@@ -137,6 +142,11 @@ MAX_ENTRY_POLL_SECONDS = 30.0
 #: paying it once per entry.
 PARALLEL_CHUNK_ROUNDS = 8
 
+#: Seconds one socket read or write of a request handler may block.  A
+#: keep-alive connection idle for longer is closed, so an abandoned one
+#: does not pin its handler thread.
+IDLE_TIMEOUT_SECONDS = 30.0
+
 
 class CompilationService:
     """The transport-independent service core: queue + workers + session.
@@ -146,7 +156,8 @@ class CompilationService:
     the :class:`~repro.queue.manager.JobManager` provides admission
     control (bounded queue, structured back-pressure), job lifecycle
     tracking and graceful shutdown.  The synchronous endpoints are sugar
-    over the asynchronous path: submit, wait, unwrap.
+    over the asynchronous path: submit, wait, unwrap — except a
+    ``/compile`` memory hit, which :meth:`compile` answers at once.
 
     Args:
         session: Explicit session to serve; defaults to a new one.
@@ -380,6 +391,17 @@ class CompilationService:
     def _execute_compile(self, queued: QueuedJob) -> Dict[str, object]:
         job = CompileJob.from_dict(queued.payload["job"])
         entry = self.session.run([job], isolate_failures=True)[0]
+        response = self._compile_response(job, entry)
+        self.manager.record_entry(queued, entry.to_record())
+        return response
+
+    def _compile_response(self, job: CompileJob,
+                          entry: SweepEntry) -> Dict[str, object]:
+        """Count one executed compile job and build its ``/compile`` reply.
+
+        The one builder for queued jobs and inline memory hits, so the
+        two replies are byte-identical.
+        """
         with self._counters:
             self.jobs_run += 1
             if not entry.ok:
@@ -397,7 +419,6 @@ class CompilationService:
                 response["verification"] = entry.verification.to_dict()
         else:
             response["error"] = entry.error.to_dict()
-        self.manager.record_entry(queued, entry.to_record())
         return response
 
     def _execute_sweep(self, queued: QueuedJob) -> Dict[str, object]:
@@ -473,12 +494,24 @@ class CompilationService:
 
         Accepts either a bare :meth:`~repro.api.job.CompileJob.from_dict`
         descriptor or ``{"job": {...}}``.
+
+        A job already in the session's memory tier is answered on the
+        calling thread (:meth:`~repro.api.session.Session.recall`): it
+        creates no job record, is not journaled, is not charged to the
+        tenant's fair-share burst and cannot be refused with a 429 or
+        503.  It counts in ``jobs_run`` and the session's cache hits
+        like a queued hit.  A miss or a disk hit is submitted and
+        waited for.
         """
         self._count_request()
         kind, work, priority, deadline = self._parse_submission(payload)
         if kind != "compile":
             raise ServiceError("/compile takes a single job descriptor; "
                                "POST sweeps to /sweep or /jobs")
+        job = CompileJob.from_dict(work["job"])
+        entry = self.session.recall(job)
+        if entry is not None:
+            return self._compile_response(job, entry)
         return self._submit_and_wait(kind, work, priority,
                                      tenant=tenant, deadline=deadline,
                                      trace_id=trace_id)
@@ -832,6 +865,11 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
 
     server_version = "ReproCompilationService/2.0"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_SECONDS
+    # With Nagle on, a reply written in two parts (headers, then body)
+    # would wait ~40 ms for the client's delayed ACK before its second
+    # part left.  ``_send_body`` writes one part; this covers the rest.
+    disable_nagle_algorithm = True
 
     _KNOWN = ["GET /health", "GET /stats", "GET /metrics", "GET /registry",
               "GET /trace/<id>", "GET /logs",
@@ -847,6 +885,10 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
 
     #: True while handling an observability read (no access-log event).
     _quiet: bool = False
+
+    #: The request's body, read in ``_route`` before any reply; None
+    #: when its declared extent is unknown.
+    _body: Optional[bytes] = b""
 
     @staticmethod
     def _query_int(params: Dict[str, List[str]], name: str):
@@ -882,8 +924,10 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
             # Echo the (possibly server-minted) trace id, so a client
             # that sent none learns the id its job records carry.
             self.send_header(TRACE_HEADER, self._trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the header block on its own; status,
+        # headers and body leave in one write instead.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _send_json(self, status: int, payload: Mapping[str, object]) -> None:
         self._send_body(status, json.dumps(payload).encode("utf-8"),
@@ -904,18 +948,34 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
             record["tenant"] = error.tenant
         self._send_json(status, {"ok": False, "error": record})
 
-    def _read_payload(self) -> Mapping[str, object]:
-        header = self.headers.get("Content-Length") or "0"
+    def _read_body(self) -> Optional[bytes]:
+        """Consume the request's declared body, whatever the reply.
+
+        Every request reads its body here, before routing, so a reply
+        that never looks at it (401, 404, cancel) leaves the connection
+        at the next request.  A body of unknown extent (an invalid
+        ``Content-Length``, or chunked) cannot be skipped: the
+        connection closes after the reply and None is returned.
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            if self.headers.get("Transfer-Encoding"):
+                self.close_connection = True
+            return b""
         try:
             length = int(header)
         except ValueError:
             length = -1
         if length < 0:
-            # The body's extent is unknown, so the connection cannot
-            # carry another request after the 400.
             self.close_connection = True
-            raise ServiceError(f"invalid Content-Length {header!r}")
-        body = self.rfile.read(length) if length else b""
+            return None
+        return self.rfile.read(length) if length else b""
+
+    def _read_payload(self) -> Mapping[str, object]:
+        body = self._body
+        if body is None:
+            raise ServiceError(f"invalid Content-Length "
+                               f"{self.headers.get('Content-Length')!r}")
         if not body:
             return {}
         try:
@@ -998,6 +1058,7 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
         # access-log event for scrapes/log fetches (the same reason
         # they are not counted as requests).
         self._quiet = path in ("/metrics", "/logs")
+        self._body = self._read_body()
         try:
             service: CompilationService = self.server.service
             tenant = service.authenticate(self.headers.get(AUTH_HEADER))
@@ -1058,6 +1119,15 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
             fields={"method": method, "path": path, "status": status})
 
     # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        self.server.request_started(self.connection)
+        return super().parse_request()
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if not self.server.request_finished(self.connection):
+            self.close_connection = True
+
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._route("GET")
 
@@ -1089,15 +1159,77 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
 class CompilationHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server that owns a :class:`CompilationService`.
 
-    ``server_close`` also shuts the service's worker pool down, so the
-    ``shutdown()`` + ``server_close()`` idiom used by tests and the CLI
-    never leaks worker threads or strands queued jobs.
+    Connections persist, so stopping must reach them too: from the
+    moment ``shutdown()`` is called no new request is served, as when
+    every request came on a new connection.  Idle connections are shut
+    down at once, a busy one closes after its current reply, and a new
+    one is closed on accept.  ``server_close`` does the same and then
+    closes the service's worker pool, so the ``shutdown()`` +
+    ``server_close()`` idiom used by tests and the CLI leaks no handler
+    or worker threads and strands no queued jobs.
     """
 
     service: CompilationService
 
+    def __init__(self, *args, **kwargs) -> None:
+        # Open client connections -> True while one waits for a request.
+        self._connections: Dict[socket.socket, bool] = {}
+        self._connections_lock = threading.Lock()
+        self._stopping = False
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        # Registered before the handler thread starts, so a stop racing
+        # the accept still reaches the connection.
+        with self._connections_lock:
+            stopping = self._stopping
+            if not stopping:
+                self._connections[request] = True
+        if stopping:
+            self.shutdown_request(request)
+            return
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def request_started(self, connection: socket.socket) -> None:
+        """A request arrived on ``connection``: it is busy until its reply."""
+        with self._connections_lock:
+            if connection in self._connections:
+                self._connections[connection] = False
+
+    def request_finished(self, connection: socket.socket) -> bool:
+        """``connection`` is idle again; False when it must close instead."""
+        with self._connections_lock:
+            if self._stopping:
+                return False
+            if connection in self._connections:
+                self._connections[connection] = True
+            return True
+
+    def _hang_up(self) -> None:
+        """Stop serving: shut the idle connections down now (their
+        handlers read EOF and exit; their clients see the close)."""
+        with self._connections_lock:
+            self._stopping = True
+            idle = [connection for connection, waiting
+                    in self._connections.items() if waiting]
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def shutdown(self) -> None:
+        self._hang_up()
+        super().shutdown()
+
     def server_close(self) -> None:
         super().server_close()
+        self._hang_up()
         service = getattr(self, "service", None)
         if service is not None:
             service.close()

@@ -3,10 +3,10 @@ service path built on it: /jobs endpoints, back-pressure, cancellation,
 disk-cache eviction, client retry, and session-level concurrency."""
 
 import json
+import socket
+import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -761,22 +761,25 @@ class TestConcurrentCompileNotSerialized:
 # Client retry with backoff
 # ----------------------------------------------------------------------
 class TestClientRetry:
+    """The client's retry contract at its transport seam, ``_connect``
+    (opens one connection; a refusal surfaces there)."""
+
     def test_get_retries_connection_refused(self, async_service,
                                             monkeypatch):
         client = ServiceClient(async_service.base_url, retries=3,
                                backoff=0.001)
-        real_urlopen = urllib.request.urlopen
+        real_connect = client._connect
         calls = {"count": 0}
 
-        def flaky(request, timeout=None):
+        def flaky():
             calls["count"] += 1
             if calls["count"] <= 2:
-                raise urllib.error.URLError(
-                    ConnectionRefusedError(111, "Connection refused"))
-            return real_urlopen(request, timeout=timeout)
+                raise ConnectionRefusedError(111, "Connection refused")
+            return real_connect()
 
-        monkeypatch.setattr(urllib.request, "urlopen", flaky)
-        assert client.health()["status"] == "ok"
+        monkeypatch.setattr(client, "_connect", flaky)
+        with client:
+            assert client.health()["status"] == "ok"
         assert calls["count"] == 3  # two refusals + one success
 
     def test_post_is_never_retried(self, async_service, monkeypatch):
@@ -784,12 +787,11 @@ class TestClientRetry:
                                backoff=0.001)
         calls = {"count": 0}
 
-        def refused(request, timeout=None):
+        def refused():
             calls["count"] += 1
-            raise urllib.error.URLError(
-                ConnectionRefusedError(111, "Connection refused"))
+            raise ConnectionRefusedError(111, "Connection refused")
 
-        monkeypatch.setattr(urllib.request, "urlopen", refused)
+        monkeypatch.setattr(client, "_connect", refused)
         with pytest.raises(ServiceError):
             client.compile_job(RD53)
         assert calls["count"] == 1  # a submission must not double
@@ -799,12 +801,11 @@ class TestClientRetry:
                                backoff=0.001)
         calls = {"count": 0}
 
-        def refused(request, timeout=None):
+        def refused():
             calls["count"] += 1
-            raise urllib.error.URLError(
-                ConnectionRefusedError(111, "Connection refused"))
+            raise ConnectionRefusedError(111, "Connection refused")
 
-        monkeypatch.setattr(urllib.request, "urlopen", refused)
+        monkeypatch.setattr(client, "_connect", refused)
         with pytest.raises(ServiceError):
             client.health()
         assert calls["count"] == 3  # initial try + 2 retries
@@ -814,14 +815,109 @@ class TestClientRetry:
                                backoff=0.001)
         calls = {"count": 0}
 
-        def unreachable(request, timeout=None):
+        def unreachable():
             calls["count"] += 1
-            raise urllib.error.URLError(OSError("no route to host"))
+            raise OSError("no route to host")
 
-        monkeypatch.setattr(urllib.request, "urlopen", unreachable)
+        monkeypatch.setattr(client, "_connect", unreachable)
         with pytest.raises(ServiceError):
             client.health()
         assert calls["count"] == 1
+
+    def test_request_dropped_after_send(self):
+        """A POST whose connection dies after it was written raises and
+        is not re-sent; a GET is reissued on a new connection."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+        port = listener.getsockname()[1]
+        methods = []
+
+        def drop_every_request():
+            # Read each request's head, then hang up without a reply.
+            with listener:
+                for _ in range(4):  # 1 POST + 3 GET attempts
+                    connection, _ = listener.accept()
+                    with connection:
+                        head = b""
+                        while b"\r\n\r\n" not in head:
+                            chunk = connection.recv(65536)
+                            if not chunk:
+                                break
+                            head += chunk
+                        methods.append(head.split(b" ", 1)[0])
+
+        thread = threading.Thread(target=drop_every_request, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5,
+                               retries=2, backoff=0.001)
+        with pytest.raises(ServiceError, match="mid-request"):
+            client.compile_job(RD53)
+        assert methods == [b"POST"]
+        with pytest.raises(ServiceError, match="mid-request"):
+            client.health()
+        thread.join(timeout=5)
+        assert methods == [b"POST", b"GET", b"GET", b"GET"]
+
+    def test_one_client_across_a_same_port_restart(self, tmp_path):
+        def start(port):
+            server = make_server("127.0.0.1", port,
+                                 cache_dir=str(tmp_path))
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            return server, thread
+
+        def stop(server, thread):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+        server, thread = start(0)
+        port = server.server_address[1]
+        with ServiceClient(f"http://127.0.0.1:{port}", timeout=30) as client:
+            assert client.compile_job(RD53)["ok"]
+            stop(server, thread)
+            server, thread = start(port)
+            try:
+                # The held connection died with the old server: the
+                # POST must notice that before it is written.
+                restarted = client.compile_job(RD53)
+                assert restarted["ok"] and restarted["disk_hit"]
+                assert client.health()["status"] == "ok"
+            finally:
+                stop(server, thread)
+
+    def test_threads_sharing_a_client_get_their_own_replies(
+            self, async_service):
+        client = async_service
+        jobs = [CompileJob.for_benchmark("RD53", GRID, policy)
+                for policy in ("square", "lazy", "eager", "square-laa")]
+        for job in jobs:
+            assert client.compile_job(job)["ok"]
+        replies, problems = [], []
+
+        def hammer(job):
+            try:
+                for _ in range(10):
+                    response = client.compile_job(job)
+                    replies.append(response["fingerprint"] == job.fingerprint())
+            except Exception as error:  # a thread's failure fails the test
+                problems.append(repr(error))
+
+        threads = [threading.Thread(target=hammer, args=(job,))
+                   for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert replies == [True] * 40
 
 
 # ----------------------------------------------------------------------

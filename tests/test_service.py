@@ -1,8 +1,10 @@
 """Tests for repro.service: disk cache, failure isolation, HTTP endpoint."""
 
+import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.service import (
     CompilationService,
     DiskCache,
     ServiceClient,
+    ServiceHTTPHandler,
     make_server,
 )
 
@@ -455,6 +458,20 @@ class TestHTTPEndpoint:
         with pytest.raises(ServiceError):
             client.health()
 
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1:9", "127.0.0.1:9",
+                                     "http://127.0.0.1:port"])
+    def test_service_url_is_checked(self, url):
+        with pytest.raises(ServiceError):
+            ServiceClient(url)
+
+    def test_https_url_speaks_tls(self, http_service):
+        client, _ = http_service
+        # The service itself speaks plain HTTP, so the handshake fails.
+        tls = ServiceClient(client.base_url.replace("http:", "https:"),
+                            timeout=5)
+        with pytest.raises(ServiceError, match="SSL"):
+            tls.health()
+
     def test_warm_cache_survives_server_restart(self, http_service):
         client, cache_dir = http_service
         job = CompileJob.for_benchmark("ADDER4", GRID, "square")
@@ -476,6 +493,158 @@ class TestHTTPEndpoint:
             restarted.shutdown()
             restarted.server_close()
             thread.join(timeout=5)
+
+
+class TestKeepAlive:
+    """One connection carries request after request, whatever each
+    reply was and however fast the replies come."""
+
+    @staticmethod
+    def _connection(client):
+        host, port = client.base_url[len("http://"):].split(":")
+        return http.client.HTTPConnection(host, int(port), timeout=5)
+
+    def _status_then_health(self, client, method, path, body,
+                            headers=None):
+        """Status of one request, then of ``GET /health``, on one
+        connection."""
+        connection = self._connection(client)
+        try:
+            connection.request(method, path, body=body,
+                               headers=headers or {})
+            first = connection.getresponse()
+            first.read()
+            connection.request("GET", "/health")
+            second = connection.getresponse()
+            assert second.status != 200 or \
+                json.loads(second.read())["status"] == "ok"
+            return first.status, second.status
+        finally:
+            connection.close()
+
+    def test_unread_body_after_a_401(self, http_service):
+        client, _ = http_service
+        statuses = self._status_then_health(
+            client, "POST", "/compile", json.dumps({"job": RD53.to_dict()}),
+            {"X-Repro-Key": "no-such-key"})
+        assert statuses == (401, 200)
+
+    def test_unread_body_after_a_404(self, http_service):
+        client, _ = http_service
+        statuses = self._status_then_health(
+            client, "POST", "/nonsense", json.dumps({"job": RD53.to_dict()}))
+        assert statuses == (404, 200)
+
+    def test_cancel_body_is_consumed(self, http_service):
+        client, _ = http_service
+        job_id = client.submit_async(RD53)
+        statuses = self._status_then_health(
+            client, "POST", f"/jobs/{job_id}/cancel", b"{}")
+        assert statuses == (200, 200)
+
+    def test_replies_do_not_wait_for_a_delayed_ack(self, http_service):
+        client, _ = http_service
+        connection = self._connection(client)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        # A Nagle stall costs ~40 ms a reply, 0.8 s for the 20.
+        assert elapsed < 0.4
+
+    def test_closed_server_stops_answering_held_connections(self):
+        server = make_server("127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}", timeout=5,
+                               retries=1, backoff=0.001)
+        assert client.health()["status"] == "ok"
+        held = http.client.HTTPConnection(host, port, timeout=5)
+        held.request("GET", "/health")
+        held.getresponse().read()
+        server.shutdown()
+        # Serving stops with shutdown(): the idle connection is closed.
+        assert held.sock.recv(1) == b""
+        held.close()
+        server.server_close()
+        thread.join(timeout=5)
+        with pytest.raises(ServiceError):
+            client.health()
+
+    def test_idle_connection_is_closed_and_reopened(self, monkeypatch):
+        monkeypatch.setattr(ServiceHTTPHandler, "timeout", 0.2)
+        server = make_server("127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            with ServiceClient(f"http://{host}:{port}", timeout=5) as client:
+                opened = []
+                real_connect = client._connect
+                monkeypatch.setattr(
+                    client, "_connect",
+                    lambda: opened.append(1) or real_connect())
+                assert client.health()["status"] == "ok"
+                time.sleep(0.5)  # the server hangs up on the idle socket
+                # A POST is never re-sent, so the dead connection must
+                # be noticed before the request is written.
+                assert client.compile_job(RD53)["ok"]
+                assert client.health()["status"] == "ok"
+                assert len(opened) == 2
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+class TestInlineMemoryHits:
+    """``/compile`` memory hits are answered on the handler thread."""
+
+    def test_warm_reply_equals_the_queued_reply(self, http_service):
+        client, _ = http_service
+        job = CompileJob.for_benchmark("2OF5", GRID, "square")
+        records = len(client.jobs())
+        assert client.compile_job(job)["ok"]
+        # A cold /compile still runs as a job.
+        assert len(client.jobs()) == records + 1
+
+        traced = ServiceClient(client.base_url)
+        inline = traced._request("POST", "/compile", {"job": job.to_dict()},
+                                 raw=True)
+        assert len(client.jobs()) == records + 1
+        queued = client.result_of(client.submit_async(job), timeout=30)
+        assert json.loads(inline)["cached"]
+        assert inline == json.dumps(queued)
+
+        spans = traced.trace()["spans"]
+        names = [span["name"] for span in spans]
+        assert "queue.wait" not in names and "job.run" not in names
+        handle = next(span for span in spans
+                      if span["name"] == "server.handle")
+        memory = next(span for span in spans
+                      if span["name"] == "cache.memory")
+        assert memory["parent_id"] == handle["span_id"]
+
+    def test_hit_accounting_matches_a_queued_hit(self):
+        service = CompilationService(verify=True)
+        try:
+            cold = service.compile({"job": RD53.to_dict()})
+            hits = service.session.cache_hits
+            warm = service.compile({"job": RD53.to_dict()})
+            assert warm["cached"] and not warm["disk_hit"]
+            assert warm["verification"] == cold["verification"]
+            assert service.session.cache_hits == hits + 1
+            assert service.jobs_run == 2
+            assert service.manager.stats()["submitted"] == 1
+        finally:
+            service.close()
 
 
 class TestServeCLI:

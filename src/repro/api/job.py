@@ -281,11 +281,12 @@ def autosize_compile(program: Program,
     machine larger than the caller allowed, and only re-raises after
     that capped attempt fails.
 
-    A rung whose machine is smaller than the program's
-    :meth:`~repro.ir.program.Program.live_qubit_floor` is still built
-    and attempted, but its compile fails right after validation, before
-    the program walk, so the ladder, the chosen machine and the number
-    of attempts are the same as if it had been walked.
+    A rung whose machine is smaller than the peak live count of the
+    compile's reclamation plan (:func:`~repro.core.plan.plan_reclamation`,
+    exact and independent of the machine's size) is still built and
+    attempted, but its compile fails right after planning, before any
+    gate is placed, so the ladder, the chosen machine and the number of
+    attempts are the same as if it had been walked.
     """
     qubits = min(max(start_qubits, program.entry.num_params + 4), max_qubits)
     while True:

@@ -15,13 +15,13 @@ from repro.core.compiler import (
     preset,
 )
 from repro.core.cost_model import (
-    CommunicationEstimator,
     ReclamationCosts,
     reclamation_costs,
     reservation_cost,
     uncompute_cost,
 )
 from repro.core.heap import AncillaHeap
+from repro.core.plan import ReclamationPlan, plan_reclamation
 from repro.core.policies import (
     allocation_policy_names,
     create_allocation_policy,
@@ -45,7 +45,6 @@ __all__ = [
     "AllocationRequest",
     "AncillaHeap",
     "CallRecord",
-    "CommunicationEstimator",
     "CompilationResult",
     "CompilerConfig",
     "CostEffectiveReclamation",
@@ -58,6 +57,7 @@ __all__ = [
     "ReclamationCosts",
     "ReclamationDecision",
     "ReclamationEvent",
+    "ReclamationPlan",
     "ReclamationPolicy",
     "ReclamationRequest",
     "SquareCompiler",
@@ -65,6 +65,7 @@ __all__ = [
     "compile_program",
     "create_allocation_policy",
     "create_reclamation_policy",
+    "plan_reclamation",
     "preset",
     "reclamation_policy_names",
     "register_allocation_policy",

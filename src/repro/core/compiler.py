@@ -8,6 +8,11 @@ reclamation policy, which either executes the Uncompute block (returning
 the ancillas to the heap) or skips it (transferring the garbage to the
 caller — "qubit reservation").
 
+Every ``Free`` decision is taken before placement by the count-only
+:func:`~repro.core.plan.plan_reclamation`, so a qubit budget below the
+plan's peak live count fails before any gate is placed, and the walk
+takes the plan's decisions in order, checking each against its own state.
+
 The walk keeps a :class:`CallRecord` per call instance so that when an
 ancestor later uncomputes, the inverse of each child call replays exactly
 what that child actually did:
@@ -28,14 +33,14 @@ from repro.exceptions import CompilationError, ResourceExhaustedError
 from repro.arch.machine import Machine
 from repro.arch.mapping import entry_sites
 from repro.core.allocation import AllocationPolicy, AllocationRequest
-from repro.core.cost_model import CommunicationEstimator
 from repro.core.heap import AncillaHeap
+from repro.core.plan import plan_reclamation
 from repro.core.policies import (
     create_allocation_policy,
     create_reclamation_policy,
 )
-from repro.core.reclamation import ReclamationPolicy, ReclamationRequest
-from repro.core.result import CompilationResult, ReclamationEvent
+from repro.core.reclamation import ReclamationPolicy
+from repro.core.result import CompilationResult
 from repro.ir.decompose import decompose_toffoli
 from repro.ir.gates import inverse_gate_name
 from repro.ir.program import CallStmt, GateStmt, Program, QModule, Qubit, Statement
@@ -144,18 +149,6 @@ class _Frame:
     level: int
     binding: Dict[Qubit, int]
     ancilla_virtuals: List[int]
-    parent: Optional["_Frame"]
-    record: CallRecord
-    #: The scheduler's gate count when the frame was created: while the
-    #: frame is in its Compute block, the gates emitted there (by it and
-    #: its callees) number ``gate_count - compute_start``.
-    compute_start: int = 0
-    #: That count, frozen when the Compute block ends.
-    compute_gates_emitted: int = 0
-    local_comm_cost: float = 0.0
-    local_two_qubit_gates: int = 0
-    statement_index: int = 0
-    current_block: str = "compute"
 
 
 class SquareCompiler:
@@ -204,15 +197,15 @@ class SquareCompiler:
         Raises:
             ResourceExhaustedError: If the program runs out of machine
                 qubits.  A qubit budget (``max_qubits`` or the machine
-                size) below :meth:`Program.live_qubit_floor` fails right
-                after validation, before any gate is scheduled: no policy
-                can fit it.
+                size) below the reclamation plan's peak live count fails
+                right after planning, before any gate is placed.
+            CompilationError: If the walk disagrees with the plan.
         """
         started = _time.perf_counter()
-        # Exclusive-attribution phase profile (see PhaseTimer): the
-        # walk runs under "mapping_routing", and _allocate_ancillas /
-        # _process_free carve their own spans out of it, so the phases
-        # sum to ~the whole compile.
+        # Exclusive-attribution phase profile (see PhaseTimer): planning
+        # is "reclamation", the walk runs under "mapping_routing", and
+        # _allocate_ancillas / uncompute emission carve their own spans
+        # out of it, so the phases sum to ~the whole compile.
         timer = PhaseTimer() if self.phase_timing else None
         self._timer = timer
         if timer is not None:
@@ -220,13 +213,21 @@ class SquareCompiler:
         program.validate()
         if timer is not None:
             timer.pop()
+            timer.push("reclamation")
+        plan = plan_reclamation(
+            program, self.reclamation_policy,
+            decompose_toffoli=self.config.decompose_toffoli,
+            locality_constrained=self.machine.communication != "none"
+            and not self.machine.topology.is_fully_connected)
+        if timer is not None:
+            timer.pop()
         self._qubit_budget = self.config.max_qubits or self.machine.num_qubits
         capacity = min(self._qubit_budget, self.machine.num_qubits)
-        floor = program.live_qubit_floor()
-        if capacity < floor:
+        if capacity < plan.peak_live:
             raise ResourceExhaustedError(
-                f"program {program.name!r} holds at least {floor} qubits "
-                f"live at once; {self.machine.name} offers {capacity}"
+                f"program {program.name!r} holds {plan.peak_live} qubits "
+                f"live at once under {self.config.policy_name}; "
+                f"{self.machine.name} offers {capacity}"
             )
         self.machine.reset_communication_state()
         self._tracker = LivenessTracker()
@@ -235,11 +236,9 @@ class SquareCompiler:
             record_schedule=self.config.record_schedule,
         )
         self._heap = AncillaHeap()
-        self._comm = CommunicationEstimator()
         self._next_virtual = 0
-        self._reclamation_log: List[ReclamationEvent] = []
+        self._planned = iter(zip(plan.events, plan.live_at))
         self._uncompute_gates = 0
-        self._static_cache: Dict[int, int] = {}
         self._partner_cache: Dict[int, Dict[Qubit, List[Qubit]]] = {}
 
         entry = program.entry
@@ -248,6 +247,15 @@ class SquareCompiler:
         param_virtuals = self._place_entry_params(entry)
         binding = dict(zip(entry.params, param_virtuals))
         self._exec_call_with_binding(entry, binding, level=0, parent=None)
+        if (next(self._planned, None) is not None
+                or self._scheduler.gate_count != plan.gate_count
+                or self._tracker.peak_live != plan.peak_live):
+            raise CompilationError(
+                f"program {program.name!r}: the walk emitted "
+                f"{self._scheduler.gate_count} gates with "
+                f"{self._tracker.peak_live} qubits live at peak, but its "
+                f"reclamation plan counted {plan.gate_count} and "
+                f"{plan.peak_live}")
         if timer is not None:
             timer.pop()
             timer.push("liveness")
@@ -260,6 +268,8 @@ class SquareCompiler:
         )
         if timer is not None:
             timer.pop()
+            # Reported like every phase, also when no Free reclaims.
+            timer.seconds.setdefault("uncompute", 0.0)
         phase_seconds = ({name: timer.seconds[name]
                           for name in sorted(timer.seconds)}
                          if timer is not None else {})
@@ -276,7 +286,7 @@ class SquareCompiler:
             active_quantum_volume=self._tracker.active_quantum_volume(),
             total_comm_cost=self._scheduler.comm_cost_total,
             uncompute_gate_count=self._uncompute_gates,
-            reclamation_events=tuple(self._reclamation_log),
+            reclamation_events=plan.events,
             usage_segments=self._tracker.segments,
             scheduled_gates=tuple(self._scheduler.events),
             final_sites=final_sites,
@@ -327,8 +337,7 @@ class SquareCompiler:
         record = CallRecord(module=module, level=level, binding=dict(binding),
                             ancilla_virtuals=[])
         frame = _Frame(module=module, level=level, binding=binding,
-                       ancilla_virtuals=[], parent=parent, record=record,
-                       compute_start=self._scheduler.gate_count)
+                       ancilla_virtuals=[])
 
         if module.num_ancilla:
             ancillas = self._allocate_ancillas(module, frame)
@@ -337,10 +346,7 @@ class SquareCompiler:
             frame.binding.update(zip(module.ancillas, ancillas))
             record.binding.update(zip(module.ancillas, ancillas))
 
-        frame.current_block = "compute"
         self._exec_block(module.compute, frame, record.compute_records)
-        frame.compute_gates_emitted = self._compute_gates(frame)
-        frame.current_block = "store"
         self._exec_block(module.store, frame, record.store_records)
 
         self._process_free(module, frame, record, parent)
@@ -348,11 +354,10 @@ class SquareCompiler:
 
     def _exec_block(self, statements: Sequence[Statement], frame: _Frame,
                     records: List[CallRecord]) -> None:
-        for index, stmt in enumerate(statements):
-            frame.statement_index = index
+        for stmt in statements:
             if isinstance(stmt, GateStmt):
                 qubits = tuple(map(frame.binding.__getitem__, stmt.qubits))
-                self._emit_gate(frame, stmt.name, qubits)
+                self._emit_gate(stmt.name, qubits)
             elif isinstance(stmt, CallStmt):
                 records.append(self._exec_call(stmt, frame))
             else:  # pragma: no cover - defensive
@@ -364,54 +369,32 @@ class SquareCompiler:
         for stmt in reversed(statements):
             if isinstance(stmt, GateStmt):
                 qubits = tuple(map(frame.binding.__getitem__, stmt.qubits))
-                self._emit_gate(frame, inverse_gate_name(stmt.name), qubits)
+                self._emit_gate(inverse_gate_name(stmt.name), qubits)
             elif isinstance(stmt, CallStmt):
                 record_index -= 1
-                self._exec_call_inverse(records[record_index], frame)
+                self._exec_call_inverse(records[record_index])
             else:  # pragma: no cover - defensive
                 raise CompilationError(f"unknown statement {stmt!r}")
 
     # ------------------------------------------------------------------
     # Gate emission
     # ------------------------------------------------------------------
-    def _emit_gate(self, frame: _Frame, name: str, qubits: Tuple[int, ...]) -> None:
+    def _emit_gate(self, name: str, qubits: Tuple[int, ...]) -> None:
         if self.config.decompose_toffoli and name == "ccx":
             for gate in decompose_toffoli(*qubits):
-                self._emit_single(frame, gate.name, gate.qubits)
+                self._scheduler.schedule_gate(gate.name, gate.qubits)
             return
-        self._emit_single(frame, name, qubits)
-
-    def _emit_single(self, frame: _Frame, name: str, qubits: Tuple[int, ...]) -> None:
-        execution = self._scheduler.schedule_gate(name, qubits)
-        if len(qubits) >= 2:
-            self._comm.observe(execution.comm_cost)
-            frame.local_comm_cost += execution.comm_cost
-            frame.local_two_qubit_gates += 1
-
-    def _compute_gates(self, frame: _Frame) -> int:
-        """Gates emitted in ``frame``'s Compute block so far, by the frame
-        and its callees (what its Uncompute would replay)."""
-        if frame.current_block == "compute":
-            return self._scheduler.gate_count - frame.compute_start
-        return frame.compute_gates_emitted
+        self._scheduler.schedule_gate(name, qubits)
 
     # ------------------------------------------------------------------
     # Allocation and reclamation
     # ------------------------------------------------------------------
     def _allocate_ancillas(self, module: QModule, frame: _Frame) -> List[int]:
-        """Phase-timed wrapper: allocation spans carve out of whatever
-        phase is active (the walk, or a reclamation replay)."""
+        """Place ``module``'s ancillas; the allocation span carves out of
+        whatever phase is active (the walk, or an uncompute replay)."""
         timer = self._timer
-        if timer is None:
-            return self._allocate_ancillas_inner(module, frame)
-        timer.push("allocation")
-        try:
-            return self._allocate_ancillas_inner(module, frame)
-        finally:
-            timer.pop()
-
-    def _allocate_ancillas_inner(self, module: QModule,
-                                 frame: _Frame) -> List[int]:
+        if timer is not None:
+            timer.push("allocation")
         per_ancilla, fallback = self._interaction_anchors(module, frame)
         now = self._scheduler.current_time()
         allocated: List[int] = []
@@ -428,6 +411,8 @@ class SquareCompiler:
             virtual = self.allocation_policy.allocate(request)[0]
             self._scheduler.allocate(virtual, now)
             allocated.append(virtual)
+        if timer is not None:
+            timer.pop()
         return allocated
 
     def _interaction_anchors(
@@ -451,22 +436,7 @@ class SquareCompiler:
 
     def _process_free(self, module: QModule, frame: _Frame, record: CallRecord,
                       parent: Optional[_Frame]) -> None:
-        """Phase-timed wrapper: the reclamation decision plus any
-        uncompute emission it triggers count as "reclamation" (nested
-        allocation during a replay re-carves itself back out)."""
-        timer = self._timer
-        if timer is None:
-            self._process_free_inner(module, frame, record, parent)
-            return
-        timer.push("reclamation")
-        try:
-            self._process_free_inner(module, frame, record, parent)
-        finally:
-            timer.pop()
-
-    def _process_free_inner(self, module: QModule, frame: _Frame,
-                            record: CallRecord,
-                            parent: Optional[_Frame]) -> None:
+        """Take the plan's next decision, checking it against the walk."""
         if parent is None:
             # Top level: the program ends here, so there is nothing to gain
             # from uncomputing — the remaining garbage is simply measured
@@ -476,49 +446,38 @@ class SquareCompiler:
             # roughly the forward-only count in Table III).
             record.reclaimed = False
             return
-        held_garbage = record.garbage_qubits()
-        num_ancilla = len(held_garbage)
+        num_ancilla = len(record.garbage_qubits())
         if num_ancilla == 0:
             # Nothing to reclaim: the call has no scratch state to clean.
             record.reclaimed = None
             return
-
-        comm_factor = self._comm.estimate(frame.local_comm_cost,
-                                          frame.local_two_qubit_gates)
-        request = ReclamationRequest(
-            module_name=module.name,
-            level=frame.level,
-            num_active=self._tracker.num_live,
-            num_ancilla=num_ancilla,
-            uncompute_gates=self._compute_gates(frame),
-            gates_to_parent_uncompute=self._gates_to_parent_uncompute(parent),
-            comm_factor=comm_factor,
-            locality_constrained=self.machine.communication != "none"
-            and not self.machine.topology.is_fully_connected,
-            is_top_level=parent is None,
-        )
-        decision = self.reclamation_policy.decide(request)
-        self._reclamation_log.append(ReclamationEvent(
-            module=module.name,
-            level=frame.level,
-            reclaimed=decision.reclaim,
-            num_ancilla=num_ancilla,
-            costs=decision.costs,
-        ))
-
-        if decision.reclaim:
-            self._emit_uncompute(frame, record)
-            self._reclaim_record(record)
-        else:
-            record.reclaimed = False
+        event, live = next(self._planned, (None, None))
+        if (event is None or event.module != module.name
+                or event.level != frame.level
+                or event.num_ancilla != num_ancilla
+                or live != self._tracker.num_live):
+            raise CompilationError(
+                f"the reclamation plan disagrees with the walk at the Free of "
+                f"module {module.name!r} (level {frame.level}, {num_ancilla} "
+                f"garbage, {self._tracker.num_live} live): planned {event!r}, "
+                f"{live} live")
+        if not event.reclaimed:
             # Garbage is transferred to the caller simply by keeping the
             # record referenced from the parent's record list; the ancestor
             # that eventually uncomputes will clean and free it.
+            record.reclaimed = False
+            return
+        timer = self._timer
+        if timer is not None:
+            timer.push("uncompute")
+        self._emit_uncompute(frame, record)
+        self._reclaim_record(record)
+        if timer is not None:
+            timer.pop()
 
     def _emit_uncompute(self, frame: _Frame, record: CallRecord) -> None:
         """Execute the Uncompute block (inverse of Compute) for this frame."""
         module = frame.module
-        frame.current_block = "uncompute"
         gates_before = self._scheduler.gate_count
         use_explicit = (
             module.has_explicit_uncompute
@@ -542,17 +501,15 @@ class SquareCompiler:
     # ------------------------------------------------------------------
     # Inverse execution (uncomputation of calls)
     # ------------------------------------------------------------------
-    def _exec_call_inverse(self, record: CallRecord, parent: _Frame) -> None:
+    def _exec_call_inverse(self, record: CallRecord) -> None:
         module = record.module
         if record.reclaimed:
-            self._replay_reclaimed_inverse(record, parent)
+            self._replay_reclaimed_inverse(record)
             return
         # Deferred (or ancilla-free) call: its state is still on the machine,
         # so its inverse is Store^-1 ; Compute^-1 on the original qubits.
         frame = _Frame(module=module, level=record.level, binding=dict(record.binding),
-                       ancilla_virtuals=list(record.ancilla_virtuals), parent=parent,
-                       record=record, current_block=parent.current_block,
-                       compute_start=self._scheduler.gate_count)
+                       ancilla_virtuals=list(record.ancilla_virtuals))
         self._exec_block_inverse(module.store, frame, record.store_records)
         self._exec_block_inverse(module.compute, frame, record.compute_records)
         for virtual in record.ancilla_virtuals:
@@ -560,16 +517,12 @@ class SquareCompiler:
             self._heap.push(virtual)
         record.cleaned = True
 
-    def _replay_reclaimed_inverse(self, record: CallRecord, parent: _Frame) -> None:
+    def _replay_reclaimed_inverse(self, record: CallRecord) -> None:
         """Invert a call that had reclaimed: C ; S^-1 ; C^-1 on fresh ancillas."""
         module = record.module
         binding = {param: record.binding[param] for param in module.params}
         frame = _Frame(module=module, level=record.level, binding=binding,
-                       ancilla_virtuals=[], parent=parent,
-                       record=CallRecord(module=module, level=record.level,
-                                         binding=dict(binding), ancilla_virtuals=[]),
-                       current_block=parent.current_block,
-                       compute_start=self._scheduler.gate_count)
+                       ancilla_virtuals=[])
         if module.num_ancilla:
             ancillas = self._allocate_ancillas(module, frame)
             frame.ancilla_virtuals = ancillas
@@ -581,46 +534,6 @@ class SquareCompiler:
         for virtual in frame.ancilla_virtuals:
             self._scheduler.reclaim(virtual)
             self._heap.push(virtual)
-
-    # ------------------------------------------------------------------
-    # Cost-model inputs
-    # ------------------------------------------------------------------
-    def _gates_to_parent_uncompute(self, parent: Optional[_Frame]) -> int:
-        """Estimate gates between this point and the parent's uncompute."""
-        if parent is None:
-            return 0
-        remaining = self._remaining_static_gates(parent)
-        if parent.level == 0:
-            # The entry module never uncomputes; garbage deferred to it is
-            # only held until the end of the program.
-            return remaining
-        uncompute_estimate = self._compute_gates(parent)
-        if parent.current_block == "compute":
-            uncompute_estimate += self._remaining_block_static(
-                parent.module.compute, parent.statement_index + 1)
-        return remaining + uncompute_estimate
-
-    def _remaining_static_gates(self, frame: _Frame) -> int:
-        """Static gates left in the frame's forward blocks after its cursor."""
-        module = frame.module
-        if frame.current_block == "compute":
-            return (
-                self._remaining_block_static(module.compute, frame.statement_index + 1)
-                + self._remaining_block_static(module.store, 0)
-            )
-        if frame.current_block == "store":
-            return self._remaining_block_static(module.store, frame.statement_index + 1)
-        return 0
-
-    def _remaining_block_static(self, statements: Sequence[Statement],
-                                start: int) -> int:
-        total = 0
-        for stmt in statements[start:]:
-            if isinstance(stmt, GateStmt):
-                total += 1
-            else:
-                total += stmt.module.static_gate_count(self._static_cache)
-        return total
 
 
 def _ancilla_partners(module: QModule) -> Dict[Qubit, List[Qubit]]:

@@ -15,9 +15,14 @@ call) the compiler compares:
   spreads the active region and lengthens swap chains / braids for every
   other gate executed until the parent's uncompute block runs.
 
-``S`` is the communication factor: the running average swap-chain length
-per gate on a NISQ machine, or the running average braid crossings per
-gate on an FT machine (Section IV-D).
+``S`` is the communication factor (Section IV-D): the average swap-chain
+length per gate on a NISQ machine, or braid crossings per gate on an FT
+machine.  Both equations multiply by the same ``S``, so it cancels out
+of the comparison ``C1 <= C0`` and is left out here: the functions below
+return ``C1 / S`` and ``C0 / S``.  What remains (live counts, logical
+gate counts, the call level and ``G_p``) does not depend on where qubits
+are placed, which is what lets :mod:`repro.core.plan` take every
+decision before placement.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ class ReclamationCosts:
     """The two costs compared at a reclamation point.
 
     Attributes:
-        uncompute_cost: ``C1`` of Equation 1.
-        reservation_cost: ``C0`` of Equation 2.
+        uncompute_cost: ``C1 / S`` of Equation 1.
+        reservation_cost: ``C0 / S`` of Equation 2.
     """
 
     uncompute_cost: float
@@ -47,45 +52,37 @@ class ReclamationCosts:
 def uncompute_cost(
     num_active: int,
     uncompute_gates: int,
-    comm_factor: float,
     level: int,
     max_level_exponent: int = 30,
 ) -> float:
-    """Equation 1: cost of uncomputing and reclaiming now.
+    """Equation 1 over ``S``: cost of uncomputing and reclaiming now.
 
     Args:
         num_active: Number of currently active (live) qubits ``N_active``.
         uncompute_gates: Gates needed for the uncompute block, including
             those contributed by children (``G_uncomp``).
-        comm_factor: Communication factor ``S`` (>= 1 after clamping).
         level: Depth of the function in the call graph (0 = entry module).
         max_level_exponent: Clamp on the exponent to avoid overflow on
             pathologically deep call graphs.
     """
     exponent = min(max(level, 0), max_level_exponent)
-    return (
-        max(num_active, 1)
-        * max(uncompute_gates, 0)
-        * max(comm_factor, 1.0)
-        * float(2 ** exponent)
-    )
+    return max(num_active, 1) * max(uncompute_gates, 0) * float(2 ** exponent)
 
 
 def reservation_cost(
     num_ancilla: int,
     gates_to_parent_uncompute: int,
-    comm_factor: float,
     num_active: int,
     locality_constrained: bool = True,
 ) -> float:
-    """Equation 2: cost of holding garbage until the parent uncomputes.
+    """Equation 2 over ``S``: cost of holding garbage until the parent
+    uncomputes.
 
     Args:
         num_ancilla: Ancilla (garbage) qubits this function would hold
             (``N_anc``), including garbage deferred from its own children.
         gates_to_parent_uncompute: Estimated gates between this point and
             the parent's uncompute block (``G_p``).
-        comm_factor: Communication factor ``S`` (>= 1 after clamping).
         num_active: Number of currently active qubits ``N_active``.
         locality_constrained: False for fully-connected machines, where
             area expansion has no communication consequence and the
@@ -95,12 +92,7 @@ def reservation_cost(
     expansion = 1.0
     if locality_constrained and num_ancilla > 0:
         expansion = math.sqrt((active + num_ancilla) / active)
-    return (
-        max(num_ancilla, 0)
-        * max(gates_to_parent_uncompute, 0)
-        * max(comm_factor, 1.0)
-        * expansion
-    )
+    return max(num_ancilla, 0) * max(gates_to_parent_uncompute, 0) * expansion
 
 
 def reclamation_costs(
@@ -108,56 +100,13 @@ def reclamation_costs(
     num_ancilla: int,
     uncompute_gates: int,
     gates_to_parent_uncompute: int,
-    comm_factor: float,
     level: int,
     locality_constrained: bool = True,
 ) -> ReclamationCosts:
     """Evaluate both sides of the CER comparison at one reclamation point."""
     return ReclamationCosts(
-        uncompute_cost=uncompute_cost(
-            num_active=num_active,
-            uncompute_gates=uncompute_gates,
-            comm_factor=comm_factor,
-            level=level,
-        ),
-        reservation_cost=reservation_cost(
-            num_ancilla=num_ancilla,
-            gates_to_parent_uncompute=gates_to_parent_uncompute,
-            comm_factor=comm_factor,
-            num_active=num_active,
-            locality_constrained=locality_constrained,
-        ),
+        uncompute_cost=uncompute_cost(num_active, uncompute_gates, level),
+        reservation_cost=reservation_cost(num_ancilla, gates_to_parent_uncompute,
+                                          num_active, locality_constrained),
     )
 
-
-class CommunicationEstimator:
-    """Running estimate of the communication factor ``S``.
-
-    Keeps a global running average of communication cost units per
-    two-qubit gate (swap-chain length on NISQ, braid crossings on FT) and
-    optionally a per-module average that takes precedence once the module
-    has scheduled enough gates (the paper keeps the average "in the same
-    module").
-    """
-
-    def __init__(self, minimum_samples: int = 8) -> None:
-        self._minimum_samples = minimum_samples
-        self._global_cost = 0.0
-        self._global_gates = 0
-
-    def observe(self, cost_units: float, gates: int = 1) -> None:
-        """Record communication cost for ``gates`` scheduled two-qubit gates."""
-        self._global_cost += cost_units
-        self._global_gates += gates
-
-    def global_average(self) -> float:
-        """Average communication cost per gate across the whole program."""
-        if self._global_gates == 0:
-            return 1.0
-        return max(self._global_cost / self._global_gates, 1.0)
-
-    def estimate(self, local_cost: float, local_gates: int) -> float:
-        """Best estimate of ``S`` for a module with the given local history."""
-        if local_gates >= self._minimum_samples:
-            return max(local_cost / local_gates, 1.0)
-        return self.global_average()

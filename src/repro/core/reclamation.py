@@ -34,7 +34,6 @@ class ReclamationRequest:
             including children contributions (``G_uncomp``).
         gates_to_parent_uncompute: Estimated gates between this point and
             the parent's uncompute block (``G_p``).
-        comm_factor: Communication factor ``S`` (swap length or crossings).
         locality_constrained: False on fully-connected machines.
         is_top_level: True for the entry module's ``Free``.  The program
             ends immediately afterwards, so uncomputing there buys nothing;
@@ -48,7 +47,6 @@ class ReclamationRequest:
     num_ancilla: int
     uncompute_gates: int
     gates_to_parent_uncompute: int
-    comm_factor: float
     locality_constrained: bool = True
     is_top_level: bool = False
 
@@ -121,7 +119,6 @@ class CostEffectiveReclamation(ReclamationPolicy):
             num_ancilla=request.num_ancilla,
             uncompute_gates=request.uncompute_gates,
             gates_to_parent_uncompute=request.gates_to_parent_uncompute,
-            comm_factor=request.comm_factor,
             level=request.level,
             locality_constrained=request.locality_constrained,
         )

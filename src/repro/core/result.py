@@ -140,8 +140,8 @@ class CompilationResult:
     compile_seconds: float = 0.0
     #: Exclusive per-phase compile seconds from the compiler's
     #: :class:`~repro.telemetry.PhaseTimer` (``validate`` /
-    #: ``allocation`` / ``reclamation`` / ``liveness`` /
-    #: ``mapping_routing``).  Pure telemetry: excluded from equality
+    #: ``reclamation`` (the plan) / ``allocation`` / ``uncompute`` /
+    #: ``liveness`` / ``mapping_routing``).  Pure telemetry: excluded from equality
     #: and from :meth:`to_dict` — like verification timing, repeat
     #: compiles must compare equal and serialize byte-identically no
     #: matter how long each phase took.

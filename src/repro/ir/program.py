@@ -284,9 +284,10 @@ class QModule:
     def child_modules(self) -> Tuple["QModule", ...]:
         """Distinct modules called directly from any block of this module."""
         seen: Dict[int, QModule] = {}
-        for _, stmt in self.statements():
-            if isinstance(stmt, CallStmt) and id(stmt.module) not in seen:
-                seen[id(stmt.module)] = stmt.module
+        for block in (self.compute, self.store, self.uncompute or ()):
+            for stmt in block:
+                if isinstance(stmt, CallStmt):
+                    seen.setdefault(id(stmt.module), stmt.module)
         return tuple(seen.values())
 
     def static_gate_count(self, _cache: Optional[Dict[int, int]] = None) -> int:
@@ -378,33 +379,8 @@ class Program:
         """Forward gate count of one execution of the entry module."""
         return self.entry.static_gate_count()
 
-    def live_qubit_floor(self) -> int:
-        """Qubits that every compile of this program holds live at once.
-
-        The entry parameters plus the largest sum of ``num_ancilla`` along
-        a call chain through Compute and Store calls.  A call's ancillas
-        stay live until its ``Free``, after every call nested in its
-        Compute and Store, so when the deepest call of a chain allocates,
-        the whole chain's ancillas are live under any allocation or
-        reclamation policy.  Calls made only from explicit Uncompute
-        blocks may never run and do not count.
-        """
-        chains: Dict[int, int] = {}
-
-        def chain(module: QModule) -> int:
-            if id(module) not in chains:
-                chains[id(module)] = module.num_ancilla + max(
-                    (chain(stmt.module) for stmt in module.compute + module.store
-                     if isinstance(stmt, CallStmt)),
-                    default=0)
-            return chains[id(module)]
-
-        return self.entry.num_params + chain(self.entry)
-
     def validate(self) -> None:
         """Validate every module and check the call graph is acyclic."""
-        for module in self.modules():
-            module.validate()
         # Modules are keyed by identity, not name: two distinct modules
         # may share a name without calling each other.
         finished = set()
@@ -417,6 +393,7 @@ class Program:
                 raise ValidationError(
                     f"program {self.name!r} has a cyclic (recursive) call graph"
                 )
+            module.validate()
             on_stack.add(id(module))
             for child in module.child_modules():
                 visit(child)

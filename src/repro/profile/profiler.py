@@ -35,6 +35,7 @@ PHASE_WORK: "Dict[str, str]" = {
     "validate": "gates",
     "allocation": "gates",
     "reclamation": "reclaim_ops",
+    "uncompute": "uncompute_gates",
     "liveness": "liveness_events",
     "mapping_routing": "routed_gates",
 }
@@ -45,6 +46,7 @@ COUNTER_UNITS: Dict[str, str] = {
     "swaps": "swaps",
     "routed_gates": "gates",
     "reclaim_ops": "ops",
+    "uncompute_gates": "gates",
     "liveness_events": "segments",
 }
 
@@ -64,8 +66,10 @@ def result_counters(result: CompilationResult) -> Dict[str, int]:
         "swaps": int(result.swap_count),
         # Gate stream the mapping/routing phase actually scheduled.
         "routed_gates": int(result.gate_count + result.swap_count),
-        # Reclamation decisions (one heap/CER evaluation per Free).
+        # Reclamation decisions (one policy call per planned Free).
         "reclaim_ops": int(result.num_reclamation_points),
+        # Gates the Uncompute blocks and their replays emitted.
+        "uncompute_gates": int(result.uncompute_gate_count),
         # Qubit lifetime segments the liveness tracker maintained.
         "liveness_events": int(len(result.usage_segments)),
     }

@@ -5,17 +5,19 @@ scheduling with routing, reclamation decisions, uncomputation replay and
 the resulting metrics, for every policy preset.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import CompileJob, autosize_compile, execute_job
+from repro.api import autosize_compile
 from repro.exceptions import CompilationError, ResourceExhaustedError
 from repro.arch.ft import FTMachine
 from repro.arch.machine import IdealMachine
 from repro.arch.nisq import NISQMachine
+import repro.core.compiler as compiler_module
 from repro.core.compiler import (
     POLICY_PRESETS,
     CompilerConfig,
@@ -23,19 +25,15 @@ from repro.core.compiler import (
     compile_program,
     preset,
 )
+from repro.core.plan import plan_reclamation
+from repro.core.policies import create_reclamation_policy
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
 from repro.ir.program import CallStmt, Program, QModule
 from repro.scheduler.asap import GateScheduler
-from repro.workloads.registry import (
-    benchmark_names,
-    benchmark_overrides,
-    load_benchmark,
-)
 from repro.workloads.synthetic import SyntheticGenerator, SyntheticSpec
 
 from tests.conftest import build_two_level_program
-from tests.test_golden import MACHINES, POLICIES, quick_corpus
 
 ALL_POLICIES = tuple(POLICY_PRESETS)
 
@@ -237,45 +235,45 @@ class TestPolicyBehaviour:
         assert len(set(sites)) == 5
 
 
-class TestLiveQubitFloor:
-    """Program.live_qubit_floor is a lower bound no compile can beat."""
+def _plan(program, policy, machine):
+    """The reclamation plan a compile of ``program`` on ``machine`` makes."""
+    config = POLICY_PRESETS[policy]
+    return plan_reclamation(
+        program, create_reclamation_policy(config.reclamation),
+        decompose_toffoli=config.decompose_toffoli,
+        locality_constrained=not machine.topology.is_fully_connected)
 
-    def test_floor_bounds_peak_live_on_the_golden_matrix(self):
-        checked = 0
-        for name in benchmark_names():
-            overrides = benchmark_overrides(name, "quick")
-            floor = load_benchmark(name, **overrides).live_qubit_floor()
-            for policy in POLICIES:
-                for machine in MACHINES:
-                    job = CompileJob.for_benchmark(name, machine, policy,
-                                                   overrides=overrides)
-                    try:
-                        result = execute_job(job)
-                    except ResourceExhaustedError:
-                        continue
-                    assert result.peak_live_qubits >= floor, job
-                    checked += 1
-        assert checked == sum(digest != "ResourceExhaustedError"
-                              for digest in quick_corpus().values())
 
-    def test_budget_below_the_floor_fails_before_any_gate(self, monkeypatch,
+class TestReclamationPlan:
+    """The count-only plan decides every Free before placement."""
+
+    def test_budget_below_the_peak_fails_before_any_gate(self, monkeypatch,
                                                          two_level_program):
-        floor = two_level_program.live_qubit_floor()
-        assert floor == 5 + 1 + 1  # entry params, main and fun1 ancillas
+        peaks = {policy: _plan(two_level_program, policy,
+                               NISQMachine.grid(5, 5)).peak_live
+                 for policy in ALL_POLICIES}
+        assert peaks["lazy"] == 5 + 1 + 1  # entry params, main and fun1 ancillas
 
         def no_gates(*args, **kwargs):
             raise AssertionError("a gate was scheduled")
 
         monkeypatch.setattr(GateScheduler, "schedule_gate", no_gates)
-        for policy in ALL_POLICIES:
-            with pytest.raises(ResourceExhaustedError, match="at least 7"):
+        for policy, peak in peaks.items():
+            with pytest.raises(ResourceExhaustedError, match=f"holds {peak} "):
                 compile_program(two_level_program,
-                                NISQMachine.fully_connected(floor - 1), policy)
-            with pytest.raises(ResourceExhaustedError, match="at least 7"):
+                                NISQMachine.fully_connected(peak - 1), policy)
+            with pytest.raises(ResourceExhaustedError, match=f"holds {peak} "):
                 compile_program(two_level_program, NISQMachine.grid(5, 5),
-                                policy, max_qubits=floor - 1)
+                                policy, max_qubits=peak - 1)
 
-    def test_calls_only_in_explicit_uncompute_do_not_count(self):
+    def test_lazy_fits_exactly_its_peak(self, two_level_program):
+        machine = NISQMachine.grid(5, 5)
+        peak = _plan(two_level_program, "lazy", machine).peak_live
+        config = preset("lazy", max_qubits=peak)
+        result = SquareCompiler(machine, config).compile(two_level_program)
+        assert result.peak_live_qubits == result.num_qubits_used == peak
+
+    def test_calls_only_in_explicit_uncompute_count_when_they_run(self):
         big = QModule("big", num_inputs=1, num_outputs=1, num_ancilla=10)
         big.cx(big.inputs[0], big.ancillas[0])
         big.begin_store()
@@ -291,27 +289,51 @@ class TestLiveQubitFloor:
         top.begin_store()
         top.cx(top.ancillas[0], top.outputs[0])
         program = Program(top)
-        assert program.live_qubit_floor() == 2 + 1 + 1
-        # Lazy never runs mid's Uncompute, so it fits on exactly the floor.
-        result = compile_program(program, NISQMachine.fully_connected(4), "lazy")
-        assert result.peak_live_qubits == 4
-        # A Compute call to the same module does count.
-        mid.compute.append(CallStmt(big, (mid.ancillas[0], mid.inputs[0])))
-        assert program.live_qubit_floor() == 2 + 1 + 1 + 10
+        machine = NISQMachine.fully_connected(16)
+        # Lazy never runs mid's Uncompute; Eager runs it, calling big.
+        assert _plan(program, "lazy", machine).peak_live == 2 + 1 + 1
+        assert _plan(program, "eager", machine).peak_live == 2 + 1 + 1 + 10
+        for policy in ("lazy", "eager"):
+            result = compile_program(program, machine, policy)
+            assert result.peak_live_qubits == _plan(program, policy,
+                                                    machine).peak_live
+
+    def test_a_corrupted_plan_trips_the_check(self, monkeypatch,
+                                              two_level_program):
+        honest = compiler_module.plan_reclamation
+
+        def corrupt(**changes):
+            def planner(*args, **kwargs):
+                return dataclasses.replace(honest(*args, **kwargs), **changes)
+            monkeypatch.setattr(compiler_module, "plan_reclamation", planner)
+
+        machine = NISQMachine.grid(5, 5)
+        plan = _plan(two_level_program, "eager", machine)
+        corrupt(live_at=(plan.live_at[0] + 1,) + plan.live_at[1:])
+        with pytest.raises(CompilationError, match="Free of module 'fun1'"):
+            compile_program(two_level_program, machine, "eager")
+        corrupt(events=())
+        with pytest.raises(CompilationError, match="Free of module 'fun1'"):
+            compile_program(two_level_program, machine, "eager")
+        corrupt(gate_count=plan.gate_count - 1)
+        with pytest.raises(CompilationError, match="reclamation plan counted"):
+            compile_program(two_level_program, machine, "eager")
 
     @settings(max_examples=25, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(levels=st.integers(1, 4), callees=st.integers(1, 3),
            inputs=st.integers(2, 6), ancilla=st.integers(1, 4),
            gates=st.integers(1, 12), seed=st.integers(0, 10_000))
-    def test_floor_never_exceeds_peak_live(self, levels, callees, inputs,
-                                           ancilla, gates, seed):
+    def test_plan_peak_is_the_compiled_peak(self, levels, callees, inputs,
+                                            ancilla, gates, seed):
         program = SyntheticGenerator(SyntheticSpec(
-            "floor", levels=levels, max_callees=callees, max_inputs=inputs,
+            "plan", levels=levels, max_callees=callees, max_inputs=inputs,
             max_ancilla=ancilla, max_gates=gates, seed=seed)).generate()
-        floor = program.live_qubit_floor()
         for policy in ("eager", "lazy", "square-laa", "square"):
             result = autosize_compile(program, NISQMachine.with_qubits,
                                       POLICY_PRESETS[policy], start_qubits=4)
-            assert result.peak_live_qubits >= floor
-            assert result.num_qubits_used >= floor
+            machine = NISQMachine.with_qubits(result.num_qubits_used)
+            plan = _plan(program, policy, machine)
+            assert result.peak_live_qubits == plan.peak_live
+            assert result.num_qubits_used >= plan.peak_live
+            assert result.reclamation_events == plan.events

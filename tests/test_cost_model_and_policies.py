@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import CompilationError
 from repro.core.cost_model import (
-    CommunicationEstimator,
     reclamation_costs,
     reservation_cost,
     uncompute_cost,
@@ -67,65 +66,47 @@ class TestAncillaHeap:
 
 class TestCostModel:
     def test_equation1_level_doubling(self):
-        shallow = uncompute_cost(num_active=10, uncompute_gates=50,
-                                 comm_factor=2.0, level=1)
-        deep = uncompute_cost(num_active=10, uncompute_gates=50,
-                              comm_factor=2.0, level=2)
+        shallow = uncompute_cost(num_active=10, uncompute_gates=50, level=1)
+        deep = uncompute_cost(num_active=10, uncompute_gates=50, level=2)
         assert deep == pytest.approx(2 * shallow)
 
     def test_equation2_area_expansion(self):
         constrained = reservation_cost(num_ancilla=10, gates_to_parent_uncompute=100,
-                                       comm_factor=1.0, num_active=10,
-                                       locality_constrained=True)
+                                       num_active=10, locality_constrained=True)
         unconstrained = reservation_cost(num_ancilla=10, gates_to_parent_uncompute=100,
-                                         comm_factor=1.0, num_active=10,
-                                         locality_constrained=False)
+                                         num_active=10, locality_constrained=False)
         assert constrained == pytest.approx(unconstrained * math.sqrt(2.0))
 
-    def test_comm_factor_clamped_to_one(self):
-        assert uncompute_cost(1, 10, 0.0, 0) == 10
-        assert reservation_cost(1, 10, 0.0, 1, locality_constrained=False) == 10
+    def test_costs_leave_out_the_communication_factor(self):
+        # Both equations multiply by S, so the comparison runs over S.
+        assert uncompute_cost(1, 10, 0) == 10
+        assert reservation_cost(1, 10, 1, locality_constrained=False) == 10
 
     def test_reclamation_costs_decision(self):
         costs = reclamation_costs(num_active=4, num_ancilla=2, uncompute_gates=10,
-                                  gates_to_parent_uncompute=1000, comm_factor=1.0,
-                                  level=1)
+                                  gates_to_parent_uncompute=1000, level=1)
         assert costs.should_reclaim
         costs = reclamation_costs(num_active=4, num_ancilla=1, uncompute_gates=1000,
-                                  gates_to_parent_uncompute=5, comm_factor=1.0,
-                                  level=4)
+                                  gates_to_parent_uncompute=5, level=4)
         assert not costs.should_reclaim
 
     @settings(max_examples=50)
     @given(
         st.integers(min_value=1, max_value=100),
         st.integers(min_value=1, max_value=1000),
-        st.floats(min_value=0.0, max_value=20.0),
         st.integers(min_value=0, max_value=12),
     )
     def test_costs_are_non_negative_and_monotone_in_gates(
-            self, active, gates, comm, level):
-        lower = uncompute_cost(active, gates, comm, level)
-        higher = uncompute_cost(active, gates + 10, comm, level)
+            self, active, gates, level):
+        lower = uncompute_cost(active, gates, level)
+        higher = uncompute_cost(active, gates + 10, level)
         assert 0 <= lower <= higher
-
-    def test_communication_estimator_global_average(self):
-        estimator = CommunicationEstimator(minimum_samples=4)
-        assert estimator.global_average() == 1.0
-        estimator.observe(10.0, gates=2)
-        assert estimator.global_average() == pytest.approx(5.0)
-
-    def test_communication_estimator_prefers_local_history(self):
-        estimator = CommunicationEstimator(minimum_samples=2)
-        estimator.observe(100.0, gates=10)
-        assert estimator.estimate(local_cost=4.0, local_gates=4) == pytest.approx(1.0)
-        assert estimator.estimate(local_cost=0.0, local_gates=0) == pytest.approx(10.0)
 
 
 def _request(**overrides) -> ReclamationRequest:
     base = dict(
         module_name="m", level=1, num_active=10, num_ancilla=2,
-        uncompute_gates=20, gates_to_parent_uncompute=100, comm_factor=1.5,
+        uncompute_gates=20, gates_to_parent_uncompute=100,
         locality_constrained=True, is_top_level=False,
     )
     base.update(overrides)

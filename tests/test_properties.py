@@ -7,7 +7,8 @@ invariants the whole system relies on:
   entry module's parameters (uncomputation never changes program output);
 * the Eager policy leaves every non-top-level ancilla clean;
 * AQV equals the area under the usage curve and never exceeds
-  peak-live-qubits x circuit-depth.
+  peak-live-qubits x circuit-depth;
+* the count-only reclamation plan is exactly what the compile does.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.nisq import NISQMachine
-from repro.core.compiler import compile_program
+from repro.core.compiler import CompilerConfig, SquareCompiler, compile_program
+from repro.core.plan import plan_reclamation
+from repro.core.policies import create_reclamation_policy
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
-from repro.ir.program import Program, QModule
+from repro.ir.program import CallStmt, Program, QModule
 
 
 def _random_leaf(rng: random.Random, index: int) -> QModule:
@@ -158,3 +161,28 @@ def test_aqv_bounds(seed, policy):
         result.peak_live_qubits * result.circuit_depth
     )
     assert result.peak_live_qubits <= result.num_qubits_used
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000), st.booleans(),
+       st.booleans())
+def test_reclamation_plan_is_what_the_compile_does(seed, decompose,
+                                                   store_call):
+    """The count-only plan's decisions, peak and gate count are the
+    compile's, with and without Toffoli decomposition and with a Store
+    block that calls (its garbage outlives the caller's uncompute)."""
+    program = _random_program(seed)
+    middle = program.entry.compute[0].module
+    if store_call and isinstance(middle.compute[0], CallStmt):
+        middle.store.append(middle.compute[0])
+    for reclamation in ("eager", "lazy", "cer"):
+        plan = plan_reclamation(program, create_reclamation_policy(reclamation),
+                                decompose_toffoli=decompose,
+                                locality_constrained=True)
+        config = CompilerConfig(reclamation=reclamation,
+                                decompose_toffoli=decompose)
+        result = SquareCompiler(NISQMachine.grid(5, 5), config).compile(program)
+        assert result.reclamation_events == plan.events
+        assert result.peak_live_qubits == plan.peak_live
+        assert result.gate_count == plan.gate_count

@@ -84,6 +84,7 @@ def main() -> None:
             first_entry_at = time.time()
         streamed.append((index, record["benchmark"], record["policy"]))
     final = client.poll(ticket)
+    client.close()
     assert final["state"] == "DONE" and len(streamed) == len(SPEC)
     assert [index for index, *_ in streamed] == list(range(len(SPEC))), \
         "the entry cursor must deliver every entry exactly once, in order"

@@ -89,7 +89,8 @@ def main() -> None:
               f"{trace_id}")
 
         # --- 2. one worker's events tell one shard's story ----------------
-        payload = ServiceClient(urls[0]).logs(trace_id)
+        with ServiceClient(urls[0]) as client:
+            payload = client.logs(trace_id)
         components = {event["component"] for event in payload["events"]}
         assert {"http", "queue", "worker", "manager"} <= components, \
             components
@@ -130,11 +131,13 @@ def main() -> None:
 
         # --- 5. a rejected key leaves a tenancy warning ------------------
         try:
-            ServiceClient(urls[0], api_key="bogus-key").stats()
+            with ServiceClient(urls[0], api_key="bogus-key") as bogus:
+                bogus.stats()
             raise AssertionError("bogus key must be rejected")
         except ServiceError:
             pass
-        warned = ServiceClient(urls[0]).logs("", level="WARNING")
+        with ServiceClient(urls[0]) as client:
+            warned = client.logs("", level="WARNING")
         assert any(event["component"] == "tenancy"
                    for event in warned["events"]), warned["events"]
         print("tenancy      : rejected key narrated as a WARNING event")
@@ -148,8 +151,8 @@ def main() -> None:
         log_path = os.path.join(tmp, "events.jsonl")
         server, url = start_server(log_path=log_path)
         try:
-            client = ServiceClient(url)
-            client.submit(CompileJob.for_benchmark("RD53", GRID, "square"))
+            with ServiceClient(url) as client:
+                client.submit(CompileJob.for_benchmark("RD53", GRID, "square"))
         finally:
             server.shutdown()
             server.server_close()
@@ -167,8 +170,8 @@ def main() -> None:
         # so the new job's narrative does not fuse with the fragment.
         server, url = start_server(log_path=log_path)
         try:
-            ServiceClient(url).submit(
-                CompileJob.for_benchmark("ADDER4", GRID, "square"))
+            with ServiceClient(url) as client:
+                client.submit(CompileJob.for_benchmark("ADDER4", GRID, "square"))
         finally:
             server.shutdown()
             server.server_close()

@@ -60,7 +60,8 @@ def start_server(cache_dir: str):
     return server, ServiceClient(f"http://{host}:{port}")
 
 
-def stop_server(server) -> None:
+def stop_server(server, client) -> None:
+    client.close()
     server.shutdown()
     server.server_close()
 
@@ -129,7 +130,7 @@ def main() -> None:
           f"workers={stats['service']['workers']} "
           f"queue={stats['service']['queue_depth']}/"
           f"{stats['service']['queue_capacity']}")
-    stop_server(server)
+    stop_server(server, client)
 
     # --- second server, same cache dir: results survive the restart ----
     server2, client2 = start_server(cache_dir)
@@ -143,7 +144,7 @@ def main() -> None:
         "disk-cached payload must be identical to the cold compile"
     print(f"disk hit     : cached={restored['cached']} "
           f"disk_hit={restored['disk_hit']} (payload identical)")
-    stop_server(server2)
+    stop_server(server2, client2)
 
     print("service demo OK")
 

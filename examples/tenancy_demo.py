@@ -115,7 +115,8 @@ def main() -> None:
 
     # --- authentication ------------------------------------------------
     try:
-        ServiceClient(url, api_key="ak-mallory").health()
+        with ServiceClient(url, api_key="ak-mallory") as mallory:
+            mallory.health()
         raise AssertionError("unknown API key must be rejected")
     except AuthError as error:
         assert error.http_status == 401
@@ -164,6 +165,8 @@ def main() -> None:
     queued.append(bob.submit_async(AFTER_FLOOD))
     time.sleep(0.2)                          # let the worker pick up BUSY_B
     crash_server(server)
+    for client in (alice, bob, anonymous):
+        client.close()
     print(f"crash        : server killed with 1 job RUNNING, "
           f"{len(queued)} QUEUED (journal frozen, no drain)")
 
@@ -199,6 +202,7 @@ def main() -> None:
     assert first < second, \
         "one tenant's recovered jobs must run in submission order"
     print("fifo         : alice's recovered jobs ran in submission order")
+    alice2.close()
     stop_server(server2)
 
     print("tenancy demo OK")

@@ -318,7 +318,8 @@ class Session:
             entries = self._verify_entries(entries)
         return SweepResult(entries)
 
-    def recall(self, job: CompileJob) -> Optional[SweepEntry]:
+    def recall(self, job: CompileJob,
+               fingerprint: str) -> Optional[SweepEntry]:
         """Answer ``job`` from the in-memory tier alone; None on a miss.
 
         A hit is accounted as :meth:`run` accounts one: a cache hit, a
@@ -326,9 +327,9 @@ class Session:
         the verifier report when :attr:`verify` is on.  A miss records
         nothing, so a caller that falls back to :meth:`run` is counted
         once.  The service answers ``/compile`` memory hits with this on
-        the request's own thread.
+        the request's own thread, passing the job's ``fingerprint`` it
+        already computed.
         """
-        fingerprint = job.fingerprint()
         started = time.perf_counter()
         with self._lock:
             result = self._cache.get(fingerprint)

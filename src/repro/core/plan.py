@@ -69,8 +69,7 @@ class _Record:
         if self.cleaned or self.reclaimed:
             return 0
         return self.module.num_ancilla + sum(
-            child.garbage()
-            for child in self.compute_records + self.store_records)
+            child.garbage() for child in self.compute_records + self.store_records)
 
 
 @dataclass
@@ -115,8 +114,7 @@ class _Planner:
         gates = static = 0
         for stmt in statements:
             if isinstance(stmt, GateStmt):
-                gates += (_TOFFOLI_GATES if self.decompose and stmt.name == "ccx"
-                          else 1)
+                gates += _TOFFOLI_GATES if self.decompose and stmt.name == "ccx" else 1
                 static += 1
             else:
                 compute, store, _ = self._shape(stmt.module)
@@ -225,7 +223,5 @@ def plan_reclamation(program: Program, policy: ReclamationPolicy, *,
     planner = _Planner(policy, decompose_toffoli, locality_constrained)
     planner.live = planner.peak = program.entry.num_params
     planner.call(program.entry, 0, None)
-    return ReclamationPlan(events=tuple(planner.events),
-                           live_at=tuple(planner.live_at),
-                           peak_live=planner.peak,
-                           gate_count=planner.gates)
+    return ReclamationPlan(tuple(planner.events), tuple(planner.live_at),
+                           planner.peak, planner.gates)

@@ -47,8 +47,9 @@ from typing import Dict, List, Optional
 
 from repro.core.result import CompilationResult
 
-#: Payload schema version; bump on incompatible layout changes.
-CACHE_VERSION = 1
+#: Payload schema version; bump on incompatible layout changes and when a
+#: job's compiled output changes (2: reclamation costs drop ``S``).
+CACHE_VERSION = 2
 
 #: What reading a present-but-broken payload can raise (UnicodeDecodeError
 #: and json.JSONDecodeError are ValueErrors).

@@ -290,9 +290,11 @@ class CompilationService:
     def _parse_submission(payload: Mapping[str, object],
                           kind: Optional[str] = None
                           ) -> Tuple[str, Dict[str, object], int,
-                                     Optional[float]]:
+                                     Optional[float], Optional[CompileJob]]:
         """Validate a submission payload; returns
-        ``(kind, work, priority, deadline_seconds)``.
+        ``(kind, work, priority, deadline_seconds, job)``, ``job`` being
+        the parsed :class:`CompileJob` of a compile submission (None for
+        a sweep).
 
         Descriptors are fully parsed here so malformed requests fail
         fast with a 400 at submission time — never later inside a
@@ -312,6 +314,7 @@ class CompilationService:
                                    f"number, got {deadline!r}")
             deadline = float(deadline)
         declared = payload.get("kind")
+        job = None
         if declared is not None and declared not in ("compile", "sweep"):
             raise ServiceError(f"unknown job kind {declared!r}; "
                                f"expected 'compile' or 'sweep'")
@@ -339,13 +342,13 @@ class CompilationService:
             descriptor = {key: value for key, value in descriptor.items()
                           if key not in ("kind", "priority",
                                          "deadline_seconds")}
-            CompileJob.from_dict(descriptor)
+            job = CompileJob.from_dict(descriptor)
             inferred, work = "compile", {"job": descriptor}
         if declared is not None and declared != inferred:
             raise ServiceError(
                 f"payload shape says kind={inferred!r} but the request "
                 f"declared kind={declared!r}")
-        return inferred, work, priority, deadline
+        return inferred, work, priority, deadline, job
 
     # ------------------------------------------------------------------
     # Worker side: executing queued payloads against the session
@@ -391,11 +394,11 @@ class CompilationService:
     def _execute_compile(self, queued: QueuedJob) -> Dict[str, object]:
         job = CompileJob.from_dict(queued.payload["job"])
         entry = self.session.run([job], isolate_failures=True)[0]
-        response = self._compile_response(job, entry)
+        response = self._compile_response(job.fingerprint(), entry)
         self.manager.record_entry(queued, entry.to_record())
         return response
 
-    def _compile_response(self, job: CompileJob,
+    def _compile_response(self, fingerprint: str,
                           entry: SweepEntry) -> Dict[str, object]:
         """Count one executed compile job and build its ``/compile`` reply.
 
@@ -408,7 +411,7 @@ class CompilationService:
                 self.job_failures += 1
         response: Dict[str, object] = {
             "ok": entry.ok,
-            "fingerprint": job.fingerprint(),
+            "fingerprint": fingerprint,
             "cached": entry.cached,
             "disk_hit": entry.disk_hit,
         }
@@ -504,14 +507,14 @@ class CompilationService:
         waited for.
         """
         self._count_request()
-        kind, work, priority, deadline = self._parse_submission(payload)
+        kind, work, priority, deadline, job = self._parse_submission(payload)
         if kind != "compile":
             raise ServiceError("/compile takes a single job descriptor; "
                                "POST sweeps to /sweep or /jobs")
-        job = CompileJob.from_dict(work["job"])
-        entry = self.session.recall(job)
+        fingerprint = job.fingerprint()
+        entry = self.session.recall(job, fingerprint)
         if entry is not None:
-            return self._compile_response(job, entry)
+            return self._compile_response(fingerprint, entry)
         return self._submit_and_wait(kind, work, priority,
                                      tenant=tenant, deadline=deadline,
                                      trace_id=trace_id)
@@ -523,7 +526,7 @@ class CompilationService:
         self._count_request()
         if "jobs" not in payload and "spec" not in payload:
             payload = {"spec": payload.get("spec", payload)}
-        kind, work, priority, deadline = self._parse_submission(payload)
+        kind, work, priority, deadline, _ = self._parse_submission(payload)
         return self._submit_and_wait(kind, work, priority,
                                      tenant=tenant, deadline=deadline,
                                      trace_id=trace_id)
@@ -536,7 +539,7 @@ class CompilationService:
                    ) -> Dict[str, object]:
         """``POST /jobs``: validate, enqueue, return the ticket at once."""
         self._count_request()
-        kind, work, priority, deadline = self._parse_submission(payload)
+        kind, work, priority, deadline, _ = self._parse_submission(payload)
         ticket = self.manager.submit(kind, work, priority=priority,
                                      tenant=tenant,
                                      deadline_seconds=deadline,

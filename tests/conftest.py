@@ -11,6 +11,7 @@ from repro.arch.nisq import NISQMachine
 from repro.cluster import assign_endpoint
 from repro.ir.builder import ModuleBuilder
 from repro.ir.program import Program, QModule
+from repro.service import ServiceClient
 
 
 def build_fun1() -> QModule:
@@ -37,6 +38,21 @@ def build_two_level_program() -> Program:
     top.cx(ta[0], to[0])
     top.cx(ta[0], to[1])
     return Program(top, name="two-level")
+
+
+@pytest.fixture
+def clients():
+    """``clients(url, **options)``: a :class:`ServiceClient` whose
+    connections are closed when the test ends."""
+    opened = []
+
+    def open_client(*args, **kwargs) -> ServiceClient:
+        opened.append(ServiceClient(*args, **kwargs))
+        return opened[-1]
+
+    yield open_client
+    for client in opened:
+        client.close()
 
 
 @pytest.fixture

@@ -104,7 +104,11 @@ class TestFigureExperiments:
         for row in experiment.rows:
             assert row["lazy"] == pytest.approx(1.0)
             assert row["square"] > 0
-        assert experiment.extras["mean_reduction_vs_lazy"] > 0
+        assert experiment.extras["geomean_reduction_vs_lazy"] > 0
+        losses = sum(1 for row in experiment.rows if row["square"] > 1.0)
+        assert experiment.extras["square_losses"] == losses
+        assert (f"SQUARE loses on {losses} of {len(experiment.rows)} "
+                in figure9.format_report(experiment))
 
     def test_figure10_quick_on_ft_machines(self):
         experiment = figure10.run(benchmarks=LARGE_QUICK, scale="quick")

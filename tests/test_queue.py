@@ -459,15 +459,14 @@ class TestSessionConcurrency:
         again = warm.run([RD53])[0]
         assert again.cached and not again.disk_hit  # memory shields disk
 
-    def test_remote_sweep_entries_carry_disk_hit(self, tmp_path):
+    def test_remote_sweep_entries_carry_disk_hit(self, tmp_path, clients):
         Session(cache_dir=tmp_path).submit(RD53)
         server = make_server("127.0.0.1", 0, cache_dir=str(tmp_path))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         try:
-            client = ServiceClient(f"http://{host}:{port}")
-            sweep = client.run([RD53])
+            sweep = clients(f"http://{host}:{port}").run([RD53])
             assert sweep[0].cached and sweep[0].disk_hit
         finally:
             server.shutdown()
@@ -580,7 +579,8 @@ def async_service(tmp_path_factory):
     thread.start()
     host, port = server.server_address[:2]
     try:
-        yield ServiceClient(f"http://{host}:{port}")
+        with ServiceClient(f"http://{host}:{port}") as client:
+            yield client
     finally:
         server.shutdown()
         server.server_close()
@@ -679,7 +679,8 @@ def saturated_service(tmp_path):
     thread.start()
     host, port = server.server_address[:2]
     try:
-        yield ServiceClient(f"http://{host}:{port}")
+        with ServiceClient(f"http://{host}:{port}") as client:
+            yield client
     finally:
         server.shutdown()
         server.server_close()
@@ -730,7 +731,7 @@ class TestBackPressureHTTP:
 
 
 class TestConcurrentCompileNotSerialized:
-    def test_compiles_complete_while_sweep_runs(self, tmp_path):
+    def test_compiles_complete_while_sweep_runs(self, tmp_path, clients):
         """With 2+ workers a long sweep occupies one worker while
         /compile requests land on the other — the acceptance criterion
         that PR 2's single lock could not meet."""
@@ -742,7 +743,7 @@ class TestConcurrentCompileNotSerialized:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}")
+        client = clients(f"http://{host}:{port}")
         try:
             sweep_id = client.submit_async(SLOW_SPEC)
             wait_until(lambda: client.poll(sweep_id)["state"] == "RUNNING")
@@ -824,7 +825,7 @@ class TestClientRetry:
             client.health()
         assert calls["count"] == 1
 
-    def test_request_dropped_after_send(self):
+    def test_request_dropped_after_send(self, clients):
         """A POST whose connection dies after it was written raises and
         is not re-sent; a GET is reissued on a new connection."""
         listener = socket.create_server(("127.0.0.1", 0))
@@ -848,8 +849,8 @@ class TestClientRetry:
 
         thread = threading.Thread(target=drop_every_request, daemon=True)
         thread.start()
-        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5,
-                               retries=2, backoff=0.001)
+        client = clients(f"http://127.0.0.1:{port}", timeout=5,
+                         retries=2, backoff=0.001)
         with pytest.raises(ServiceError, match="mid-request"):
             client.compile_job(RD53)
         assert methods == [b"POST"]

@@ -26,6 +26,7 @@ from repro.api import (
 from repro.core.compiler import CompilerConfig, preset
 from repro.core.result import CompilationResult, JobFailure
 from repro.service import (
+    CACHE_VERSION,
     CompilationService,
     DiskCache,
     ServiceClient,
@@ -274,6 +275,21 @@ class TestDiskCache:
         assert DiskCache(tmp_path).get(fingerprint) == sweep[0].result
         assert session.disk_cache.gc_orphans(min_age_seconds=0) == 0
 
+    def test_older_version_payload_is_a_miss_and_recompiled(self, tmp_path):
+        session = Session(cache_dir=tmp_path)
+        fresh = session.submit(RD53)
+        path = session.disk_cache.results_dir / f"{RD53.fingerprint()}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = CACHE_VERSION - 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        warm = Session(cache_dir=tmp_path)
+        sweep = warm.run([RD53])
+        assert not sweep[0].disk_hit
+        assert sweep[0].result.reclamation_events == fresh.reclamation_events
+        assert warm.disk_cache.corrupt == 1 and warm.disk_cache.writes == 1
+        # The recompile rewrote the entry under the current version.
+        assert DiskCache(tmp_path).get(RD53.fingerprint()) == sweep[0].result
+
     def test_no_temp_file_litter(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put(RD53.fingerprint(), Session().submit(RD53), job=RD53)
@@ -371,7 +387,8 @@ def http_service(tmp_path_factory):
     thread.start()
     host, port = server.server_address[:2]
     try:
-        yield ServiceClient(f"http://{host}:{port}"), cache_dir
+        with ServiceClient(f"http://{host}:{port}") as client:
+            yield client, cache_dir
     finally:
         server.shutdown()
         server.server_close()
@@ -454,9 +471,9 @@ class TestHTTPEndpoint:
         assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
 
     def test_unreachable_service(self):
-        client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
-        with pytest.raises(ServiceError):
-            client.health()
+        with ServiceClient("http://127.0.0.1:9", timeout=0.5) as client:
+            with pytest.raises(ServiceError):
+                client.health()
 
     @pytest.mark.parametrize("url", ["ftp://127.0.0.1:9", "127.0.0.1:9",
                                      "http://127.0.0.1:port"])
@@ -467,10 +484,10 @@ class TestHTTPEndpoint:
     def test_https_url_speaks_tls(self, http_service):
         client, _ = http_service
         # The service itself speaks plain HTTP, so the handshake fails.
-        tls = ServiceClient(client.base_url.replace("http:", "https:"),
-                            timeout=5)
-        with pytest.raises(ServiceError, match="SSL"):
-            tls.health()
+        with ServiceClient(client.base_url.replace("http:", "https:"),
+                           timeout=5) as tls:
+            with pytest.raises(ServiceError, match="SSL"):
+                tls.health()
 
     def test_warm_cache_survives_server_restart(self, http_service):
         client, cache_dir = http_service
@@ -486,7 +503,8 @@ class TestHTTPEndpoint:
         thread.start()
         try:
             host, port = restarted.server_address[:2]
-            warm = ServiceClient(f"http://{host}:{port}").compile_job(job)
+            with ServiceClient(f"http://{host}:{port}") as fresh:
+                warm = fresh.compile_job(job)
             assert warm["ok"] and warm["cached"] and warm["disk_hit"]
             assert warm["result"] == first["result"]
         finally:
@@ -563,20 +581,20 @@ class TestKeepAlive:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}", timeout=5,
-                               retries=1, backoff=0.001)
-        assert client.health()["status"] == "ok"
-        held = http.client.HTTPConnection(host, port, timeout=5)
-        held.request("GET", "/health")
-        held.getresponse().read()
-        server.shutdown()
-        # Serving stops with shutdown(): the idle connection is closed.
-        assert held.sock.recv(1) == b""
-        held.close()
-        server.server_close()
-        thread.join(timeout=5)
-        with pytest.raises(ServiceError):
-            client.health()
+        with ServiceClient(f"http://{host}:{port}", timeout=5,
+                           retries=1, backoff=0.001) as client:
+            assert client.health()["status"] == "ok"
+            held = http.client.HTTPConnection(host, port, timeout=5)
+            held.request("GET", "/health")
+            held.getresponse().read()
+            server.shutdown()
+            # Serving stops with shutdown(): the idle connection is closed.
+            assert held.sock.recv(1) == b""
+            held.close()
+            server.server_close()
+            thread.join(timeout=5)
+            with pytest.raises(ServiceError):
+                client.health()
 
     def test_idle_connection_is_closed_and_reopened(self, monkeypatch):
         monkeypatch.setattr(ServiceHTTPHandler, "timeout", 0.2)
@@ -615,9 +633,9 @@ class TestInlineMemoryHits:
         # A cold /compile still runs as a job.
         assert len(client.jobs()) == records + 1
 
-        traced = ServiceClient(client.base_url)
-        inline = traced._request("POST", "/compile", {"job": job.to_dict()},
-                                 raw=True)
+        with ServiceClient(client.base_url) as traced:
+            inline = traced._request("POST", "/compile",
+                                     {"job": job.to_dict()}, raw=True)
         assert len(client.jobs()) == records + 1
         queued = client.result_of(client.submit_async(job), timeout=30)
         assert json.loads(inline)["cached"]
@@ -631,6 +649,31 @@ class TestInlineMemoryHits:
         memory = next(span for span in spans
                       if span["name"] == "cache.memory")
         assert memory["parent_id"] == handle["span_id"]
+
+    def test_warm_compile_parses_and_fingerprints_once(self, monkeypatch):
+        service = CompilationService()
+        try:
+            service.compile({"job": RD53.to_dict()})
+            calls = {"from_dict": 0, "fingerprint": 0}
+            real_from_dict = CompileJob.from_dict.__func__
+            real_fingerprint = CompileJob.fingerprint
+
+            def from_dict(cls, data):
+                calls["from_dict"] += 1
+                return real_from_dict(cls, data)
+
+            def fingerprint(job):
+                calls["fingerprint"] += 1
+                return real_fingerprint(job)
+
+            monkeypatch.setattr(CompileJob, "from_dict",
+                                classmethod(from_dict))
+            monkeypatch.setattr(CompileJob, "fingerprint", fingerprint)
+            warm = service.compile({"job": RD53.to_dict()})
+            assert warm["cached"]
+            assert calls == {"from_dict": 1, "fingerprint": 1}
+        finally:
+            service.close()
 
     def test_hit_accounting_matches_a_queued_hit(self):
         service = CompilationService(verify=True)

@@ -658,23 +658,23 @@ def tenant_server(tmp_path):
 
 
 class TestHTTPTenancy:
-    def test_unknown_key_is_401(self, tenant_server):
-        mallory = ServiceClient(tenant_server, api_key="ak-mallory")
+    def test_unknown_key_is_401(self, tenant_server, clients):
+        mallory = clients(tenant_server, api_key="ak-mallory")
         with pytest.raises(AuthError) as exc_info:
             mallory.health()
         assert exc_info.value.http_status == 401
 
-    def test_keyless_clients_stay_fully_functional(self, tenant_server):
-        anonymous = ServiceClient(tenant_server)
+    def test_keyless_clients_stay_fully_functional(self, tenant_server, clients):
+        anonymous = clients(tenant_server)
         assert anonymous.health()["status"] == "ok"
         ticket = anonymous.submit_async(RD53)
         record = anonymous.wait_for(ticket, timeout=60)
         assert record["state"] == "DONE"
         assert record["tenant"] == ANONYMOUS
 
-    def test_quota_429_hits_only_the_flooding_tenant(self, tenant_server):
-        alice = ServiceClient(tenant_server, api_key="ak-alice")
-        bob = ServiceClient(tenant_server, api_key="ak-bob")
+    def test_quota_429_hits_only_the_flooding_tenant(self, tenant_server, clients):
+        alice = clients(tenant_server, api_key="ak-alice")
+        bob = clients(tenant_server, api_key="ak-bob")
         running = alice.submit_async(SLOW_SPEC)  # occupies the worker
         wait_until(lambda: alice.poll(running)["state"] == "RUNNING")
         alice.submit_async(SLOW_SPEC)            # fills alice's quota of 1
@@ -686,8 +686,8 @@ class TestHTTPTenancy:
         bob_ticket = bob.submit_async(RD53)      # bob is unaffected
         assert bob.wait_for(bob_ticket, timeout=60)["state"] == "DONE"
 
-    def test_stats_report_per_tenant_activity(self, tenant_server):
-        alice = ServiceClient(tenant_server, api_key="ak-alice")
+    def test_stats_report_per_tenant_activity(self, tenant_server, clients):
+        alice = clients(tenant_server, api_key="ak-alice")
         ticket = alice.submit_async(RD53)
         alice.wait_for(ticket, timeout=60)
         tenants = alice.stats()["tenants"]
@@ -695,7 +695,8 @@ class TestHTTPTenancy:
         assert tenants["alice"]["completed"] >= 1
         assert "burst_score" in tenants["alice"]
 
-    def test_restart_on_same_store_dir_serves_old_results(self, tmp_path):
+    def test_restart_on_same_store_dir_serves_old_results(self, tmp_path,
+                                                            clients):
         def start():
             server = make_server("127.0.0.1", 0, tenants=REGISTRY,
                                  store_dir=str(tmp_path))
@@ -706,7 +707,7 @@ class TestHTTPTenancy:
             return server, thread, f"http://{host}:{port}"
 
         server, thread, url = start()
-        alice = ServiceClient(url, api_key="ak-alice")
+        alice = clients(url, api_key="ak-alice")
         ticket = alice.submit_async(RD53)
         before = alice.wait_for(ticket, timeout=60)
         server.shutdown()
@@ -715,7 +716,7 @@ class TestHTTPTenancy:
 
         server, thread, url = start()
         try:
-            after = ServiceClient(url, api_key="ak-alice").poll(ticket)
+            after = clients(url, api_key="ak-alice").poll(ticket)
             assert json.dumps(after, sort_keys=True) \
                 == json.dumps(before, sort_keys=True)
         finally:

@@ -1,19 +1,20 @@
 """Benchmark: tuning-trial throughput through the tuner machinery.
 
 Establishes the tuner-layer performance trajectory: how many trials per
-second the strategy → job-expansion → backend → scoring → journal
-pipeline sustains, separated into
+second the strategy → job-expansion → session → scoring pipeline
+sustains, separated into
 
 * **warm-session trials** — a grid search whose session memo is already
   warm, so the measurement is the per-trial tuner overhead (fingerprint
-  computation, dedup, journaling, scoring) rather than compilation, and
-* **journal resume** — re-running a fully journaled search, i.e. the
-  restore path a killed run takes: every trial must come back from the
-  JSONL journal with zero compilations.
+  computation, dedup, scoring) rather than compilation, and
+* **cache-dir resume** — re-running a finished search on a fresh
+  session over the same cache directory, i.e. the path a killed run
+  takes: every trial must come back from the disk cache with zero
+  compilations.
 
 Both assert a generous throughput floor so a catastrophic regression
-(e.g. re-fingerprinting per candidate pair going quadratic, or journal
-writes fsync-ing per byte) fails loudly rather than drifting in the
+(e.g. re-fingerprinting per candidate pair going quadratic, or cache
+reads re-parsing the whole directory) fails loudly rather than drifting in the
 timings.
 """
 
@@ -30,12 +31,11 @@ GRID = MachineSpec.nisq_grid(5, 5)
 ROUNDS = 20
 
 
-def tuning_run(session, journal_path=None) -> TuningRun:
+def tuning_run(session) -> TuningRun:
     """One grid search over the full policy space on one benchmark."""
     run = TuningRun(SearchSpace.policy_space(), "aqv",
                     GridSearch(scale="quick"), ["RD53"],
-                    machine=GRID, backend=session,
-                    journal_path=journal_path)
+                    machine=GRID, session=session)
     run.run()
     return run
 
@@ -61,24 +61,26 @@ def test_bench_warm_trial_throughput(benchmark):
     assert trials_per_second > 50
 
 
-def resume_many(journal_paths) -> int:
-    """Resume one fully-journaled run per path; returns trials restored."""
+def resume_many(cache_dirs) -> int:
+    """Resume one finished run per cache directory; returns the trials
+    served from disk."""
     restored = 0
-    for path in journal_paths:
-        run = tuning_run(Session(), journal_path=path)
-        assert run.trials_executed == 0, \
-            "a complete journal must leave nothing to compile"
-        restored += run.journal_restored
+    for cache_dir in cache_dirs:
+        session = Session(cache_dir=cache_dir)
+        tuning_run(session)
+        assert session.cache_misses == 0, \
+            "a finished run's cache must leave nothing to compile"
+        restored += session.disk_hits
     return restored
 
 
-def test_bench_journal_resume_throughput(benchmark, tmp_path):
-    """Restoring a killed run from its journal: no compiles, fast."""
-    paths = [tmp_path / f"tune-{index}.jsonl" for index in range(ROUNDS)]
-    seed_session = Session()
-    for path in paths:  # journal every trial once
-        tuning_run(seed_session, journal_path=path)
-    restored = run_once(benchmark, resume_many, paths)
+def test_bench_cache_dir_resume_throughput(benchmark, tmp_path):
+    """Resuming a killed run from its cache directory: no compiles."""
+    cache_dirs = [str(tmp_path / f"cache-{index}")
+                  for index in range(ROUNDS)]
+    for cache_dir in cache_dirs:  # cache every trial once
+        tuning_run(Session(cache_dir=cache_dir))
+    restored = run_once(benchmark, resume_many, cache_dirs)
     assert restored > 0
     trials_per_second = restored / benchmark.stats.stats.mean
     benchmark.extra_info["trials_per_second"] = round(trials_per_second, 1)

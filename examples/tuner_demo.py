@@ -1,4 +1,4 @@
-"""Auto-tuning demo: racing policy search, journal resume, cluster backend.
+"""Auto-tuning demo: racing policy search, cache-dir resume, cluster session.
 
 Walks the tuner story end to end, asserting every claim (CI runs this
 file as the tuner smoke test under a hard timeout):
@@ -10,17 +10,17 @@ file as the tuner smoke test under a hard timeout):
    ``preset()``-compatible config dict,
 2. determinism: re-running the same seeded search from scratch yields
    a byte-identical leaderboard JSON export,
-3. resume-after-kill: a run killed mid-search resumes from its JSONL
-   trial journal with **zero repeat compilations** (proved by the
-   fresh session's cache accounting) and converges to the identical
-   leaderboard,
-4. the same seeded search through a 2-server cluster backend — trials
+3. resume-after-kill: a run killed mid-search resumes on a new session
+   over the same cache directory, recompiles **no trial that
+   succeeded** (proved by the session's cache accounting) and converges
+   to the identical leaderboard,
+4. the same seeded search through a 2-server cluster session — trials
    shard across both compile servers — still exports a byte-identical
    leaderboard, and the fleet stats show both workers compiled.
 
 Run with::
 
-    python examples/tuner_demo.py [journal_base_dir]
+    python examples/tuner_demo.py [base_dir]
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ MACHINE = MachineSpec.nisq_autosize()
 KILL_AFTER = 4
 
 
-def make_run(backend=None, journal_path=None, on_trial=None) -> TuningRun:
+def make_run(session=None, on_trial=None) -> TuningRun:
     """One seeded tuning run; every section uses this exact config."""
     return TuningRun(
         SearchSpace.policy_space(),
@@ -55,8 +55,7 @@ def make_run(backend=None, journal_path=None, on_trial=None) -> TuningRun:
         SuccessiveHalving(scales=("quick", "laptop"), trials=5, seed=7),
         benchmarks=BENCHMARKS,
         machine=MACHINE,
-        backend=backend,
-        journal_path=journal_path,
+        session=session,
         on_trial=on_trial,
     )
 
@@ -77,10 +76,10 @@ def main() -> None:
     base = Path(sys.argv[1] if len(sys.argv) > 1
                 else tempfile.mkdtemp(prefix="repro-tuner-demo-"))
     base.mkdir(parents=True, exist_ok=True)
-    print(f"journal base directory: {base}")
+    print(f"base directory: {base}")
 
     # --- 1. seeded racing search, local session ------------------------
-    local = make_run(backend=Session(), journal_path=base / "local.jsonl")
+    local = make_run(session=Session())
     report = local.run()
     stats = local.stats()
     print(report.table("tuner demo leaderboard (local session)"))
@@ -96,13 +95,13 @@ def main() -> None:
     print(f"best config  : {best} (preset()-compatible)")
 
     # --- 2. determinism: same seed, fresh run, identical bytes ---------
-    repeat = make_run(backend=Session())
+    repeat = make_run(session=Session())
     assert repeat.run().to_json() == report.to_json(), \
         "the same seeded search must export a byte-identical leaderboard"
     print("determinism  : fresh rerun exports byte-identical JSON")
 
-    # --- 3. kill mid-run, resume from the journal ----------------------
-    journal = base / "resume.jsonl"
+    # --- 3. kill mid-run, resume on the same cache directory ----------
+    cache_dir = base / "resume-cache"
     finished = []
 
     def killer(record) -> None:
@@ -111,37 +110,36 @@ def main() -> None:
             raise KilledMidRun()
 
     try:
-        make_run(backend=Session(), journal_path=journal,
+        make_run(session=Session(cache_dir=str(cache_dir)),
                  on_trial=killer).run()
         raise AssertionError("the killed run must not complete")
     except KilledMidRun:
         pass
-    print(f"killed       : run stopped after {KILL_AFTER} journaled "
-          f"trial(s)")
+    # One content-addressed file per trial that succeeded.
+    saved = len(list((cache_dir / "results").glob("*.json")))
+    print(f"killed       : run stopped after {KILL_AFTER} trial(s) came "
+          f"back; {saved} result(s) are in its cache directory")
 
-    session = Session()  # fresh caches: any repeat compile would show
-    resumed = make_run(backend=session, journal_path=journal)
+    session = Session(cache_dir=str(cache_dir))  # fresh memory tier
+    resumed = make_run(session=session)
     resumed_report = resumed.run()
     stats = resumed.stats()
     total_unique = local.stats()["trials_executed"]
-    assert stats["journal_restored"] == KILL_AFTER
-    assert stats["trials_executed"] == total_unique - KILL_AFTER, \
+    assert stats["disk_hits"] == saved, \
+        "every trial compiled before the kill must come back from disk"
+    assert stats["cache_misses"] == total_unique - saved, \
         "resume must only compile the trials the kill lost"
-    assert session.cache_misses == stats["trials_executed"] \
-        and session.cache_hits == 0, \
-        "zero repeat compilations: every executed trial was fresh work"
     assert resumed_report.to_json() == report.to_json(), \
         "a resumed run must converge to the uninterrupted leaderboard"
-    print(f"resumed      : {stats['journal_restored']} trial(s) restored "
-          f"from the journal, {stats['trials_executed']} compiled "
-          f"(cache accounting proves zero repeats)")
+    print(f"resumed      : {stats['disk_hits']} trial(s) from the disk "
+          f"cache, {stats['cache_misses']} compiled (cache accounting "
+          f"proves zero repeats)")
 
-    # --- 4. the same search through a 2-server cluster backend ---------
+    # --- 4. the same search through a 2-server cluster session ---------
     server_a, url_a = start_server(str(base / "cache-a"))
     server_b, url_b = start_server(str(base / "cache-b"))
     executor = FleetExecutor([url_a, url_b])
-    cluster = make_run(backend=Session(executor),
-                       journal_path=base / "cluster.jsonl")
+    cluster = make_run(session=Session(executor))
     cluster_report = cluster.run()
     assert cluster_report.to_json() == report.to_json(), \
         "cluster leaderboard must be byte-identical to the local run"

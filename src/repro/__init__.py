@@ -37,8 +37,8 @@ fingerprint hash and streams results back as workers finish them
 (``python -m repro.experiments cluster-sweep``).
 And because the paper's central finding is that the best policy is
 workload-dependent, :mod:`repro.tuner` searches the policy/config
-space automatically — racing strategies, Pareto objectives, resumable
-trial journals — through any of those backends
+space automatically — racing strategies, Pareto objectives, runs that
+resume from the session's disk cache — through any of those sessions
 (``python -m repro.experiments tune``).
 
 Policies and benchmarks are open registries — see

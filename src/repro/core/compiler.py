@@ -372,7 +372,9 @@ class SquareCompiler:
                 self._emit_gate(inverse_gate_name(stmt.name), qubits)
             elif isinstance(stmt, CallStmt):
                 record_index -= 1
-                self._exec_call_inverse(records[record_index])
+                self._exec_call_inverse(
+                    records[record_index],
+                    tuple(map(frame.binding.__getitem__, stmt.args)))
             else:  # pragma: no cover - defensive
                 raise CompilationError(f"unknown statement {stmt!r}")
 
@@ -501,14 +503,20 @@ class SquareCompiler:
     # ------------------------------------------------------------------
     # Inverse execution (uncomputation of calls)
     # ------------------------------------------------------------------
-    def _exec_call_inverse(self, record: CallRecord) -> None:
+    def _exec_call_inverse(self, record: CallRecord,
+                           args: Tuple[int, ...]) -> None:
+        """Invert ``record`` with its parameters bound to ``args``, where
+        the caller's arguments sit now: a caller being replayed holds fresh
+        ancillas in place of the ones the record saw, freed at its ``Free``."""
         module = record.module
         if record.reclaimed:
-            self._replay_reclaimed_inverse(record)
+            self._replay_reclaimed_inverse(record, args)
             return
         # Deferred (or ancilla-free) call: its state is still on the machine,
-        # so its inverse is Store^-1 ; Compute^-1 on the original qubits.
-        frame = _Frame(module=module, level=record.level, binding=dict(record.binding),
+        # so its inverse is Store^-1 ; Compute^-1 on its own ancillas.
+        binding = dict(record.binding)
+        binding.update(zip(module.params, args))
+        frame = _Frame(module=module, level=record.level, binding=binding,
                        ancilla_virtuals=list(record.ancilla_virtuals))
         self._exec_block_inverse(module.store, frame, record.store_records)
         self._exec_block_inverse(module.compute, frame, record.compute_records)
@@ -517,10 +525,11 @@ class SquareCompiler:
             self._heap.push(virtual)
         record.cleaned = True
 
-    def _replay_reclaimed_inverse(self, record: CallRecord) -> None:
+    def _replay_reclaimed_inverse(self, record: CallRecord,
+                                  args: Tuple[int, ...]) -> None:
         """Invert a call that had reclaimed: C ; S^-1 ; C^-1 on fresh ancillas."""
         module = record.module
-        binding = {param: record.binding[param] for param in module.params}
+        binding = dict(zip(module.params, args))
         frame = _Frame(module=module, level=record.level, binding=binding,
                        ancilla_virtuals=[])
         if module.num_ancilla:

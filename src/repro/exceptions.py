@@ -142,9 +142,9 @@ class TunerError(ReproError):
     """Raised when a tuning run is misconfigured or cannot proceed.
 
     Covers malformed search spaces (unknown config fields, empty
-    ranges), objective specs naming unknown metrics, journals that do
-    not belong to the run trying to resume from them, and runs that end
-    with no successful candidate to report.  Failures of *individual
+    ranges), objective specs naming unknown metrics, a session that is
+    not a :class:`repro.api.session.Session`, and runs that end with no
+    successful candidate to report.  Failures of *individual
     trials* are not tuner errors: they come back as structured
     :class:`repro.core.result.JobFailure` records and simply disqualify
     their candidate.

@@ -39,7 +39,7 @@ Examples::
         --policies lazy square --grid 5 5 --export cluster.csv
     python -m repro.experiments tune RD53 MUL32 --strategy halving \\
         --scales quick laptop --objective aqv --grid 5 5 \\
-        --journal tune.jsonl --export-best best.json
+        --cache-dir ~/.cache/repro --export-best best.json
     python -m repro.experiments cluster-stats \\
         --endpoint http://127.0.0.1:8731 --endpoint http://127.0.0.1:8732
     python -m repro.experiments metrics \\
@@ -294,10 +294,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.endpoint:
         from repro.cluster import FleetExecutor
 
-        backend = Session(FleetExecutor(args.endpoint, api_key=args.api_key))
+        session = Session(FleetExecutor(args.endpoint, api_key=args.api_key),
+                          cache_dir=args.cache_dir)
         backend_label = f"{len(args.endpoint)}-worker cluster"
     else:
-        backend = _session(args)
+        session = _session(args)
         backend_label = "local session"
 
     def progress(record: dict) -> None:
@@ -314,8 +315,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         strategy,
         args.benchmarks,
         machine=_machine_spec(args),
-        backend=backend,
-        journal_path=args.journal,
+        session=session,
         on_trial=progress,
     )
     started = time.perf_counter()
@@ -332,9 +332,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
              f"{args.strategy} over {len(run.space)} candidate(s) "
              f"via {backend_label}")
     text = (report.table(title)
-            + f"\n[{stats['trials_executed']} trial(s) compiled, "
+            + f"\n[{stats['cache_misses']} compiled, "
             f"{stats['trials_deduped']} deduped, "
-            f"{stats['journal_restored']} restored from journal "
+            f"{stats['disk_hits']} from the disk cache "
             f"in {elapsed:.1f}s]\n")
     if best is None:
         text += ("best config: none — every candidate failed "
@@ -750,10 +750,6 @@ def _build_parser():
                            "multi-objective Pareto runs")
     tune.add_argument("--scales", nargs="+", metavar="SCALE",
                       help="benchmark scale ladder (default: quick laptop)")
-    tune.add_argument("--journal", metavar="PATH",
-                      help="append-only JSONL trial journal; rerun with "
-                           "the same path to resume a killed run without "
-                           "recompiling")
     tune.add_argument("--export-best", metavar="PATH",
                       help="write the winning preset-compatible config "
                            "dict to PATH")
@@ -818,10 +814,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
             command.error("--trials does not apply to --strategy grid "
                           "(the grid is exhaustive); use random or "
                           "halving to cap the candidate count")
-        if args.endpoint and (args.jobs != 1 or args.cache_dir):
-            command.error("--jobs/--cache-dir do not apply to a cluster "
-                          "`tune`; compilation (and caching) happens on "
-                          "the servers")
+        if args.endpoint and args.jobs != 1:
+            command.error("--jobs does not apply to a cluster `tune`; "
+                          "compilation happens on the servers")
     return args
 
 

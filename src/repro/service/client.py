@@ -84,6 +84,11 @@ def _readable(sock) -> bool:
     return bool(readable)
 
 
+class _ThreadGuard:
+    """Lives in one thread's local storage, so it is freed when that
+    thread ends; a finalizer on it closes the thread's connection."""
+
+
 class ServiceClient:
     """Talks JSON to a running compilation service endpoint.
 
@@ -137,8 +142,8 @@ class ServiceClient:
         self.api_key = api_key
         self.trace_id = coerce_trace_id(trace_id)
         self.spans = spans
-        # One connection per thread; a thread's goes when the thread
-        # ends, and _open reaches every live one for close().
+        # One connection per thread, closed when the thread ends (its
+        # guard's finalizer); _open reaches every live one for close().
         self._local = threading.local()
         self._open: "weakref.WeakSet[http.client.HTTPConnection]" = \
             weakref.WeakSet()
@@ -171,6 +176,8 @@ class ServiceClient:
             self._drop()
         connection = self._connect()
         self._local.connection = connection
+        self._local.guard = _ThreadGuard()
+        weakref.finalize(self._local.guard, connection.close)
         with self._open_lock:
             self._open.add(connection)
         return connection

@@ -7,8 +7,8 @@ hand-picking ``allocation=``/``reclamation=`` names per run, declare a
 search space over the policy registries (and any other
 :class:`~repro.core.compiler.CompilerConfig` knobs), an objective over
 the headline metrics, and let a :class:`TuningRun` find the best
-configuration for *your* benchmarks — locally, against one compile
-server, or across a whole cluster:
+configuration for *your* benchmarks — locally or across a whole
+cluster:
 
 * :mod:`repro.tuner.space` — declarative parameter spaces
   (:class:`Choice` / :class:`IntRange` / :class:`FloatRange`),
@@ -24,18 +24,17 @@ server, or across a whole cluster:
   that evaluates candidates at small benchmark scales and promotes
   survivors up the scale ladder.
 * :mod:`repro.tuner.runner` — :class:`TuningRun`: trials through a
-  pluggable backend (a :class:`~repro.api.session.Session`, local or
-  over a :class:`~repro.cluster.executor.FleetExecutor`, or a
-  :class:`~repro.service.client.ServiceClient`), fingerprint
-  deduplication, and an append-only JSONL journal that makes a killed
-  run resumable with zero repeat compilations.
+  :class:`~repro.api.session.Session` (local, or over a
+  :class:`~repro.cluster.executor.FleetExecutor`) with fingerprint
+  deduplication; the session's disk cache makes a killed run
+  resumable without recompiling a trial that succeeded.
 * :mod:`repro.tuner.report` — :class:`TuningReport`: ranked
   leaderboard, Pareto flags, and best-config export as a
   :func:`~repro.core.compiler.preset`-compatible dict.
 
 Quick start::
 
-    from repro.api import MachineSpec
+    from repro.api import MachineSpec, Session
     from repro.tuner import (MultiObjective, SearchSpace,
                              SuccessiveHalving, TuningRun)
 
@@ -45,7 +44,7 @@ Quick start::
         SuccessiveHalving(scales=("quick", "laptop"), seed=7),
         benchmarks=["RD53", "MUL32"],
         machine=MachineSpec.nisq_grid(5, 5),
-        journal_path="tune.jsonl",
+        session=Session(cache_dir="tune-cache"),
     )
     report = run.run()
     print(report.table("policy search"))
@@ -66,7 +65,7 @@ from repro.tuner.report import (
     RoundResult,
     TuningReport,
 )
-from repro.tuner.runner import Trial, TrialJournal, TuningRun
+from repro.tuner.runner import Trial, TuningRun
 from repro.tuner.space import (
     Choice,
     FloatRange,
@@ -101,7 +100,6 @@ __all__ = [
     "SuccessiveHalving",
     "TUNER_METRICS",
     "Trial",
-    "TrialJournal",
     "TuningReport",
     "TuningRun",
     "candidate_key",

@@ -122,8 +122,8 @@ def candidate_key(candidate: Mapping[str, object]) -> str:
     """Canonical JSON identity of a candidate (sorted, compact).
 
     Used wherever candidates need a deterministic total order or a
-    stable dictionary key: leaderboard tie-breaks, journal records,
-    in-run deduplication.
+    stable dictionary key: leaderboard tie-breaks, per-candidate score
+    grouping.
     """
     return json.dumps(dict(candidate), sort_keys=True,
                       separators=(",", ":"))

@@ -6,7 +6,7 @@ scored outcome of each round — either proposes the next round or
 declares the search finished.  The :class:`~repro.tuner.runner.TuningRun`
 drives the loop; strategies never execute anything themselves, which is
 what keeps a killed run resumable (replaying the same strategy over
-journaled scores reproduces the same rounds).
+cached trial results reproduces the same rounds).
 
 Three strategies ship:
 

@@ -51,7 +51,7 @@ README_LINES = _command_lines(
 
 
 def test_command_lines_are_found():
-    assert len(CI_LINES) == 34
+    assert len(CI_LINES) == 35
     assert len(README_LINES) >= 15
 
 
@@ -107,20 +107,21 @@ PARSES = [
     ("bench compare --suite telemetry", cli._cmd_bench,
      {"action": "compare", "suite": "telemetry", "history": None}),
     ("tune RD53 ADDER4 --grid 5 5 --scales quick laptop --objective aqv "
-     "--journal /tmp/tune.jsonl --export /tmp/board.json "
+     "--cache-dir /tmp/tune-cache --export /tmp/board.json "
      "--export-best /tmp/best.json", cli._cmd_tune,
      {"benchmarks": ["RD53", "ADDER4"], "grid": [5, 5],
       "scales": ["quick", "laptop"], "objective": ["aqv"],
-      "journal": "/tmp/tune.jsonl", "export": "/tmp/board.json",
+      "cache_dir": "/tmp/tune-cache", "export": "/tmp/board.json",
       "export_best": "/tmp/best.json", "strategy": "halving",
       "trials": None, "seed": 0, "endpoint": None, "jobs": 1}),
     ("tune RD53 ADDER4 --grid 5 5 --scales quick laptop --objective aqv "
      "--endpoint http://127.0.0.1:8781 --endpoint http://127.0.0.1:8782 "
+     "--cache-dir /tmp/tune-fleet-cache "
      "--export /tmp/leaderboard-fleet.json", cli._cmd_tune,
      {"benchmarks": ["RD53", "ADDER4"], "scales": ["quick", "laptop"],
       "endpoint": ["http://127.0.0.1:8781", "http://127.0.0.1:8782"],
-      "export": "/tmp/leaderboard-fleet.json", "journal": None,
-      "jobs": 1, "cache_dir": None}),
+      "export": "/tmp/leaderboard-fleet.json",
+      "jobs": 1, "cache_dir": "/tmp/tune-fleet-cache"}),
 ]
 
 
@@ -165,6 +166,8 @@ ACCEPTS = [
      {"strategy": "random", "trials": 3, "seed": 7, "endpoint": ["e"],
       "api_key": "k", "machine": "ft"}),
     ("tune RD53 --jobs 2 --cache-dir d", {"jobs": 2, "cache_dir": "d"}),
+    ("tune RD53 --endpoint e --cache-dir d",
+     {"endpoint": ["e"], "cache_dir": "d"}),
     ("cluster-stats --endpoint e --api-key k", {"api_key": "k"}),
     ("metrics --endpoint e --endpoint f --api-key k",
      {"endpoint": ["e", "f"]}),
@@ -196,6 +199,7 @@ REJECTS = [
     "sweep RD53 --verify",
     "sweep RD53 --endpoint http://x:1",
     "sweep RD53 --journal x.jsonl",
+    "tune RD53 --journal x.jsonl",
     "compile RD53 --strategy grid",
     "tune RD53 --scale quick",
     "tune RD53 --policies lazy",
@@ -253,7 +257,6 @@ REJECTS = [
     # Value-dependent checks.
     "tune RD53 --strategy grid --trials 5",
     "tune RD53 --endpoint e --jobs 2",
-    "tune RD53 --endpoint e --cache-dir d",
     # No command.
     "",
 ]

@@ -1,10 +1,8 @@
 """Tests for repro.journal, the one append-only JSONL log format, and
-for the four logs built on it: the tenancy job store, the tuner's trial
-journal, the telemetry event sink and the bench history."""
+for the three logs built on it: the tenancy job store, the telemetry
+event sink and the bench history."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -12,22 +10,6 @@ from repro import bench, journal
 from repro.queue import QueuedJob
 from repro.telemetry import JsonlSink, LogEvent, read_events
 from repro.tenancy import JsonlJobStore
-from repro.tuner import TrialJournal
-
-RUN = "f" * 64
-
-
-def _unparseable_lines(path):
-    """Lines of ``path`` that are not JSON objects (a torn-line count
-    for the tuner journal, which does not report its own)."""
-    count = 0
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream.read().splitlines():
-            try:
-                count += not isinstance(json.loads(line), dict)
-            except ValueError:
-                count += 1
-    return count
 
 
 # Each owner: the log file under a directory, "open, append record n,
@@ -42,16 +24,6 @@ def _store_replay(root):
     store = JsonlJobStore(root)
     store.close()
     return [record["job_id"] for record in store.load()], store.torn_lines
-
-
-def _trials_append(root, n):
-    trials = TrialJournal(root / "tune.jsonl", RUN)
-    trials.append_trial({"fingerprint": f"trial-{n}"})
-
-
-def _trials_replay(root):
-    trials = TrialJournal(root / "tune.jsonl", RUN)
-    return list(trials.restored), _unparseable_lines(root / "tune.jsonl")
 
 
 def _sink_append(root, n):
@@ -79,8 +51,6 @@ def _history_replay(root):
 OWNERS = {
     "job-store": ("jobs.wal", _store_append, _store_replay,
                   ["job-1", "job-2"]),
-    "trial-journal": ("tune.jsonl", _trials_append, _trials_replay,
-                      ["trial-1", "trial-2"]),
     "event-sink": ("events.jsonl", _sink_append, _sink_replay,
                    ["event-1", "event-2"]),
     "bench-history": ("suite.jsonl", _history_append, _history_replay,

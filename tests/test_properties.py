@@ -8,7 +8,9 @@ invariants the whole system relies on:
 * the Eager policy leaves every non-top-level ancilla clean;
 * AQV equals the area under the usage curve and never exceeds
   peak-live-qubits x circuit-depth;
-* the count-only reclamation plan is exactly what the compile does.
+* the count-only reclamation plan is exactly what the compile does;
+* deeper programs whose Store blocks call (on the caller's ancillas)
+  keep their function when those calls are inverted inside a replay.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import random
 from typing import List
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.nisq import NISQMachine
@@ -26,7 +28,8 @@ from repro.core.plan import plan_reclamation
 from repro.core.policies import create_reclamation_policy
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
-from repro.ir.program import CallStmt, Program, QModule
+from repro.ir.gates import inverse_gate_name
+from repro.ir.program import CallStmt, GateStmt, Program, QModule
 
 
 def _random_leaf(rng: random.Random, index: int) -> QModule:
@@ -81,6 +84,63 @@ def _random_program(seed: int) -> Program:
     top.cx(top.ancillas[0], top.outputs[0])
     top.cx(top.inputs[2], top.outputs[1])
     return Program(top, name=f"random-{seed}")
+
+
+def _random_deep_module(rng: random.Random, name: str,
+                        lower: List[QModule]) -> QModule:
+    """A 2-input, 1-output module that may call ``lower`` modules from
+    its Compute block (onto its ancillas) and from its Store block (onto
+    its output, with its ancillas among the arguments); a call-free one
+    sometimes spells out its Uncompute block."""
+    module = QModule(name, num_inputs=2, num_outputs=1,
+                     num_ancilla=rng.randint(1, 2))
+    controls: List = list(module.inputs) + list(module.ancillas)
+    gates = []
+    for _ in range(rng.randint(1, 4)):
+        target = rng.choice(list(module.ancillas))
+        options = [q for q in controls if q is not target]
+        kind = rng.random()
+        if kind < 0.3:
+            gates.append(GateStmt("x", (target,)))
+        elif kind < 0.7 or len(options) < 2:
+            gates.append(GateStmt("cx", (rng.choice(options), target)))
+        else:
+            gates.append(GateStmt("ccx", (*rng.sample(options, 2), target)))
+    for gate in gates:
+        module.gate(gate.name, *gate.qubits)
+    calls = rng.randint(0, 2) if lower else 0
+    for _ in range(calls):
+        target = rng.choice(list(module.ancillas))
+        options = [q for q in controls if q is not target]
+        module.call(rng.choice(lower), *rng.sample(options, 2), target)
+    module.begin_store()
+    if lower and rng.random() < 0.6:
+        module.call(rng.choice(lower), *rng.sample(controls, 2),
+                    module.outputs[0])
+    module.cx(module.ancillas[0], module.outputs[0])
+    if not calls and rng.random() < 0.5:
+        module.set_explicit_uncompute(
+            [GateStmt(inverse_gate_name(gate.name), gate.qubits)
+             for gate in reversed(gates)])
+    return module
+
+
+def _random_deep_program(seed: int) -> Program:
+    """A random 2-6 level program whose Store blocks call."""
+    rng = random.Random(seed)
+    modules: List[QModule] = []
+    for level in range(rng.randint(2, 6)):
+        modules += [_random_deep_module(rng, f"m{level}_{index}",
+                                        modules[-3:])
+                    for index in range(rng.randint(1, 2))]
+    top = QModule("top", num_inputs=3, num_outputs=2, num_ancilla=1)
+    top.call(modules[-1], top.inputs[0], top.inputs[1], top.ancillas[0])
+    if len(modules) > 1:
+        top.call(modules[-2], top.inputs[1], top.inputs[2], top.ancillas[0])
+    top.begin_store()
+    top.cx(top.ancillas[0], top.outputs[0])
+    top.cx(top.inputs[2], top.outputs[1])
+    return Program(top, name=f"deep-{seed}")
 
 
 def _reference_table(program: Program, width: int):
@@ -186,3 +246,32 @@ def test_reclamation_plan_is_what_the_compile_does(seed, decompose,
         assert result.reclamation_events == plan.events
         assert result.peak_live_qubits == plan.peak_live
         assert result.gate_count == plan.gate_count
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000))
+@example(seed=5)   # miscompiled silently under eager
+@example(seed=7)   # a gate on one qubit twice under eager
+def test_store_calls_inverted_in_a_replay_keep_the_function(seed):
+    """A Store-block call inverted while its caller is replayed
+    (``C ; S^-1 ; C^-1`` on fresh ancillas) acts on the replay's
+    ancillas, not on the freed originals: every policy computes the
+    program's function, and with Toffolis decomposed (which the
+    classical simulator cannot run) the plan still matches the walk."""
+    program = _random_deep_program(seed)
+    width = program.entry.num_params
+    num_outputs = len(program.entry.outputs)
+    output_wires = range(width - num_outputs, width)
+    reference = _reference_table(program, width)
+    machine = NISQMachine.grid(12, 12)
+    for reclamation in ("eager", "lazy", "cer"):
+        SquareCompiler(machine, CompilerConfig(
+            reclamation=reclamation, decompose_toffoli=True)).compile(program)
+        result = SquareCompiler(machine, CompilerConfig(
+            reclamation=reclamation, record_schedule=True)).compile(program)
+        circuit = result.to_circuit()
+        for bits, expected in reference.items():
+            out = simulate_classical(circuit,
+                                     dict(zip(range(width), bits)))
+            assert tuple(out[w] for w in output_wires) == expected

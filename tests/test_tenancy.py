@@ -295,9 +295,25 @@ def finished_job(job_id="job-000001", response=None):
     return job
 
 
+@pytest.fixture()
+def open_store(tmp_path):
+    """Opens a :class:`JsonlJobStore` on ``tmp_path``; every store it
+    opened is closed at teardown, so no test leaves ``jobs.wal`` open."""
+    stores = []
+
+    def open_(**kwargs):
+        store = JsonlJobStore(tmp_path, **kwargs)
+        stores.append(store)
+        return store
+
+    yield open_
+    for store in stores:
+        store.close()
+
+
 class TestJsonlJobStore:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        store = JsonlJobStore(tmp_path)
+    def test_round_trip_is_byte_identical(self, open_store):
+        store = open_store()
         job = QueuedJob("job-000001", "compile",
                         {"job": {"benchmark": "RD53"}}, priority=2)
         job.tenant = ALICE
@@ -311,7 +327,7 @@ class TestJsonlJobStore:
         store.record_transition(job)
         store.close()
 
-        reopened = JsonlJobStore(tmp_path)
+        reopened = open_store()
         records = reopened.load()
         assert len(records) == 1
         rebuilt = QueuedJob.from_snapshot(records[0])
@@ -321,14 +337,14 @@ class TestJsonlJobStore:
         assert rebuilt.entries == job.entries
         assert rebuilt.wait(0.0)  # terminal event pre-fired
 
-    def test_torn_tail_is_skipped(self, tmp_path):
-        store = JsonlJobStore(tmp_path)
+    def test_torn_tail_is_skipped(self, tmp_path, open_store):
+        store = open_store()
         store.record_submit(finished_job())
         store.close()
         wal = tmp_path / "jobs.wal"
         with open(wal, "a", encoding="utf-8") as stream:
             stream.write('{"type": "state", "job_id": "job-0000')  # torn
-        reopened = JsonlJobStore(tmp_path)
+        reopened = open_store()
         assert reopened.torn_lines == 1
         assert len(reopened.load()) == 1
 
@@ -339,17 +355,17 @@ class TestJsonlJobStore:
         with pytest.raises(ServiceError):
             JsonlJobStore(tmp_path)
 
-    def test_compaction_bounds_the_wal(self, tmp_path):
-        store = JsonlJobStore(tmp_path, compact_threshold=16)
+    def test_compaction_bounds_the_wal(self, open_store):
+        store = open_store(compact_threshold=16)
         for index in range(40):
             store.record_submit(finished_job(f"job-{index:06d}"))
         assert store.compactions >= 1
         assert store.stats()["wal_lines"] <= 1 + 40
         store.close()
-        assert len(JsonlJobStore(tmp_path).load()) == 40
+        assert len(open_store().load()) == 40
 
-    def test_forget_keeps_compacted_journal_from_growing(self, tmp_path):
-        store = JsonlJobStore(tmp_path)
+    def test_forget_keeps_compacted_journal_from_growing(self, open_store):
+        store = open_store()
         for index in range(10):
             store.record_submit(finished_job(f"job-{index:06d}"))
         store.forget([f"job-{index:06d}" for index in range(9)])
@@ -358,16 +374,16 @@ class TestJsonlJobStore:
         assert store.stats()["wal_lines"] == 2  # header + 1 live job
         assert store.stats()["wal_lines"] < lines_before
         store.close()
-        survivors = JsonlJobStore(tmp_path).load()
+        survivors = open_store().load()
         assert [record["job_id"] for record in survivors] == ["job-000009"]
 
-    def test_close_freezes_the_journal(self, tmp_path):
-        store = JsonlJobStore(tmp_path)
+    def test_close_freezes_the_journal(self, open_store):
+        store = open_store()
         store.record_submit(finished_job("job-000001"))
         store.close()
         store.record_submit(finished_job("job-000002"))  # dropped
         store.record_transition(finished_job("job-000001"))
-        assert len(JsonlJobStore(tmp_path).load()) == 1
+        assert len(open_store().load()) == 1
 
     def test_memory_store_loads_empty_and_mirrors(self):
         store = MemoryJobStore()
@@ -384,16 +400,16 @@ class TestJsonlJobStore:
 # Burst-score durability: the penalty survives a crash
 # ----------------------------------------------------------------------
 class TestBurstPersistence:
-    def test_store_round_trips_latest_snapshot(self, tmp_path):
-        store = JsonlJobStore(tmp_path)
+    def test_store_round_trips_latest_snapshot(self, open_store):
+        store = open_store()
         store.record_burst({"alice": 5.0}, 123.0)
         store.record_burst({"alice": 7.5, "bob": 1.0}, 456.0)
         store.close()
-        assert JsonlJobStore(tmp_path).load_burst() == {
+        assert open_store().load_burst() == {
             "scores": {"alice": 7.5, "bob": 1.0}, "at": 456.0}
 
-    def test_store_defaults_to_no_snapshot(self, tmp_path):
-        assert JsonlJobStore(tmp_path).load_burst() is None
+    def test_store_defaults_to_no_snapshot(self, open_store):
+        assert open_store().load_burst() is None
         assert MemoryJobStore().load_burst() is None
 
     def test_memory_store_round_trips(self):
@@ -401,8 +417,8 @@ class TestBurstPersistence:
         store.record_burst({"alice": 2.0}, 1.0)
         assert store.load_burst() == {"scores": {"alice": 2.0}, "at": 1.0}
 
-    def test_compaction_re_emits_one_snapshot(self, tmp_path):
-        store = JsonlJobStore(tmp_path)
+    def test_compaction_re_emits_one_snapshot(self, open_store):
+        store = open_store()
         store.record_submit(finished_job())
         for stamp in range(20):
             store.record_burst({"alice": float(stamp)}, float(stamp))
@@ -410,7 +426,7 @@ class TestBurstPersistence:
         # header + one job + exactly one burst line survive.
         assert store.stats()["wal_lines"] == 3
         store.close()
-        reopened = JsonlJobStore(tmp_path)
+        reopened = open_store()
         assert reopened.load_burst() == {"scores": {"alice": 19.0},
                                          "at": 19.0}
 
@@ -580,10 +596,10 @@ class TestManagerRecovery:
         finally:
             revived.close()
 
-    def test_retention_gc_forgets_from_the_store(self, tmp_path):
+    def test_retention_gc_forgets_from_the_store(self, open_store):
         gate = threading.Event()
         gate.set()
-        store = JsonlJobStore(tmp_path)
+        store = open_store()
         manager = gated_manager(store, gate, retention=2)
         for n in range(5):
             job = manager.submit("compile", {"n": n})
@@ -591,7 +607,7 @@ class TestManagerRecovery:
         manager.gc()
         manager.close()
         # Only the retained tail survives the restart.
-        assert len(JsonlJobStore(tmp_path).load()) <= 3
+        assert len(open_store().load()) <= 3
 
     def test_cancelled_on_shutdown_is_journaled(self, tmp_path):
         gate = threading.Event()

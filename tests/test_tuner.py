@@ -9,11 +9,11 @@ Covers four layers:
 * the :class:`~repro.tuner.TuningRun` driver against a local session —
   fingerprint dedup across racing rounds, mixed success/failure
   candidates, byte-identical determinism of repeated seeded runs;
-* the JSONL trial journal — kill/resume with zero repeat compilations
-  (proved by cache accounting), resume idempotence, refusal to resume
-  a journal belonging to a different run, torn-tail tolerance;
-* the remote backends (service client, and a session over a 2-server
-  fleet executor) and the ``tune`` CLI command.
+* resume through the session's disk cache — a killed run resumed on
+  the same ``cache_dir`` recompiles no trial that succeeded (proved by
+  cache accounting), and a failed trial compiles again and still sinks;
+* a session over a 2-server fleet executor, and the ``tune`` CLI
+  command.
 """
 
 import json
@@ -26,7 +26,7 @@ from repro.exceptions import TunerError
 from repro.api import MachineSpec, Session
 from repro.cluster import ClusterTopology, FleetExecutor, assign_endpoint
 from repro.core.compiler import POLICY_PRESETS, preset
-from repro.service import ServiceClient, make_server
+from repro.service import make_server
 from repro.tuner import (
     CandidateEvaluation,
     Choice,
@@ -64,6 +64,18 @@ def small_run(benchmarks=("RD53", "ADDER4"), *, space=SMALL_SPACE,
     strategy = strategy or SuccessiveHalving(scales=("quick", "laptop"))
     return TuningRun(space, objective, strategy, benchmarks,
                      machine=machine, **kwargs)
+
+
+#: max_qubits=4 cannot hold RD53 on a 5x5 grid: that candidate fails
+#: with ResourceExhaustedError while its sibling succeeds.
+FAILING_SPACE = SearchSpace(Choice("max_qubits", (4, None)))
+
+
+def failing_run(**kwargs):
+    """A halving run over RD53 in which one of two candidates fails."""
+    return TuningRun(FAILING_SPACE, "aqv",
+                     SuccessiveHalving(scales=("quick", "laptop")),
+                     ["RD53"], machine=GRID, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +277,7 @@ class TestStrategies:
 # ----------------------------------------------------------------------
 class TestTuningRunLocal:
     def test_run_ranks_and_exports_a_preset_compatible_winner(self):
-        run = small_run(backend=Session())
+        run = small_run(session=Session())
         report = run.run()
         assert len(report.standings) == 4
         best = report.best_config()
@@ -281,7 +293,7 @@ class TestTuningRunLocal:
         # re-uses the quick-round fingerprints: round two must compile
         # nothing new.
         session = Session()
-        run = small_run(backend=session)
+        run = small_run(session=session)
         run.run()
         assert run.trials_executed == 8          # 4 candidates x 2 marks
         assert run.trials_deduped == 4           # 2 survivors x 2 marks
@@ -290,18 +302,12 @@ class TestTuningRunLocal:
     def test_seeded_run_is_deterministic_byte_for_byte(self):
         strategy = lambda: SuccessiveHalving(scales=("quick", "laptop"),
                                              trials=3, seed=9)
-        first = small_run(strategy=strategy(), backend=Session()).run()
-        second = small_run(strategy=strategy(), backend=Session()).run()
+        first = small_run(strategy=strategy(), session=Session()).run()
+        second = small_run(strategy=strategy(), session=Session()).run()
         assert first.to_json() == second.to_json()
 
     def test_failing_candidates_sink_and_are_not_promoted(self):
-        # max_qubits=4 cannot hold RD53 on a 5x5 grid -> that candidate
-        # fails with ResourceExhaustedError while its sibling succeeds.
-        space = SearchSpace(Choice("max_qubits", (4, None)))
-        run = TuningRun(space, "aqv",
-                        SuccessiveHalving(scales=("quick", "laptop")),
-                        ["RD53"], machine=GRID, backend=Session())
-        report = run.run()
+        report = failing_run(session=Session()).run()
         standings = report.standings
         assert [e.ok for e in standings] == [True, False]
         assert standings[0].candidate == {"max_qubits": None}
@@ -315,7 +321,7 @@ class TestTuningRunLocal:
     def test_every_candidate_failing_raises_on_best(self):
         run = TuningRun(SMALL_SPACE, "aqv", GridSearch(scale="quick"),
                         ["RD53"], machine=MachineSpec.nisq(2),
-                        backend=Session())
+                        session=Session())
         report = run.run()
         assert not any(e.ok for e in report.standings)
         with pytest.raises(TunerError, match="every candidate failed"):
@@ -323,7 +329,7 @@ class TestTuningRunLocal:
 
     def test_multi_objective_pareto_flags_in_report(self):
         report = small_run(objective=MultiObjective("gates", "qubits"),
-                           backend=Session()).run()
+                           session=Session()).run()
         mask = report.pareto_mask()
         final = report.final_round.number
         assert any(mask), "someone is always on the front"
@@ -333,7 +339,7 @@ class TestTuningRunLocal:
 
     def test_on_trial_fires_once_per_executed_trial(self):
         seen = []
-        run = small_run(backend=Session(), on_trial=seen.append)
+        run = small_run(session=Session(), on_trial=seen.append)
         run.run()
         assert len(seen) == run.trials_executed
         assert all(record["ok"] for record in seen)
@@ -343,95 +349,74 @@ class TestTuningRunLocal:
     def test_constructor_validation(self):
         with pytest.raises(TunerError, match="at least one benchmark"):
             small_run(benchmarks=())
-        with pytest.raises(TunerError, match="backend"):
+        with pytest.raises(TunerError, match="is not a Session"):
             TuningRun(SMALL_SPACE, "aqv", GridSearch(scale="quick"),
-                      ["RD53"], backend=object())
+                      ["RD53"], session=object())
 
-    def test_backend_entry_count_mismatch_raises(self):
-        class Broken:
-            def run(self, jobs):
+    def test_session_entry_count_mismatch_raises(self):
+        class Broken(Session):
+            def run(self, jobs, *, isolate_failures=None):
                 return []
 
-        run = small_run(backend=Broken())
+        run = small_run(session=Broken())
         with pytest.raises(TunerError, match="returned 0 entries"):
             run.run()
 
 
 # ----------------------------------------------------------------------
-# The trial journal
+# Resume through the session's disk cache
 # ----------------------------------------------------------------------
 class KilledMidRun(Exception):
     pass
 
 
-class TestJournalResume:
+class TestCacheDirResume:
     @staticmethod
-    def killed_after(n, journal):
-        """Run until ``n`` trials are journaled, then 'crash'."""
+    def killed_after(n, cache_dir):
+        """Run until ``n`` trials came back, then 'crash'."""
         def killer(record):
             killer.count += 1
             if killer.count >= n:
                 raise KilledMidRun()
         killer.count = 0
-        run = small_run(backend=Session(), journal_path=journal,
+        run = small_run(session=Session(cache_dir=cache_dir),
                         on_trial=killer)
         with pytest.raises(KilledMidRun):
             run.run()
         return run
 
-    def test_resume_performs_zero_repeat_compilations(self, tmp_path):
-        journal = tmp_path / "tune.jsonl"
-        reference = small_run(backend=Session()).run()
-        self.killed_after(3, journal)
-        session = Session()
-        resumed = small_run(backend=session, journal_path=journal)
+    def test_killed_run_resumes_without_recompiling(self, tmp_path):
+        reference = small_run(session=Session()).run()
+        self.killed_after(3, tmp_path)
+        session = Session(cache_dir=tmp_path)
+        resumed = small_run(session=session)
         report = resumed.run()
-        assert resumed.journal_restored == 3
-        assert resumed.trials_executed == 8 - 3
-        assert session.cache_misses == resumed.trials_executed
-        assert session.cache_hits == 0, "no journaled trial recompiled"
         assert report.to_json() == reference.to_json()
-
-    def test_resume_is_idempotent(self, tmp_path):
-        journal = tmp_path / "tune.jsonl"
-        first = small_run(backend=Session(), journal_path=journal)
-        report = first.run()
-        session = Session()
-        again = small_run(backend=session, journal_path=journal)
-        assert again.run().to_json() == report.to_json()
-        assert again.trials_executed == 0, \
-            "a complete journal leaves nothing to compile"
-        assert again.journal_restored == first.trials_executed
+        # The killed batch settled every trial into the cache before
+        # the callback raised: nothing is compiled again.
         assert session.cache_misses == 0
+        assert resumed.stats()["disk_hits"] == resumed.trials_executed == 8
 
-    def test_journal_of_a_different_run_is_refused(self, tmp_path):
-        journal = tmp_path / "tune.jsonl"
-        small_run(backend=Session(), journal_path=journal).run()
-        with pytest.raises(TunerError, match="belongs to run"):
-            small_run(objective="gates", journal_path=journal)
+    def test_a_finished_run_resumes_with_nothing_to_compile(self, tmp_path):
+        first = small_run(session=Session(cache_dir=tmp_path))
+        report = first.run()
+        session = Session(cache_dir=tmp_path)
+        again = small_run(session=session)
+        assert again.run().to_json() == report.to_json()
+        assert session.cache_misses == 0
+        assert session.disk_hits == first.trials_executed
 
-    def test_torn_tail_is_tolerated_header_garbage_is_not(self, tmp_path):
-        journal = tmp_path / "tune.jsonl"
-        run = small_run(backend=Session(), journal_path=journal)
-        run.run()
-        with open(journal, "a", encoding="utf-8") as stream:
-            stream.write('{"type": "trial", "fingerpr')  # torn write
-        resumed = small_run(journal_path=journal)
-        assert resumed.journal_restored == run.trials_executed
-        headerless = tmp_path / "bad.jsonl"
-        headerless.write_text('{"type": "trial"}\n')
-        with pytest.raises(TunerError, match="no header"):
-            small_run(journal_path=headerless)
-
-    def test_journal_resumes_across_backends(self, tmp_path):
-        # The run fingerprint excludes the backend: a journal written
-        # against one session resumes against another (or a cluster).
-        journal = tmp_path / "tune.jsonl"
-        self.killed_after(2, journal)
-        resumed = small_run(backend=Session(), journal_path=journal)
-        reference = small_run(backend=Session()).run()
-        assert resumed.run().to_json() == reference.to_json()
-        assert resumed.journal_restored == 2
+    def test_failed_trial_recompiles_on_resume_and_still_sinks(
+            self, tmp_path):
+        first = failing_run(session=Session(cache_dir=tmp_path)).run()
+        session = Session(cache_dir=tmp_path)
+        report = failing_run(session=session).run()
+        assert report.to_json() == first.to_json()
+        assert session.disk_hits == 1, "the success is a disk hit"
+        assert session.cache_misses == 1, "the failure compiles again"
+        assert [e.ok for e in report.standings] == [True, False]
+        assert "ResourceExhaustedError" in \
+            report.leaderboard_rows()[-1]["error"]
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +481,7 @@ class TestTuningReport:
 
 
 # ----------------------------------------------------------------------
-# Remote backends (service + cluster) and the CLI
+# A fleet session and the CLI
 # ----------------------------------------------------------------------
 def start_servers(count, tmp_path=None):
     servers, urls = [], []
@@ -514,15 +499,13 @@ def stop(server):
     server.server_close()
 
 
-class TestRemoteBackends:
-    def test_service_and_cluster_match_local_byte_for_byte(self, tmp_path):
-        local = small_run(backend=Session()).run()
+class TestFleetSession:
+    def test_fleet_matches_local_byte_for_byte(self, tmp_path):
+        local = small_run(session=Session()).run()
         servers, urls = start_servers(2, tmp_path)
         try:
-            via_client = small_run(backend=ServiceClient(urls[0])).run()
-            assert via_client.to_json() == local.to_json()
             executor = FleetExecutor(urls)
-            cluster_run = small_run(backend=Session(executor))
+            cluster_run = small_run(session=Session(executor))
             assert cluster_run.run().to_json() == local.to_json()
             fleet = executor.topology.fleet_stats()
             assert fleet["reachable"] == 2
@@ -531,30 +514,41 @@ class TestRemoteBackends:
             for server in servers:
                 stop(server)
 
-    def test_tuning_trials_share_one_trace_id(self, tmp_path):
-        # Every trial a run pushes through a remote backend must land
-        # under the backend's single trace id, so one `trace` command
-        # shows the whole tuning run as a waterfall.
+    def test_a_local_cache_dir_resumes_on_the_fleet(self, tmp_path):
+        # Where the trials compile is not part of a run: a run killed
+        # on a local session resumes on a fleet session over the same
+        # cache directory and sends the fleet nothing.
+        cache_dir = tmp_path / "tune-cache"
+        TestCacheDirResume.killed_after(3, cache_dir)
         servers, urls = start_servers(2, tmp_path)
         try:
-            client = ServiceClient(urls[0])
-            small_run(backend=client).run()
-            payload = client.trace(client.trace_id)
-            assert payload["trace_id"] == client.trace_id
-            spans = payload["spans"]
-            assert {span["trace_id"] for span in spans} == {client.trace_id}
-            names = {span["name"] for span in spans}
-            assert {"server.handle", "job.run", "compile"} <= names
+            session = Session(FleetExecutor(urls), cache_dir=cache_dir)
+            report = small_run(session=session).run()
+            assert session.cache_misses == 0
+            fleet = ClusterTopology(urls).fleet_stats()["fleet"]
+            assert fleet["jobs_run"] == 0
+        finally:
+            for server in servers:
+                stop(server)
+        assert report.to_json() == small_run(session=Session()).run().to_json()
 
+    def test_tuning_trials_share_one_trace_id(self, tmp_path):
+        # Every trial a fleet run pushes must land under the executor's
+        # single trace id, so one `trace` command shows the whole
+        # tuning run as a waterfall.
+        servers, urls = start_servers(2, tmp_path)
+        try:
             executor = FleetExecutor(urls)
             trials = []
-            small_run(backend=Session(executor),
+            small_run(session=Session(executor),
                       on_trial=trials.append).run()
             merged = executor.topology.fleet_trace()
             assert merged["trace_id"] == executor.trace_id
             assert merged["count"] > 0
             assert {span["trace_id"] for span in merged["spans"]} == \
                 {executor.trace_id}
+            names = {span["name"] for span in merged["spans"]}
+            assert {"server.handle", "job.run", "compile"} <= names
             # Every shard that owns a trial (rendezvous placement
             # depends on the ephemeral-port URLs) ran it under the id.
             owners = {assign_endpoint(trial["fingerprint"], urls)
@@ -566,34 +560,33 @@ class TestRemoteBackends:
 
 
 class TestTuneCLI:
-    def test_tune_command_exports_best_and_leaderboard(self, tmp_path):
+    def test_tune_command_exports_best_and_leaderboard(self, tmp_path,
+                                                       capsys):
         from repro.experiments.__main__ import main
 
         best_path = tmp_path / "best.json"
         board_path = tmp_path / "board.json"
-        journal = tmp_path / "tune.jsonl"
-        argv = ["tune", "RD53", "ADDER4", "--grid", "5", "5",
-                "--scales", "quick", "--strategy", "grid",
-                "--objective", "aqv",
-                "--journal", str(journal),
-                "--export", str(board_path),
-                "--export-best", str(best_path)]
-        assert main(argv) == 0
+        cache_dir = tmp_path / "cache"
+        common = ["tune", "RD53", "ADDER4", "--grid", "5", "5",
+                  "--scales", "quick", "--strategy", "grid",
+                  "--objective", "aqv", "--cache-dir", str(cache_dir)]
+        assert main([*common, "--export", str(board_path),
+                     "--export-best", str(best_path)]) == 0
         best = json.loads(best_path.read_text(encoding="utf-8"))
         assert {"allocation", "reclamation"} <= set(best)
         board = json.loads(board_path.read_text(encoding="utf-8"))
         assert board["best"] == best
-        # Rerunning over the same journal restores every trial and
+        # Rerunning over the same cache directory compiles nothing and
         # exports identical bytes.
+        capsys.readouterr()
         rerun_path = tmp_path / "board2.json"
-        assert main(["tune", "RD53", "ADDER4", "--grid", "5", "5",
-                     "--scales", "quick", "--strategy", "grid",
-                     "--objective", "aqv", "--journal", str(journal),
-                     "--export", str(rerun_path)]) == 0
+        assert main([*common, "--export", str(rerun_path)]) == 0
+        assert "[0 compiled, 0 deduped, 12 from the disk cache" in \
+            capsys.readouterr().out
         assert rerun_path.read_bytes() == board_path.read_bytes()
 
     def test_tune_over_endpoints_exports_the_local_leaderboard(
-            self, tmp_path):
+            self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
         common = ["tune", "RD53", "ADDER4", "--grid", "5", "5",
@@ -601,19 +594,29 @@ class TestTuneCLI:
                   "--objective", "aqv"]
         local_path = tmp_path / "local.json"
         fleet_path = tmp_path / "fleet.json"
+        resumed_path = tmp_path / "resumed.json"
+        cache_dir = tmp_path / "tune-cache"
         assert main([*common, "--export", str(local_path)]) == 0
         servers, urls = start_servers(2, tmp_path)
         try:
-            assert main([*common, "--endpoint", urls[0],
-                         "--endpoint", urls[1],
-                         "--export", str(fleet_path)]) == 0
+            fleet = [*common, "--endpoint", urls[0], "--endpoint", urls[1],
+                     "--cache-dir", str(cache_dir)]
+            assert main([*fleet, "--export", str(fleet_path)]) == 0
             # The trials compiled on the servers, not in this process.
-            fleet = ClusterTopology(urls).fleet_stats()["fleet"]
-            assert fleet["cache_misses"] > 0
+            stats = ClusterTopology(urls).fleet_stats()["fleet"]
+            assert stats["cache_misses"] > 0
+            # A rerun on the same --cache-dir sends nothing to the fleet.
+            capsys.readouterr()
+            assert main([*fleet, "--export", str(resumed_path)]) == 0
+            assert ", 0 deduped, 12 from the disk cache" in \
+                capsys.readouterr().out
+            after = ClusterTopology(urls).fleet_stats()["fleet"]
+            assert after["jobs_run"] == stats["jobs_run"]
         finally:
             for server in servers:
                 stop(server)
         assert fleet_path.read_bytes() == local_path.read_bytes()
+        assert resumed_path.read_bytes() == local_path.read_bytes()
 
     def test_every_candidate_failing_still_prints_the_leaderboard(
             self, capsys):

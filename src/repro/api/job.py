@@ -282,11 +282,12 @@ def autosize_compile(program: Program,
     that capped attempt fails.
 
     A rung whose machine is smaller than the peak live count of the
-    compile's reclamation plan (:func:`~repro.core.plan.plan_reclamation`,
-    exact and independent of the machine's size) is still built and
-    attempted, but its compile fails right after planning, before any
-    gate is placed, so the ladder, the chosen machine and the number of
-    attempts are the same as if it had been walked.
+    compile's reclamation plan (the count-only pass of
+    :class:`~repro.core.plan.ProgramWalk`, exact and independent of the
+    machine's size) is still built and attempted, but its compile fails
+    right after that pass, before any gate is placed, so the ladder, the
+    chosen machine and the number of attempts are the same as if it had
+    been placed.
     """
     qubits = min(max(start_qubits, program.entry.num_params + 4), max_qubits)
     while True:

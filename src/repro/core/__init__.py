@@ -8,7 +8,6 @@ from repro.core.allocation import (
 )
 from repro.core.compiler import (
     POLICY_PRESETS,
-    CallRecord,
     CompilerConfig,
     SquareCompiler,
     compile_program,
@@ -21,7 +20,7 @@ from repro.core.cost_model import (
     uncompute_cost,
 )
 from repro.core.heap import AncillaHeap
-from repro.core.plan import ReclamationPlan, plan_reclamation
+from repro.core.plan import ProgramWalk, ReclamationPlan
 from repro.core.policies import (
     allocation_policy_names,
     create_allocation_policy,
@@ -44,7 +43,6 @@ __all__ = [
     "AllocationPolicy",
     "AllocationRequest",
     "AncillaHeap",
-    "CallRecord",
     "CompilationResult",
     "CompilerConfig",
     "CostEffectiveReclamation",
@@ -54,6 +52,7 @@ __all__ = [
     "LifoAllocation",
     "LocalityAwareAllocation",
     "POLICY_PRESETS",
+    "ProgramWalk",
     "ReclamationCosts",
     "ReclamationDecision",
     "ReclamationEvent",
@@ -65,7 +64,6 @@ __all__ = [
     "compile_program",
     "create_allocation_policy",
     "create_reclamation_policy",
-    "plan_reclamation",
     "preset",
     "reclamation_policy_names",
     "register_allocation_policy",

@@ -1,65 +1,160 @@
-"""Count-only reclamation plan: every ``Free`` decided before placement.
+"""One program walk: the compile's stream of allocations, gates and releases.
+
+The paper's instrumentation-driven flow (Section IV-B) walks a modular
+program once: every ``Allocate`` asks the allocation policy and every
+``Free`` asks the reclamation policy whether to uncompute.  A
+:class:`ProgramWalk` is that walk with placement left out.  It binds each
+call's qubits to *slots* (the entry parameters are ``0..n-1`` and every
+allocation takes the next consecutive ids) and yields, in program order:
+
+* ``(ALLOC, shape, slots)`` where a call allocates its ancillas;
+  ``slots`` binds the call's parameters, then its new ancillas;
+* ``(RUN, gates, slots)`` for the gates between two calls, each
+  ``(name, operand indices into slots)``, Toffolis decomposed if asked;
+* ``(RELEASE, slots)`` where ancillas return to the heap;
+* ``(UNCOMPUTE,)`` and ``(END_UNCOMPUTE, gates)`` around each reclaiming
+  ``Free``'s uncompute and release; a nested reclaiming ``Free``'s gates
+  count in its own and in its caller's ``gates``.
+
+Uncomputation follows what each call actually did.  A reclaiming ``Free``
+runs the explicit Uncompute block (when Compute calls nothing) or the
+inverse of Compute.  Inverting a child call that reclaimed replays it as
+``C ; S^-1 ; C^-1`` on fresh slots (the 2**level recomputation).  A child
+that deferred still holds its ancillas, so its inverse is ``S^-1 ; C^-1``
+on its own slots, with its parameters bound to the caller's arguments as
+they are now: a caller being replayed holds fresh ancillas.
 
 The CER inputs (live and logical gate counts, the call level, ``G_p``,
 whether the machine is locality constrained) do not depend on where
-qubits sit (:mod:`repro.core.cost_model`).  So :func:`plan_reclamation`
-walks calls, ``Free`` points and uncomputation exactly as
-:class:`~repro.core.compiler.SquareCompiler` does (``C ; S^-1 ; C^-1``
-replays, explicit Uncompute blocks and Toffoli decomposition included),
-placing nothing: it counts live qubits and gates and asks the policy once
-per decision point.  The compiler plans right after validation, refuses a
-budget below the plan's peak, and checks its walk against the plan.
+qubits sit (:mod:`repro.core.cost_model`).  So :meth:`ProgramWalk.plan`
+drains one stream that asks the policy at every ``Free`` and counts; the
+compiler plans right after validation, refuses a budget below the plan's
+peak, and places a second stream that replays the plan's decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.reclamation import ReclamationPolicy, ReclamationRequest
 from repro.core.result import ReclamationEvent
 from repro.ir.decompose import decompose_toffoli
+from repro.ir.gates import inverse_gate_name
 from repro.ir.program import GateStmt, Program, QModule, Statement
 
-#: Gates one Toffoli becomes when the compile decomposes it.
-_TOFFOLI_GATES = len(decompose_toffoli(0, 1, 2))
+#: Stream item kinds (the first element of every item).
+RUN, ALLOC, RELEASE, UNCOMPUTE, END_UNCOMPUTE = range(5)
 
 
 @dataclass(frozen=True)
 class ReclamationPlan:
-    """Every reclamation decision of one compile, and what the walk counts.
+    """Every reclamation decision of one compile, and what its stream counts.
 
     Attributes:
         events: The decisions in program order, one per ``Free`` below
             the entry module whose call still holds garbage.
-        live_at: Live qubits (``N_active``) at each event.
         peak_live: Most qubits live at once over the whole compile.
         gate_count: Logical gates the compile emits (router swaps excluded).
     """
 
     events: Tuple[ReclamationEvent, ...]
-    live_at: Tuple[int, ...]
     peak_live: int
     gate_count: int
 
 
-@dataclass(frozen=True)
 class _Block:
-    """Gate runs around a block's calls: one ``(gates before, call,
-    static gates after)`` triple per call."""
+    """A block as gate runs around its calls: one ``(run before, callee
+    shape, argument indices, static gates after)`` per call, then the tail
+    run."""
 
-    calls: Tuple[tuple, ...]
-    tail: int
-    static: int
+    __slots__ = ("calls", "tail", "static", "_raw", "_inverse")
+
+    def __init__(self, calls, tail, static, raw) -> None:
+        self.calls = calls
+        self.tail = tail
+        self.static = static
+        self._raw = raw
+        self._inverse = None
+
+    def inverse(self, decompose: bool) -> Tuple[tuple, Tuple[tuple, ...]]:
+        """The inverted tail, then each call's inverted run before it."""
+        if self._inverse is None:
+            inverted = [_lower(tuple((inverse_gate_name(name), operands)
+                                     for name, operands in reversed(run)),
+                               decompose)
+                        for run in self._raw]
+            self._inverse = inverted[-1], tuple(inverted[:-1])
+        return self._inverse
+
+
+class _Shape:
+    """What every call of one module shares: its blocks over local qubit
+    indices (parameters, then ancillas), and each ancilla's allocation
+    anchors (``get_interact_qubits`` in Algorithm 1): the parameters it
+    shares a Compute or Store gate or call with, in order of first
+    appearance, or every parameter when it shares none."""
+
+    __slots__ = ("module", "num_params", "num_ancilla", "compute", "store",
+                 "uncompute", "_anchors")
+
+    def __init__(self, module: QModule, compute: _Block, store: _Block,
+                 uncompute: Optional[_Block]) -> None:
+        self.module = module
+        self.num_params = module.num_params
+        self.num_ancilla = module.num_ancilla
+        self.compute = compute
+        self.store = store
+        self.uncompute = uncompute
+        self._anchors = None
+
+    @property
+    def anchors(self) -> Tuple[Sequence[int], ...]:
+        """Per ancilla, the local indices of its anchor parameters
+        (built on first use: a count-only pass never reads them)."""
+        if self._anchors is None:
+            self._anchors = _ancilla_anchors(self.module)
+        return self._anchors
+
+
+def _ancilla_anchors(module: QModule) -> Tuple[Sequence[int], ...]:
+    ancillas = set(module.ancillas)
+    partners: Dict[object, list] = {}
+    for block in (module.compute, module.store):
+        for stmt in block:
+            operands = stmt.qubits if isinstance(stmt, GateStmt) else stmt.args
+            for ancilla in operands:
+                if ancilla in ancillas:
+                    bucket = partners.setdefault(ancilla, [])
+                    for qubit in operands:
+                        if qubit not in ancillas and qubit not in bucket:
+                            bucket.append(qubit)
+    local = {qubit: i for i, qubit in enumerate(module.params)}
+    every = range(module.num_params)
+    return tuple(tuple(map(local.__getitem__, partners.get(ancilla, ()))) or every
+                 for ancilla in module.ancillas)
+
+
+def _lower(run: tuple, decompose: bool) -> tuple:
+    if not decompose:
+        return run
+    lowered = []
+    for name, operands in run:
+        if name == "ccx":
+            lowered.extend((gate.name, gate.qubits)
+                           for gate in decompose_toffoli(*operands))
+        else:
+            lowered.append((name, operands))
+    return tuple(lowered)
 
 
 @dataclass
 class _Record:
-    """What one call instance did (the plan's :class:`CallRecord`)."""
+    """What one call instance did, as its inverse must undo it."""
 
-    module: QModule
+    shape: _Shape
     level: int
-    held: int = 0
+    slots: Tuple[int, ...]
     compute_records: List["_Record"] = field(default_factory=list)
     store_records: List["_Record"] = field(default_factory=list)
     reclaimed: Optional[bool] = None
@@ -68,7 +163,7 @@ class _Record:
     def garbage(self) -> int:
         if self.cleaned or self.reclaimed:
             return 0
-        return self.module.num_ancilla + sum(
+        return self.shape.num_ancilla + sum(
             child.garbage() for child in self.compute_records + self.store_records)
 
 
@@ -76,7 +171,7 @@ class _Record:
 class _Frame:
     """A call while it executes; inverse and replay frames stay in
     ``"uncompute"`` with no Compute gates, so their callees see
-    ``G_p = 0``, as in the compiler."""
+    ``G_p = 0``."""
 
     level: int
     start: int
@@ -98,75 +193,143 @@ class _Frame:
         return remaining if self.level == 0 else remaining + replay
 
 
-class _Planner:
-    def __init__(self, policy: ReclamationPolicy, decompose: bool,
+class ProgramWalk:
+    """The walk of one program; its per-module shapes serve every stream.
+
+    Args:
+        program: A validated program.
+        decompose_toffoli: Emit each Toffoli as its Clifford+T gates.
+        locality_constrained: Passed to every reclamation request.
+    """
+
+    def __init__(self, program: Program, *, decompose_toffoli: bool,
                  locality_constrained: bool) -> None:
-        self.policy = policy
-        self.decompose = decompose
+        self.program = program
+        self.decompose = decompose_toffoli
         self.locality_constrained = locality_constrained
-        self.live = self.peak = self.gates = 0
-        self.events: List[ReclamationEvent] = []
-        self.live_at: List[int] = []
-        self._shapes: Dict[int, Tuple[_Block, _Block, Optional[_Block]]] = {}
+        self._shapes: Dict[int, _Shape] = {}
 
-    def _block(self, statements: Sequence[Statement]) -> _Block:
-        calls = []
-        gates = static = 0
-        for stmt in statements:
-            if isinstance(stmt, GateStmt):
-                gates += _TOFFOLI_GATES if self.decompose and stmt.name == "ccx" else 1
-                static += 1
-            else:
-                compute, store, _ = self._shape(stmt.module)
-                static += compute.static + store.static
-                calls.append((gates, stmt, static))
-                gates = 0
-        return _Block(tuple((before, stmt, static - through)
-                            for before, stmt, through in calls), gates, static)
+    def plan(self, policy: ReclamationPolicy) -> ReclamationPlan:
+        """Drain one stream, asking ``policy`` once per ``Free``."""
+        stream = _Stream(self, policy, ())
+        for _ in stream:
+            pass
+        return ReclamationPlan(tuple(stream.events), stream.peak, stream.gates)
 
-    def _shape(self, module: QModule) -> Tuple[_Block, _Block, Optional[_Block]]:
+    def stream(self, plan: ReclamationPlan) -> Iterator[tuple]:
+        """The compile's stream, taking ``plan``'s decisions in order."""
+        return iter(_Stream(self, None, plan.events))
+
+    def _shape(self, module: QModule) -> _Shape:
         shape = self._shapes.get(id(module))
         if shape is None:
-            shape = self._shapes[id(module)] = (
-                self._block(module.compute), self._block(module.store),
+            local = {qubit: i for i, qubit in
+                     enumerate(module.params + module.ancillas)}
+            shape = self._shapes[id(module)] = _Shape(
+                module, self._block(local, module.compute),
+                self._block(local, module.store),
                 None if module.uncompute is None
-                else self._block(module.uncompute))
+                else self._block(local, module.uncompute))
         return shape
 
-    def _allocate(self, record: _Record) -> None:
-        record.held = record.module.num_ancilla
-        self.live += record.held
-        self.peak = max(self.peak, self.live)
+    def _block(self, local: Dict[object, int],
+               statements: Sequence[Statement]) -> _Block:
+        calls, raw, run = [], [], []
+        static = 0
+        for stmt in statements:
+            if isinstance(stmt, GateStmt):
+                run.append((stmt.name, tuple(map(local.__getitem__, stmt.qubits))))
+                static += 1
+            else:
+                callee = self._shape(stmt.module)
+                static += callee.compute.static + callee.store.static
+                raw.append(tuple(run))
+                calls.append((callee, tuple(map(local.__getitem__, stmt.args)),
+                              static))
+                run = []
+        raw.append(tuple(run))
+        runs = [_lower(gates, self.decompose) for gates in raw]
+        return _Block(tuple((before, callee, args, static - through)
+                            for before, (callee, args, through)
+                            in zip(runs, calls)),
+                      runs[-1], static, raw)
 
-    def _release(self, record: _Record) -> None:
-        self.live -= record.held
-        record.held = 0
 
-    def _forward(self, block: _Block, frame: _Frame,
-                 records: List[_Record]) -> None:
-        for before, stmt, after in block.calls:
-            self.gates += before
+class _Stream:
+    """One pass of a :class:`ProgramWalk`: iterate it for the stream.
+
+    With a ``policy`` it asks it at every ``Free`` and records the
+    events; without one it takes the ``planned`` events in order.
+    """
+
+    def __init__(self, walk: ProgramWalk, policy: Optional[ReclamationPolicy],
+                 planned: Sequence[ReclamationEvent]) -> None:
+        self.walk = walk
+        self.policy = policy
+        self._planned = iter(planned)
+        self.events: List[ReclamationEvent] = []
+        entry = walk.program.entry
+        self.live = self.peak = self.next_slot = entry.num_params
+        self.gates = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        entry = self.walk.program.entry
+        yield from self._call(self.walk._shape(entry),
+                              tuple(range(entry.num_params)), 0, None)
+
+    def _allocate(self, shape: _Shape, params: Tuple[int, ...]):
+        count = shape.num_ancilla
+        slots = params + tuple(range(self.next_slot, self.next_slot + count))
+        self.next_slot += count
+        self.live += count
+        if self.live > self.peak:
+            self.peak = self.live
+        return slots
+
+    def _release(self, shape: _Shape, slots: Tuple[int, ...]):
+        if shape.num_ancilla:
+            self.live -= shape.num_ancilla
+            yield RELEASE, slots[shape.num_params:]
+
+    def _forward(self, block: _Block, frame: _Frame, slots: Tuple[int, ...],
+                 records: List[_Record]):
+        for before, callee, args, after in block.calls:
+            if before:
+                self.gates += len(before)
+                yield RUN, before, slots
             frame.after = after
-            records.append(self.call(stmt.module, frame.level + 1, frame))
-        self.gates += block.tail
+            records.append((yield from self._call(
+                callee, tuple(map(slots.__getitem__, args)),
+                frame.level + 1, frame)))
+        if block.tail:
+            self.gates += len(block.tail)
+            yield RUN, block.tail, slots
 
-    def _inverse(self, block: _Block, records: List[_Record]) -> None:
-        self.gates += block.tail
-        for (before, _, _), record in zip(reversed(block.calls),
-                                          reversed(records)):
-            self._invert(record)
-            self.gates += before
+    def _inverse(self, block: _Block, slots: Tuple[int, ...],
+                 records: List[_Record]):
+        tail, befores = block.inverse(self.walk.decompose)
+        if tail:
+            self.gates += len(tail)
+            yield RUN, tail, slots
+        for (_, _, args, _), before, record in zip(
+                reversed(block.calls), reversed(befores), reversed(records)):
+            yield from self._invert(record, tuple(map(slots.__getitem__, args)))
+            if before:
+                self.gates += len(before)
+                yield RUN, before, slots
 
-    def call(self, module: QModule, level: int,
-             parent: Optional[_Frame]) -> _Record:
-        compute, store, uncompute = self._shape(module)
-        record = _Record(module, level)
-        frame = _Frame(level, self.gates, store.static, "compute")
-        self._allocate(record)
-        self._forward(compute, frame, record.compute_records)
+    def _call(self, shape: _Shape, params: Tuple[int, ...], level: int,
+              parent: Optional[_Frame]):
+        frame = _Frame(level, self.gates, shape.store.static, "compute")
+        slots = self._allocate(shape, params)
+        record = _Record(shape, level, slots)
+        if shape.num_ancilla:
+            yield ALLOC, shape, slots
+        yield from self._forward(shape.compute, frame, slots,
+                                 record.compute_records)
         frame.compute_gates = self.gates - frame.start
         frame.block = "store"
-        self._forward(store, frame, record.store_records)
+        yield from self._forward(shape.store, frame, slots, record.store_records)
         if parent is None:
             # The program ends at the entry module's Free: nothing to gain.
             record.reclaimed = False
@@ -174,54 +337,54 @@ class _Planner:
         num_ancilla = record.garbage()
         if not num_ancilla:
             return record
-        decision = self.policy.decide(ReclamationRequest(
-            module_name=module.name,
-            level=level,
-            num_active=self.live,
-            num_ancilla=num_ancilla,
-            uncompute_gates=frame.compute_gates,
-            gates_to_parent_uncompute=parent.gates_to_uncompute(self.gates),
-            locality_constrained=self.locality_constrained,
-        ))
-        self.events.append(ReclamationEvent(
-            module=module.name, level=level, reclaimed=decision.reclaim,
-            num_ancilla=num_ancilla, costs=decision.costs))
-        self.live_at.append(self.live)
-        if decision.reclaim:
+        if self.policy is None:
+            reclaim = next(self._planned).reclaimed
+        else:
+            name = shape.module.name
+            decision = self.policy.decide(ReclamationRequest(
+                module_name=name,
+                level=level,
+                num_active=self.live,
+                num_ancilla=num_ancilla,
+                uncompute_gates=frame.compute_gates,
+                gates_to_parent_uncompute=parent.gates_to_uncompute(self.gates),
+                locality_constrained=self.walk.locality_constrained,
+            ))
+            self.events.append(ReclamationEvent(
+                module=name, level=level, reclaimed=decision.reclaim,
+                num_ancilla=num_ancilla, costs=decision.costs))
+            reclaim = decision.reclaim
+        if reclaim:
+            yield (UNCOMPUTE,)
+            start = self.gates
             frame.block = "uncompute"
-            if uncompute is not None and not compute.calls:
-                self._forward(uncompute, frame, [])
+            if shape.uncompute is not None and not shape.compute.calls:
+                yield from self._forward(shape.uncompute, frame, slots, [])
             else:
-                self._inverse(compute, record.compute_records)
-            self._release(record)
-        record.reclaimed = decision.reclaim
+                yield from self._inverse(shape.compute, slots,
+                                         record.compute_records)
+            yield from self._release(shape, slots)
+            yield END_UNCOMPUTE, self.gates - start
+        record.reclaimed = reclaim
         return record
 
-    def _invert(self, record: _Record) -> None:
-        compute, store, _ = self._shape(record.module)
+    def _invert(self, record: _Record, args: Tuple[int, ...]):
+        shape = record.shape
         if not record.reclaimed:
             # Still on the machine: Store^-1 ; Compute^-1 in place.
-            self._inverse(store, record.store_records)
-            self._inverse(compute, record.compute_records)
-            self._release(record)
+            slots = args + record.slots[len(args):]
+            yield from self._inverse(shape.store, slots, record.store_records)
+            yield from self._inverse(shape.compute, slots,
+                                     record.compute_records)
+            yield from self._release(shape, slots)
             record.cleaned = True
             return
-        replay = _Record(record.module, record.level)
-        frame = _Frame(record.level, self.gates)
-        self._allocate(replay)
-        self._forward(compute, frame, replay.compute_records)
-        self._inverse(store, record.store_records)
-        self._inverse(compute, replay.compute_records)
-        self._release(replay)
-
-
-def plan_reclamation(program: Program, policy: ReclamationPolicy, *,
-                     decompose_toffoli: bool,
-                     locality_constrained: bool) -> ReclamationPlan:
-    """Decide every ``Free`` of ``program`` under ``policy`` without
-    placing a qubit; see the module docstring."""
-    planner = _Planner(policy, decompose_toffoli, locality_constrained)
-    planner.live = planner.peak = program.entry.num_params
-    planner.call(program.entry, 0, None)
-    return ReclamationPlan(tuple(planner.events), tuple(planner.live_at),
-                           planner.peak, planner.gates)
+        slots = self._allocate(shape, args)
+        replay = _Record(shape, record.level, slots)
+        if shape.num_ancilla:
+            yield ALLOC, shape, slots
+        yield from self._forward(shape.compute, _Frame(record.level, self.gates),
+                                 slots, replay.compute_records)
+        yield from self._inverse(shape.store, slots, record.store_records)
+        yield from self._inverse(shape.compute, slots, replay.compute_records)
+        yield from self._release(shape, slots)

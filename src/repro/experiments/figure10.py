@@ -1,22 +1,21 @@
 """Figure 10: normalized AQV on fault-tolerant (braided) machines.
 
 Same benchmarks and policies as Figure 9, but the target machine is the
-surface-code FT model: communication happens by braiding, the
-communication factor fed to the CER heuristic is the braid-crossing rate,
-and logical gate durations follow the FT duration table.
+surface-code FT model: communication happens by braiding, and logical
+gate durations follow the FT duration table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.metrics import arithmetic_mean, normalized_aqv
-from repro.api import Session, SweepSpec
+from repro.api import Session
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentResult,
+    format_normalized_aqv,
     ft_lattice_spec,
-    get_session,
+    normalized_aqv_experiment,
 )
 from repro.workloads.registry import LARGE_BENCHMARKS
 
@@ -28,51 +27,14 @@ def run(benchmarks: Sequence[str] = tuple(LARGE_BENCHMARKS),
         scale: str = "laptop",
         session: Optional[Session] = None) -> ExperimentResult:
     """Compile every large benchmark on FT machines and normalise to Lazy."""
-    session = get_session(session)
-    spec = SweepSpec(
-        benchmarks=tuple(benchmarks),
-        machines=(ft_lattice_spec(start_qubits=64),),
-        policies=tuple(policies),
-        scales=(scale,),
-    )
-    sweep = session.run(spec)
-
-    rows = []
-    reductions = []
-    raw: Dict[str, Dict[str, object]] = {}
-    for name in benchmarks:
-        suite = sweep.suite(benchmark=name)
-        normalized = normalized_aqv(suite, baseline="lazy")
-        row: Dict[str, object] = {"benchmark": name}
-        for policy in policies:
-            row[policy] = normalized[policy]
-        rows.append(row)
-        raw[name] = {policy: suite[policy].active_quantum_volume
-                     for policy in policies}
-        if normalized["square"] > 0:
-            reductions.append(1.0 - normalized["square"])
-    experiment = ExperimentResult(name="figure10", rows=rows)
-    experiment.extras["raw_aqv"] = raw
-    experiment.extras["mean_reduction_vs_lazy_pct"] = (
-        100.0 * arithmetic_mean(reductions)
-    )
-    experiment.extras["max_reduction_vs_lazy_pct"] = (
-        100.0 * max(reductions) if reductions else 0.0
-    )
-    return experiment
+    return normalized_aqv_experiment("figure10", ft_lattice_spec(start_qubits=64),
+                                     benchmarks, policies, scale, session)
 
 
 def format_report(experiment: ExperimentResult) -> str:
-    """Text rendering with the mean / max AQV reduction percentages."""
-    from repro.analysis.report import format_comparison
-
-    text = format_comparison(
+    """Text rendering with the geometric-mean SQUARE-vs-Lazy reduction
+    factor and the number of benchmarks where SQUARE loses to Lazy."""
+    return format_normalized_aqv(
         "Figure 10: normalized AQV on fault-tolerant machines "
         "(normalised to Lazy; lower is better)",
-        experiment.rows,
-    )
-    mean = experiment.extras.get("mean_reduction_vs_lazy_pct", 0.0)
-    best = experiment.extras.get("max_reduction_vs_lazy_pct", 0.0)
-    text += (f"mean AQV reduction of SQUARE vs Lazy: {mean:.1f}%  "
-             f"(max {best:.1f}%)\n")
-    return text
+        experiment)

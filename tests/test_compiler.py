@@ -5,7 +5,6 @@ scheduling with routing, reclamation decisions, uncomputation replay and
 the resulting metrics, for every policy preset.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -17,7 +16,6 @@ from repro.exceptions import CompilationError, ResourceExhaustedError
 from repro.arch.ft import FTMachine
 from repro.arch.machine import IdealMachine
 from repro.arch.nisq import NISQMachine
-import repro.core.compiler as compiler_module
 from repro.core.compiler import (
     POLICY_PRESETS,
     CompilerConfig,
@@ -25,7 +23,7 @@ from repro.core.compiler import (
     compile_program,
     preset,
 )
-from repro.core.plan import plan_reclamation
+from repro.core.plan import ProgramWalk
 from repro.core.policies import create_reclamation_policy
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
@@ -238,10 +236,10 @@ class TestPolicyBehaviour:
 def _plan(program, policy, machine):
     """The reclamation plan a compile of ``program`` on ``machine`` makes."""
     config = POLICY_PRESETS[policy]
-    return plan_reclamation(
-        program, create_reclamation_policy(config.reclamation),
-        decompose_toffoli=config.decompose_toffoli,
+    walk = ProgramWalk(
+        program, decompose_toffoli=config.decompose_toffoli,
         locality_constrained=not machine.topology.is_fully_connected)
+    return walk.plan(create_reclamation_policy(config.reclamation))
 
 
 class TestReclamationPlan:
@@ -298,26 +296,23 @@ class TestReclamationPlan:
             assert result.peak_live_qubits == _plan(program, policy,
                                                     machine).peak_live
 
-    def test_a_corrupted_plan_trips_the_check(self, monkeypatch,
+    @pytest.mark.parametrize("reclamation", ["eager", "lazy", "cer"])
+    def test_the_policy_decides_once_per_free(self, reclamation,
                                               two_level_program):
-        honest = compiler_module.plan_reclamation
+        class CountingPolicy(type(create_reclamation_policy(reclamation))):
+            calls = 0
 
-        def corrupt(**changes):
-            def planner(*args, **kwargs):
-                return dataclasses.replace(honest(*args, **kwargs), **changes)
-            monkeypatch.setattr(compiler_module, "plan_reclamation", planner)
+            def decide(self, request):
+                self.calls += 1
+                return super().decide(request)
 
-        machine = NISQMachine.grid(5, 5)
-        plan = _plan(two_level_program, "eager", machine)
-        corrupt(live_at=(plan.live_at[0] + 1,) + plan.live_at[1:])
-        with pytest.raises(CompilationError, match="Free of module 'fun1'"):
-            compile_program(two_level_program, machine, "eager")
-        corrupt(events=())
-        with pytest.raises(CompilationError, match="Free of module 'fun1'"):
-            compile_program(two_level_program, machine, "eager")
-        corrupt(gate_count=plan.gate_count - 1)
-        with pytest.raises(CompilationError, match="reclamation plan counted"):
-            compile_program(two_level_program, machine, "eager")
+        policy = CountingPolicy()
+        compiler = SquareCompiler(NISQMachine.grid(5, 5),
+                                  CompilerConfig(reclamation=reclamation),
+                                  reclamation_policy=policy)
+        result = compiler.compile(two_level_program)
+        assert result.reclamation_events
+        assert policy.calls == len(result.reclamation_events)
 
     @settings(max_examples=25, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -114,4 +114,8 @@ class TestFigureExperiments:
         experiment = figure10.run(benchmarks=LARGE_QUICK, scale="quick")
         for row in experiment.rows:
             assert row["lazy"] == pytest.approx(1.0)
-        assert "mean_reduction_vs_lazy_pct" in experiment.extras
+        assert experiment.extras["geomean_reduction_vs_lazy"] > 0
+        losses = sum(1 for row in experiment.rows if row["square"] > 1.0)
+        assert experiment.extras["square_losses"] == losses
+        assert (f"SQUARE loses on {losses} of {len(experiment.rows)} "
+                in figure10.format_report(experiment))

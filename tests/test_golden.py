@@ -14,14 +14,20 @@ machine records the exception type instead.  The corpus has two slices:
 Any change to a digest must be a deliberate, explained re-baseline;
 regenerate both slices with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py regenerate
+
+Any other argument (``--help`` included) prints this usage and exits
+non-zero without writing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from typing import Dict, Mapping
 
 import pytest
@@ -126,7 +132,22 @@ def test_benchmark_size_output_matches_golden_digests(name):
     assert sized_digests(name) == _recorded(sized_label(name))
 
 
+def test_the_script_rewrites_the_corpus_only_when_asked():
+    before = CORPUS.read_bytes()
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    completed = subprocess.run([sys.executable, __file__, "--help"], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode != 0
+    assert "regenerate" in completed.stderr
+    assert CORPUS.read_bytes() == before
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] != ["regenerate"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} regenerate\n"
+                 f"rewrites {CORPUS} (a deliberate re-baseline)")
     corpus = {}
     for name in benchmark_names():
         corpus.update(benchmark_digests(name))

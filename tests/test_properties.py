@@ -8,7 +8,7 @@ invariants the whole system relies on:
 * the Eager policy leaves every non-top-level ancilla clean;
 * AQV equals the area under the usage curve and never exceeds
   peak-live-qubits x circuit-depth;
-* the count-only reclamation plan is exactly what the compile does;
+* the program walk's stream counts exactly what the compile does;
 * deeper programs whose Store blocks call (on the caller's ancillas)
   keep their function when those calls are inverted inside a replay.
 """
@@ -22,9 +22,10 @@ from typing import List
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import autosize_compile
 from repro.arch.nisq import NISQMachine
 from repro.core.compiler import CompilerConfig, SquareCompiler, compile_program
-from repro.core.plan import plan_reclamation
+from repro.core.plan import ALLOC, END_UNCOMPUTE, RELEASE, RUN, ProgramWalk
 from repro.core.policies import create_reclamation_policy
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
@@ -229,23 +230,37 @@ def test_aqv_bounds(seed, policy):
        st.booleans())
 def test_reclamation_plan_is_what_the_compile_does(seed, decompose,
                                                    store_call):
-    """The count-only plan's decisions, peak and gate count are the
-    compile's, with and without Toffoli decomposition and with a Store
-    block that calls (its garbage outlives the caller's uncompute)."""
+    """The walk's stream counts the compile's decisions, peak live
+    qubits, gates and uncompute gates, with and without Toffoli
+    decomposition and with a Store block that calls (its garbage
+    outlives the caller's uncompute)."""
     program = _random_program(seed)
     middle = program.entry.compute[0].module
     if store_call and isinstance(middle.compute[0], CallStmt):
         middle.store.append(middle.compute[0])
     for reclamation in ("eager", "lazy", "cer"):
-        plan = plan_reclamation(program, create_reclamation_policy(reclamation),
-                                decompose_toffoli=decompose,
-                                locality_constrained=True)
+        walk = ProgramWalk(program, decompose_toffoli=decompose,
+                           locality_constrained=True)
+        plan = walk.plan(create_reclamation_policy(reclamation))
+        live = peak = program.entry.num_params
+        gates = uncompute_gates = 0
+        for item in walk.stream(plan):
+            if item[0] == RUN:
+                gates += len(item[1])
+            elif item[0] == ALLOC:
+                live += len(item[2]) - item[1].num_params
+                peak = max(peak, live)
+            elif item[0] == RELEASE:
+                live -= len(item[1])
+            elif item[0] == END_UNCOMPUTE:
+                uncompute_gates += item[1]
         config = CompilerConfig(reclamation=reclamation,
                                 decompose_toffoli=decompose)
         result = SquareCompiler(NISQMachine.grid(5, 5), config).compile(program)
         assert result.reclamation_events == plan.events
-        assert result.peak_live_qubits == plan.peak_live
-        assert result.gate_count == plan.gate_count
+        assert result.peak_live_qubits == plan.peak_live == peak
+        assert result.gate_count == plan.gate_count == gates
+        assert result.uncompute_gate_count == uncompute_gates
 
 
 @settings(max_examples=10, deadline=None,
@@ -258,18 +273,21 @@ def test_store_calls_inverted_in_a_replay_keep_the_function(seed):
     (``C ; S^-1 ; C^-1`` on fresh ancillas) acts on the replay's
     ancillas, not on the freed originals: every policy computes the
     program's function, and with Toffolis decomposed (which the
-    classical simulator cannot run) the plan still matches the walk."""
+    classical simulator cannot run) no gate lands twice on one qubit."""
     program = _random_deep_program(seed)
     width = program.entry.num_params
     num_outputs = len(program.entry.outputs)
     output_wires = range(width - num_outputs, width)
     reference = _reference_table(program, width)
-    machine = NISQMachine.grid(12, 12)
+    def compile_on_a_lattice(**config):
+        # A 12x12 grid, grown when a program holds more qubits at once.
+        return autosize_compile(program, NISQMachine.with_qubits,
+                                CompilerConfig(**config), start_qubits=144)
+
     for reclamation in ("eager", "lazy", "cer"):
-        SquareCompiler(machine, CompilerConfig(
-            reclamation=reclamation, decompose_toffoli=True)).compile(program)
-        result = SquareCompiler(machine, CompilerConfig(
-            reclamation=reclamation, record_schedule=True)).compile(program)
+        compile_on_a_lattice(reclamation=reclamation, decompose_toffoli=True)
+        result = compile_on_a_lattice(reclamation=reclamation,
+                                      record_schedule=True)
         circuit = result.to_circuit()
         for bits, expected in reference.items():
             out = simulate_classical(circuit,

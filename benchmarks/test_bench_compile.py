@@ -1,6 +1,6 @@
 """Benchmark: the compile path itself, profiled phase by phase.
 
-Writes ``BENCH_compile.json`` at the repo root — the first artifact of
+Writes ``.bench_build/BENCH_compile.json`` — the first artifact of
 the compile perf trajectory.  Every entry pairs a phase's wall seconds
 with the machine-independent work counter that phase chewed through
 (:mod:`repro.profile`), so the headline unit is **throughput** —
@@ -17,15 +17,12 @@ telemetry that deliberately does not survive serialization.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.api import MachineSpec
 from repro.profile import PHASE_WORK, ProfileReport, profile_benchmarks
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import emit_bench, run_once
 
 SMALL = ("RD53", "6SYM", "2OF5", "ADDER4")
 LARGE = ("ADDER32", "MUL32")
@@ -33,27 +30,15 @@ POLICIES = ("eager", "lazy", "square")
 GRID = MachineSpec.nisq_grid(5, 5)
 BIG = MachineSpec(kind="nisq", num_qubits=256)
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_compile.json"
-
 #: Filled by the tests, flushed to ``BENCH_compile.json`` on teardown.
 RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
 def emit_bench_json():
-    """Flush a versioned benchmark record after the module runs.
-
-    ``REPRO_BENCH_HISTORY=<dir>`` also appends the record to the
-    ``<dir>/compile.jsonl`` trajectory journal that ``bench compare`` /
-    ``bench trend`` read.
-    """
+    """Flush ``RESULTS`` as a versioned record after the module runs."""
     yield
-    if not RESULTS:
-        return
-    from repro.bench import write_bench
-
-    write_bench(str(BENCH_PATH), "compile", RESULTS,
-                history_dir=os.environ.get("REPRO_BENCH_HISTORY") or None)
+    emit_bench("compile", RESULTS)
 
 
 def _ladder() -> ProfileReport:

@@ -1,7 +1,7 @@
 """Benchmark: telemetry costs — scrape latency, counter increments,
 and compile overhead of the always-on phase timers.
 
-Writes ``BENCH_telemetry.json`` at the repo root with the headline
+Writes ``.bench_build/BENCH_telemetry.json`` with the headline
 numbers the observability acceptance gate cares about:
 
 * **scrape latency** — one full ``/metrics`` collection + render over a
@@ -29,9 +29,7 @@ of ``TRIALS`` such measurements, recorded as ``*_cost_ratio``.
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -44,7 +42,7 @@ from repro.telemetry import EventLog, MetricsRegistry, SpanRecorder
 from repro.telemetry.spans import record_compile_spans
 from repro.telemetry.timing import PhaseTimer
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import emit_bench, run_once
 
 #: Registry cross-section: small oracles on a fixed lattice plus quick
 #: arithmetic on a large machine, so the overhead number reflects both
@@ -68,27 +66,15 @@ REPEATS = 5
 COST_REPEATS = 5
 COST_LOOPS = 20
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_telemetry.json"
-
 #: Filled by the tests, flushed to ``BENCH_telemetry.json`` on teardown.
 RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
 def emit_bench_json():
-    """Flush a versioned benchmark record after the module runs.
-
-    ``REPRO_BENCH_HISTORY=<dir>`` also appends the record to the
-    ``<dir>/telemetry.jsonl`` trajectory journal that
-    ``bench compare`` / ``bench trend`` read.
-    """
+    """Flush ``RESULTS`` as a versioned record after the module runs."""
     yield
-    if not RESULTS:
-        return
-    from repro.bench import write_bench
-
-    write_bench(str(BENCH_PATH), "telemetry", RESULTS,
-                history_dir=os.environ.get("REPRO_BENCH_HISTORY") or None)
+    emit_bench("telemetry", RESULTS)
 
 
 def test_bench_counter_increment(benchmark):

@@ -2,7 +2,7 @@
 
 Starts the machine-readable perf trajectory the ROADMAP asks for: in
 addition to pytest-benchmark timings, this module writes
-``BENCH_tenancy.json`` at the repo root with three headline numbers —
+``.bench_build/BENCH_tenancy.json`` with three headline numbers —
 
 * **fair-share queue throughput** — jobs/sec through the full
   submit → fair-share pop → worker → record pipeline with a no-op
@@ -21,7 +21,6 @@ quadratic fails loudly on any machine.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ import pytest
 from repro.queue import JobManager, JobQueue, QueuedJob
 from repro.tenancy import FairShareScheduler, JsonlJobStore, Tenant
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import emit_bench, run_once
 
 #: Jobs pushed through each pipeline per measurement round.
 QUEUE_JOBS = 500
@@ -42,27 +41,15 @@ TENANTS = (
     Tenant("charlie", role="batch", api_key="bk-charlie"),
 )
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_tenancy.json"
-
 #: Filled by the tests, flushed to ``BENCH_tenancy.json`` on teardown.
 RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
 def emit_bench_json():
-    """Flush a versioned benchmark record after the module runs.
-
-    ``REPRO_BENCH_HISTORY=<dir>`` also appends the record to the
-    ``<dir>/tenancy.jsonl`` trajectory journal that ``bench compare`` /
-    ``bench trend`` read.
-    """
+    """Flush ``RESULTS`` as a versioned record after the module runs."""
     yield
-    if not RESULTS:
-        return
-    from repro.bench import write_bench
-
-    write_bench(str(BENCH_PATH), "tenancy", RESULTS,
-                history_dir=os.environ.get("REPRO_BENCH_HISTORY") or None)
+    emit_bench("tenancy", RESULTS)
 
 
 def drain_fairshare_manager(jobs: int, workers: int) -> int:

@@ -1,6 +1,6 @@
 """Benchmark: static-verifier throughput and overhead vs compile time.
 
-Writes ``BENCH_verify.json`` at the repo root with the headline numbers
+Writes ``.bench_build/BENCH_verify.json`` with the headline numbers
 the verifier's acceptance gate cares about:
 
 * **verifier gates/sec** — scheduled-gate events checked per second of
@@ -20,16 +20,14 @@ rule coverage (RV001-RV006) and every report must come back clean.
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.api import Session, SweepSpec
 from repro.verify import verify_result
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import emit_bench, run_once
 
 #: Registry cross-section: the three small oracles plus mid-size
 #: arithmetic — big enough for tens of thousands of scheduled events.
@@ -43,27 +41,15 @@ MAX_OVERHEAD_RATIO = 0.20
 #: Timed runs per side; the fastest is kept.
 REPEATS = 5
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_verify.json"
-
 #: Filled by the test, flushed to ``BENCH_verify.json`` on teardown.
 RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
 def emit_bench_json():
-    """Flush a versioned benchmark record after the module runs.
-
-    ``REPRO_BENCH_HISTORY=<dir>`` also appends the record to the
-    ``<dir>/verify.jsonl`` trajectory journal that ``bench compare`` /
-    ``bench trend`` read.
-    """
+    """Flush ``RESULTS`` as a versioned record after the module runs."""
     yield
-    if not RESULTS:
-        return
-    from repro.bench import write_bench
-
-    write_bench(str(BENCH_PATH), "verify", RESULTS,
-                history_dir=os.environ.get("REPRO_BENCH_HISTORY") or None)
+    emit_bench("verify", RESULTS)
 
 
 def _compile_suite():

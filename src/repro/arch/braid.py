@@ -17,8 +17,8 @@ number of conflicts per gate (the ``S`` estimate for FT machines).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Tuple
 
 from repro.arch.topology import Topology
 
@@ -186,12 +186,6 @@ class BraidTracker:
         self._prune()
         return BraidRequest(start=start, finish=finish, crossings=crossings,
                             vertices=vertices)
-
-    def average_crossings(self) -> float:
-        """Mean crossings per braid routed so far."""
-        if self.total_braids == 0:
-            return 0.0
-        return self.total_crossings / self.total_braids
 
     # ------------------------------------------------------------------
     def _prune(self) -> None:

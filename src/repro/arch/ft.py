@@ -58,11 +58,6 @@ class FTMachine(Machine):
 
     # ------------------------------------------------------------------
     @property
-    def braid_tracker(self) -> BraidTracker:
-        """The braid simulator attached to this machine."""
-        return self._braids
-
-    @property
     def crossing_penalty(self) -> int:
         """Extra latency per braid crossing, in time units."""
         return self._crossing_penalty

@@ -37,8 +37,8 @@ class CommunicationResult(NamedTuple):
             of ``len(path) - 1`` swaps; empty when no swap is needed.
         extra_latency: Additional latency (time units) beyond the swap chain
             itself, e.g. braid queueing delay on an FT machine.
-        cost_units: The communication quantity fed to the CER cost model's
-            running average ``S`` — swap-chain length on NISQ, number of
+        cost_units: The communication quantity summed into the compile's
+            ``total_comm_cost`` — swap-chain length on NISQ, number of
             braid crossings on FT.
     """
 

@@ -4,8 +4,8 @@ append-only history journal, and a per-metric regression comparator.
 The benchmark suites under ``benchmarks/`` measure the system —
 compile-path phase splits, tenancy scheduler throughput, verifier gate
 rates, telemetry overhead ratios — and flush one ``BENCH_<suite>.json``
-snapshot each.  This package turns those point-in-time snapshots into a
-*trajectory*:
+snapshot each into ``.bench_build/``.  This package turns those
+point-in-time snapshots into a *trajectory*:
 
 * :mod:`repro.bench.records` — the versioned record schema (legacy
   bare dicts up-convert as version 0), the shared :func:`write_bench`
@@ -29,6 +29,7 @@ from repro.bench.compare import (
     render_trend,
 )
 from repro.bench.records import (
+    BENCH_DIR,
     BENCH_VERSION,
     HISTORY_DIR,
     append_history,
@@ -42,6 +43,7 @@ from repro.bench.records import (
 )
 
 __all__ = [
+    "BENCH_DIR",
     "BENCH_VERSION",
     "HISTORY_DIR",
     "append_history",

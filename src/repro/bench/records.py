@@ -1,7 +1,7 @@
 """Versioned benchmark records and the append-only history journal.
 
 The four benchmark suites (``benchmarks/test_bench_*.py``) each flush a
-``BENCH_<suite>.json`` snapshot at the repo root.  Historically those
+``BENCH_<suite>.json`` snapshot into :data:`BENCH_DIR`.  Historically those
 were bare ``{"suite", "generated_at", "metrics"}`` dicts with no schema
 marker — fine for a one-off read, useless for a trajectory.  This
 module gives the snapshot a version field and a journal:
@@ -35,6 +35,10 @@ BENCH_VERSION = 1
 
 #: Default journal directory name, relative to the repo root.
 HISTORY_DIR = "bench_history"
+
+#: Directory, relative to the repo root, that the suites write their
+#: ``BENCH_<suite>.json`` snapshots into (ignored by git).
+BENCH_DIR = ".bench_build"
 
 
 def make_record(suite: str, metrics: Dict[str, object], *,
@@ -106,11 +110,12 @@ def write_bench(path: str, suite: str, metrics: Dict[str, object], *,
 
     This is the one emission helper the benchmark suites share: it
     replaces their hand-rolled ``json.dumps`` blocks, so every
-    ``BENCH_*.json`` at the repo root carries ``bench_version`` and
+    ``BENCH_*.json`` carries ``bench_version`` and
     (when ``history_dir`` is given) lands in the append-only journal
     that ``bench compare`` / ``bench trend`` read.
     """
     record = make_record(suite, metrics, generated_at=generated_at)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if history_dir:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.cost_model import ReclamationCosts, reclamation_costs
 
@@ -35,10 +35,6 @@ class ReclamationRequest:
         gates_to_parent_uncompute: Estimated gates between this point and
             the parent's uncompute block (``G_p``).
         locality_constrained: False on fully-connected machines.
-        is_top_level: True for the entry module's ``Free``.  The program
-            ends immediately afterwards, so uncomputing there buys nothing;
-            every policy skips it (this is what makes Lazy's gate count the
-            forward-only count in Table III).
     """
 
     module_name: str
@@ -48,7 +44,6 @@ class ReclamationRequest:
     uncompute_gates: int
     gates_to_parent_uncompute: int
     locality_constrained: bool = True
-    is_top_level: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,19 +60,18 @@ class ReclamationDecision:
 
 
 class ReclamationPolicy(abc.ABC):
-    """Strategy deciding whether to uncompute at a ``Free`` point."""
+    """Strategy deciding whether to uncompute at a ``Free`` point.
+
+    It is asked only below the entry module (the program ends at the
+    entry module's ``Free``, so uncomputing there buys nothing) and only
+    where the call still holds garbage.
+    """
 
     name = "abstract"
 
-    def decide(self, request: ReclamationRequest) -> ReclamationDecision:
-        """Decide whether to reclaim; the top-level free is never uncomputed."""
-        if request.is_top_level:
-            return ReclamationDecision(reclaim=False)
-        return self._decide(request)
-
     @abc.abstractmethod
-    def _decide(self, request: ReclamationRequest) -> ReclamationDecision:
-        """Policy-specific decision for non-top-level frees."""
+    def decide(self, request: ReclamationRequest) -> ReclamationDecision:
+        """Decide whether to reclaim."""
 
 
 class EagerReclamation(ReclamationPolicy):
@@ -85,7 +79,7 @@ class EagerReclamation(ReclamationPolicy):
 
     name = "eager"
 
-    def _decide(self, request: ReclamationRequest) -> ReclamationDecision:
+    def decide(self, request: ReclamationRequest) -> ReclamationDecision:
         """Always uncompute."""
         return ReclamationDecision(reclaim=True)
 
@@ -95,7 +89,7 @@ class LazyReclamation(ReclamationPolicy):
 
     name = "lazy"
 
-    def _decide(self, request: ReclamationRequest) -> ReclamationDecision:
+    def decide(self, request: ReclamationRequest) -> ReclamationDecision:
         """Never uncompute below the top level."""
         return ReclamationDecision(reclaim=False)
 
@@ -109,11 +103,8 @@ class CostEffectiveReclamation(ReclamationPolicy):
 
     name = "cer"
 
-    def _decide(self, request: ReclamationRequest) -> ReclamationDecision:
+    def decide(self, request: ReclamationRequest) -> ReclamationDecision:
         """Reclaim exactly when Equation 1 does not exceed Equation 2."""
-        if request.num_ancilla == 0:
-            # Nothing to reclaim; skipping the (empty) uncompute is free.
-            return ReclamationDecision(reclaim=False)
         costs = reclamation_costs(
             num_active=request.num_active,
             num_ancilla=request.num_ancilla,

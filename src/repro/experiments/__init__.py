@@ -17,10 +17,9 @@ from repro.experiments import (
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentResult,
-    benchmark_overrides,
     get_session,
-    load_scaled_benchmark,
 )
+from repro.workloads.registry import benchmark_overrides, load_scaled_benchmark
 
 #: Registry of experiment runners keyed by the figure/table they regenerate.
 EXPERIMENTS = {

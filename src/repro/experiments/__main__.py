@@ -56,6 +56,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -572,7 +573,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     # compare: current snapshot vs the newest history record (or an
     # explicit --baseline snapshot).
-    current_path = args.bench_file or f"BENCH_{args.suite}.json"
+    current_path = args.bench_file or os.path.join(
+        bench.BENCH_DIR, f"BENCH_{args.suite}.json")
     try:
         current = bench.load_bench(current_path)
         if args.baseline:
@@ -791,7 +793,7 @@ def _build_parser():
                             "newest history record)")
     bench.add_argument("--bench-file", metavar="PATH",
                        help="current snapshot for compare (default: "
-                            "BENCH_<suite>.json)")
+                            ".bench_build/BENCH_<suite>.json)")
     bench.add_argument("--history", metavar="DIR",
                        help="bench history journal directory (default: "
                             "bench_history)")

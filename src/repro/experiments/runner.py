@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import geometric_mean, normalized_aqv
 from repro.api import MachineSpec, Session, SweepSpec
-from repro.workloads.registry import benchmark_overrides, load_scaled_benchmark
 
 #: Policies evaluated throughout Section V, in presentation order.
 DEFAULT_POLICIES: Sequence[str] = ("lazy", "eager", "square-laa", "square")

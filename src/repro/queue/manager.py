@@ -22,10 +22,11 @@ use (see :mod:`repro.tenancy`):
 * the **scheduler** (:class:`~repro.tenancy.fairshare.FairShareScheduler`)
   orders the queue's pops by a fair-share composite score;
 * the **store** (:class:`~repro.tenancy.store.JobStore`) journals every
-  accepted submission, lifecycle transition and streamed entry, and is
-  replayed at construction time: QUEUED jobs re-enqueue, orphaned
-  RUNNING jobs requeue (at most ``max_requeues`` times, then FAILED),
-  and terminal jobs are served byte-identically to before the restart.
+  accepted submission and lifecycle transition (a terminal one with the
+  job's streamed entries), and is replayed at construction time: QUEUED
+  jobs re-enqueue, orphaned RUNNING jobs requeue (at most
+  ``max_requeues`` times, then FAILED), and terminal jobs are served
+  byte-identically to before the restart.
   The default base-class store persists nothing and replays nothing;
 * the **event log** (:class:`~repro.telemetry.events.EventLog`) narrates
   queue and lifecycle transitions as structured events.
@@ -378,14 +379,13 @@ class JobManager:
 
         Called by the runner (worker thread) as each sweep entry
         completes; long-pollers blocked in :meth:`entries_since` wake
-        immediately.  The record is journaled too, so a restarted
-        server's entry cursors resume exactly where the stream stopped.
+        immediately.  The stream is journaled once, with the job's
+        terminal state: a requeued orphan restarts it from entry 0.
         """
         job.add_entry(record)
         with self._lock:
             self.entries_recorded += 1
             self._entry_rate.mark()
-            self.store.record_entry(job.job_id, record)
 
     def entries_since(self, job_id: str, since: int = 0,
                       timeout: Optional[float] = None) -> Dict[str, object]:

@@ -65,7 +65,6 @@ class GateScheduler:
         self.gate_count = 0
         self.swap_count = 0
         self.comm_cost_total = 0.0
-        self.two_qubit_gate_count = 0
 
     # ------------------------------------------------------------------
     # Qubit management
@@ -195,8 +194,6 @@ class GateScheduler:
                 routed=False,
             ))
         self.gate_count += 1
-        if len(qubits) >= 2:
-            self.two_qubit_gate_count += 1
         self.comm_cost_total += total_cost
         return GateExecution(start=start, finish=finish, swaps=total_swaps,
                              comm_cost=total_cost)
@@ -274,10 +271,3 @@ class GateScheduler:
         if finish > self.makespan:
             self.makespan = finish
         self.swap_count += len(path) - 1
-
-    # ------------------------------------------------------------------
-    def average_comm_cost(self) -> float:
-        """Mean communication cost units per two-qubit gate so far."""
-        if self.two_qubit_gate_count == 0:
-            return 0.0
-        return self.comm_cost_total / self.two_qubit_gate_count

@@ -15,11 +15,10 @@ shared one:
   equal-priority jobs still run in submission order.
 * :mod:`repro.tenancy.store` — :class:`JobStore` job state: the base
   class persists nothing; :class:`JsonlJobStore` journals every
-  lifecycle transition and sweep-entry record to an append-only,
-  auto-compacting JSONL WAL, so a restarted server re-enqueues QUEUED
-  work, requeues orphaned RUNNING jobs exactly once, and serves
-  pre-crash DONE results byte-identically (:class:`MemoryJobStore`
-  keeps records in memory, for recovery tests).
+  lifecycle transition (a terminal one with its sweep-entry records)
+  to an append-only, auto-compacting JSONL WAL, so a restarted server
+  re-enqueues QUEUED work, requeues orphaned RUNNING jobs exactly once,
+  and serves pre-crash DONE results byte-identically.
 
 Every :class:`~repro.queue.manager.JobManager` holds a scheduler and a
 store; :mod:`repro.service` wires them to HTTP
@@ -39,7 +38,6 @@ from repro.tenancy.store import (
     STORE_VERSION,
     JobStore,
     JsonlJobStore,
-    MemoryJobStore,
     job_snapshot,
 )
 from repro.tenancy.tenants import (
@@ -63,7 +61,6 @@ __all__ = [
     "FairShareScheduler",
     "JobStore",
     "JsonlJobStore",
-    "MemoryJobStore",
     "ROLE_WEIGHTS",
     "STORE_VERSION",
     "TENANTS_ENV",

@@ -8,9 +8,8 @@ crash lost the whole backlog and every un-polled result.  A
 * ``submit``  — the full job snapshot (payload, tenant, priority), the
   moment a submission is accepted;
 * ``state``   — every lifecycle transition, carrying the DONE response
-  or FAILED error record inline;
-* ``entry``   — each streamed sweep-entry record, so the long-poll
-  cursor survives too;
+  or FAILED error record inline; a terminal one also carries the job's
+  whole entry stream, so the long-poll cursor survives too;
 * ``forget``  — retention GC dropping a terminal record;
 * ``burst``   — the fair-share burst-score table with a wall-clock
   snapshot stamp, journaled at every accepted submission, so a
@@ -21,7 +20,8 @@ On restart the manager replays :meth:`JobStore.load` and recovers:
 QUEUED jobs re-enqueue, orphaned RUNNING jobs requeue (exactly once —
 a job orphaned twice is marked FAILED instead of crash-looping), and
 terminal jobs are served from the journal byte-identically to before
-the crash.
+the crash.  A requeued orphan's stream starts again from entry 0: the
+compile is deterministic, so its rerun publishes the same entries.
 
 :class:`JsonlJobStore` is the durable implementation: one append-only
 ``jobs.wal`` :mod:`repro.journal`, flushed per event, torn-tail
@@ -30,9 +30,7 @@ tolerant (the next open cuts the tail) and **compacting** — past
 per live job, so a long-lived server's journal stays proportional to
 its retained job table instead of its lifetime submission count.
 The :class:`JobStore` base class is the no-persistence store (records
-nothing, loads nothing) that a server without ``--store-dir`` runs on;
-:class:`MemoryJobStore` keeps records in memory so tests can hand one
-manager's journal to the next.
+nothing, loads nothing) that a server without ``--store-dir`` runs on.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from repro import journal
 from repro.exceptions import ServiceError
 
 #: Journal schema version (header line of every WAL).
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Default WAL line count that triggers an automatic compaction.
 DEFAULT_COMPACT_THRESHOLD = 4096
@@ -100,9 +98,6 @@ class JobStore:
     def record_transition(self, job) -> None:
         """Persist a lifecycle transition (response/error inline)."""
 
-    def record_entry(self, job_id: str, record: Mapping[str, object]) -> None:
-        """Persist one streamed sweep-entry record."""
-
     def forget(self, job_ids) -> None:
         """Drop retention-GC'd jobs from the journal's live set."""
 
@@ -125,76 +120,6 @@ class JobStore:
     def stats(self) -> Dict[str, object]:
         """JSON-compatible store telemetry."""
         return {"kind": "none"}
-
-
-class MemoryJobStore(JobStore):
-    """In-memory :class:`JobStore`: the full interface, no durability.
-
-    Useful for tests of the recovery machinery (hand one instance's
-    records to a second manager); a fresh instance always loads empty.
-    """
-
-    def __init__(self) -> None:
-        self._records: "Dict[str, Dict[str, object]]" = {}
-        self._burst: Optional[Dict[str, object]] = None
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def load(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [dict(record, entries=list(record["entries"]))
-                    for record in self._records.values()]
-
-    def record_submit(self, job) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            self._records[job.job_id] = job_snapshot(job)
-
-    def record_transition(self, job) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            if job.job_id in self._records:
-                self._records[job.job_id] = job_snapshot(job)
-
-    def record_entry(self, job_id: str,
-                     record: Mapping[str, object]) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            snapshot = self._records.get(job_id)
-            if snapshot is not None:
-                snapshot["entries"].append(dict(record))
-
-    def forget(self, job_ids) -> None:
-        with self._lock:
-            for job_id in job_ids:
-                self._records.pop(job_id, None)
-
-    def record_burst(self, scores: Mapping[str, float],
-                     at: float) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            self._burst = {"scores": {tenant: float(score)
-                                      for tenant, score in scores.items()},
-                           "at": float(at)}
-
-    def load_burst(self) -> Optional[Dict[str, object]]:
-        with self._lock:
-            if self._burst is None:
-                return None
-            return {"scores": dict(self._burst["scores"]),
-                    "at": self._burst["at"]}
-
-    def close(self) -> None:
-        self._closed = True
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {"kind": "memory", "live_jobs": len(self._records),
-                    "closed": self._closed}
 
 
 class JsonlJobStore(JobStore):
@@ -281,11 +206,9 @@ class JsonlJobStore(JobStore):
         if kind == "state":
             record["state"] = event.get("state", record["state"])
             for key in ("started_at", "finished_at", "retries",
-                        "response", "error"):
+                        "response", "error", "entries"):
                 if key in event:
                     record[key] = event[key]
-        elif kind == "entry":
-            record["entries"].append(event.get("record", {}))
 
     def load(self) -> List[Dict[str, object]]:
         with self._lock:
@@ -335,18 +258,8 @@ class JsonlJobStore(JobStore):
                 event["response"] = job.response
             if job.error is not None:
                 event["error"] = job.error
-            self._apply(event)
-            self._append(event)
-
-    def record_entry(self, job_id: str,
-                     record: Mapping[str, object]) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            if job_id not in self._records:
-                return
-            event = {"type": "entry", "job_id": job_id,
-                     "record": dict(record)}
+            if job.is_terminal:
+                event["entries"] = list(job.entries)
             self._apply(event)
             self._append(event)
 

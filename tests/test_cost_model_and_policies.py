@@ -13,12 +13,15 @@ from repro.core.cost_model import (
     uncompute_cost,
 )
 from repro.core.heap import AncillaHeap
+from repro.core.plan import ProgramWalk
 from repro.core.reclamation import (
     CostEffectiveReclamation,
     EagerReclamation,
     LazyReclamation,
+    ReclamationPolicy,
     ReclamationRequest,
 )
+from repro.ir.program import Program, QModule
 
 
 class TestAncillaHeap:
@@ -107,10 +110,48 @@ def _request(**overrides) -> ReclamationRequest:
     base = dict(
         module_name="m", level=1, num_active=10, num_ancilla=2,
         uncompute_gates=20, gates_to_parent_uncompute=100,
-        locality_constrained=True, is_top_level=False,
+        locality_constrained=True,
     )
     base.update(overrides)
     return ReclamationRequest(**base)
+
+
+class _Recording(ReclamationPolicy):
+    """Passes every request on to ``inner`` and keeps it."""
+
+    name = "recording"
+
+    def __init__(self, inner: ReclamationPolicy) -> None:
+        self.inner = inner
+        self.requests = []
+
+    def decide(self, request):
+        self.requests.append(request)
+        return self.inner.decide(request)
+
+
+def _program_with_a_garbage_free_call() -> Program:
+    """``top`` keeps one ancilla and calls ``child`` (one ancilla) in
+    Compute and ``copy`` (no ancilla) in Store."""
+    copy = QModule("copy", num_inputs=1, num_outputs=1, num_ancilla=0)
+    copy.begin_store()
+    copy.cx(copy.inputs[0], copy.outputs[0])
+    child = QModule("child", num_inputs=2, num_outputs=1, num_ancilla=1)
+    child.ccx(child.inputs[0], child.inputs[1], child.ancillas[0])
+    child.begin_store()
+    child.cx(child.ancillas[0], child.outputs[0])
+    top = QModule("top", num_inputs=2, num_outputs=2, num_ancilla=1)
+    top.call(child, top.inputs[0], top.inputs[1], top.ancillas[0])
+    top.begin_store()
+    top.cx(top.ancillas[0], top.outputs[0])
+    top.call(copy, top.ancillas[0], top.outputs[1])
+    return Program(top, name="garbage-free-call")
+
+
+def _plan(policy: ReclamationPolicy):
+    walk = ProgramWalk(_program_with_a_garbage_free_call(),
+                       decompose_toffoli=False, locality_constrained=True)
+    return walk.plan(policy)
 
 
 class TestReclamationPolicies:
@@ -122,9 +163,13 @@ class TestReclamationPolicies:
         assert not LazyReclamation().decide(_request()).reclaim
 
     def test_top_level_is_never_uncomputed(self):
+        # The entry module holds garbage, yet the plan never asks about it.
         for policy in (EagerReclamation(), LazyReclamation(),
                        CostEffectiveReclamation()):
-            assert not policy.decide(_request(is_top_level=True)).reclaim
+            recording = _Recording(policy)
+            plan = _plan(recording)
+            assert [r.module_name for r in recording.requests] == ["child"]
+            assert [e.module for e in plan.events] == ["child"]
 
     def test_cer_reclaims_when_cheap(self):
         decision = CostEffectiveReclamation().decide(_request(
@@ -138,6 +183,11 @@ class TestReclamationPolicies:
         assert not decision.reclaim
 
     def test_cer_skips_empty_frees(self):
-        decision = CostEffectiveReclamation().decide(_request(num_ancilla=0))
-        assert not decision.reclaim
-        assert decision.costs is None
+        # ``copy`` holds no ancilla: it is never asked about and never
+        # uncomputed, so it leaves no decision or costs in the plan.
+        recording = _Recording(CostEffectiveReclamation())
+        plan = _plan(recording)
+        assert all(r.num_ancilla > 0 for r in recording.requests)
+        assert "copy" not in {r.module_name for r in recording.requests}
+        assert [(e.module, e.num_ancilla) for e in plan.events] == [("child", 1)]
+        assert all(e.costs is not None for e in plan.events)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import MachineSpec, Session
 from repro.experiments import EXPERIMENTS, figure1, figure5, figure8, figure9, figure10, table3, table4
-from repro.experiments.runner import (
+from repro.workloads.registry import (
     benchmark_overrides,
     load_scaled_benchmark,
 )

@@ -10,13 +10,16 @@ invariants the whole system relies on:
   peak-live-qubits x circuit-depth;
 * the program walk's stream counts exactly what the compile does;
 * deeper programs whose Store blocks call (on the caller's ancillas)
-  keep their function when those calls are inverted inside a replay.
+  keep their function when those calls are inverted inside a replay;
+* every gate of the walk's stream acts on live slots, also where a
+  deferred call's in-place inverse runs inside its caller's replay.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import zlib
 from typing import List
 
 from hypothesis import HealthCheck, example, given, settings
@@ -27,6 +30,7 @@ from repro.arch.nisq import NISQMachine
 from repro.core.compiler import CompilerConfig, SquareCompiler, compile_program
 from repro.core.plan import ALLOC, END_UNCOMPUTE, RELEASE, RUN, ProgramWalk
 from repro.core.policies import create_reclamation_policy
+from repro.core.reclamation import ReclamationDecision, ReclamationPolicy
 from repro.ir.classical_sim import simulate_classical
 from repro.ir.flatten import flatten_program
 from repro.ir.gates import inverse_gate_name
@@ -293,3 +297,44 @@ def test_store_calls_inverted_in_a_replay_keep_the_function(seed):
             out = simulate_classical(circuit,
                                      dict(zip(range(width), bits)))
             assert tuple(out[w] for w in output_wires) == expected
+
+
+class _HashedReclamation(ReclamationPolicy):
+    """Reclaims a ``(module, level)`` pair when its salted CRC32 is odd,
+    so one program mixes reclaiming and deferring calls at every depth."""
+
+    name = "hashed"
+
+    def __init__(self, salt: int) -> None:
+        self.salt = salt
+
+    def decide(self, request):
+        key = f"{request.module_name}:{request.level}:{self.salt}"
+        return ReclamationDecision(reclaim=bool(zlib.crc32(key.encode()) & 1))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000))
+@example(seed=3)   # caught binding a deferred inverse to freed slots
+def test_stream_gates_act_on_live_slots(seed):
+    """Every slot a ``RUN`` item's gates name is live: the entry
+    parameters, plus each ``ALLOC``'s ancillas until their ``RELEASE``.
+    A deferred call inverted inside its caller's replay must act on the
+    replay's fresh ancillas, not on the caller's freed originals."""
+    program = _random_deep_program(seed)
+    walk = ProgramWalk(program, decompose_toffoli=False,
+                       locality_constrained=True)
+    policies = [_HashedReclamation(salt) for salt in range(4)]
+    policies.append(create_reclamation_policy("cer"))
+    for policy in policies:
+        live = set(range(program.entry.num_params))
+        for item in walk.stream(walk.plan(policy)):
+            if item[0] == ALLOC:
+                live.update(item[2][item[1].num_params:])
+            elif item[0] == RELEASE:
+                live.difference_update(item[1])
+            elif item[0] == RUN:
+                slots = item[2]
+                for _, operands in item[1]:
+                    assert all(slots[index] in live for index in operands)

@@ -157,13 +157,6 @@ class TestGateScheduler:
         assert "cx" in names
         assert "swap" in names
 
-    def test_average_comm_cost(self):
-        scheduler = self._scheduler()
-        scheduler.register_qubit(0, 0)
-        scheduler.register_qubit(1, 8)
-        scheduler.schedule_gate("cx", [0, 1])
-        assert scheduler.average_comm_cost() > 0
-
     def test_barrier_without_operands(self):
         scheduler = self._scheduler()
         execution = scheduler.schedule_gate("barrier", [])

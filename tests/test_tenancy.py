@@ -23,7 +23,6 @@ from repro.tenancy import (
     BurstScoreManager,
     FairShareScheduler,
     JsonlJobStore,
-    MemoryJobStore,
     STORE_VERSION,
     Tenant,
     TenantRegistry,
@@ -320,7 +319,6 @@ class TestJsonlJobStore:
         store.record_submit(job)
         job.transition(RUNNING)
         store.record_transition(job)
-        store.record_entry(job.job_id, {"ok": True, "index": 0})
         job.add_entry({"ok": True, "index": 0})
         job.response = {"ok": True, "rows": [{"b": 1, "a": 2}]}
         job.transition(DONE)
@@ -385,11 +383,11 @@ class TestJsonlJobStore:
         store.record_transition(finished_job("job-000001"))
         assert len(open_store().load()) == 1
 
-    def test_memory_store_loads_empty_and_mirrors(self):
-        store = MemoryJobStore()
+    def test_store_loads_empty_and_mirrors(self, open_store):
+        store = open_store()
+        assert store.load() == []
         store.record_submit(finished_job())
         assert len(store.load()) == 1
-        assert MemoryJobStore().load() == []
 
     def test_snapshot_redacts_api_key(self):
         snapshot = job_snapshot(finished_job())
@@ -410,10 +408,9 @@ class TestBurstPersistence:
 
     def test_store_defaults_to_no_snapshot(self, open_store):
         assert open_store().load_burst() is None
-        assert MemoryJobStore().load_burst() is None
 
-    def test_memory_store_round_trips(self):
-        store = MemoryJobStore()
+    def test_store_mirrors_latest_snapshot(self, open_store):
+        store = open_store()
         store.record_burst({"alice": 2.0}, 1.0)
         assert store.load_burst() == {"scores": {"alice": 2.0}, "at": 1.0}
 
@@ -595,6 +592,49 @@ class TestManagerRecovery:
             assert payload["total"] == 3
         finally:
             revived.close()
+
+    def test_requeued_orphan_streams_only_its_rerun(self, tmp_path):
+        """A job orphaned after streaming 2 of its 3 entries restarts its
+        stream at entry 0: once DONE it holds exactly its rerun's 3
+        entries, and no entry was journaled on a line of its own."""
+        parked = threading.Event()
+        gate = threading.Event()
+
+        def streaming_manager(park):
+            box = {}
+
+            def runner(job):
+                for index in range(3):
+                    box["manager"].record_entry(
+                        job, {"index": index, "retries": job.retries})
+                    if index == 1 and park is not None:
+                        parked.set()
+                        park.wait(10)
+                return {"ok": True}
+
+            box["manager"] = JobManager(runner, workers=1, queue_size=4,
+                                        store=JsonlJobStore(tmp_path))
+            return box["manager"]
+
+        manager = streaming_manager(gate)
+        job = manager.submit("sweep", {})
+        assert parked.wait(5)
+        manager.crash()
+        gate.set()  # the "dead" worker finishes, but the journal is frozen
+
+        revived = streaming_manager(None)
+        try:
+            assert revived.requeued_running == 1
+            assert revived.wait(job.job_id, timeout=5).state == DONE
+            payload = revived.entries_since(job.job_id, since=0, timeout=0)
+            assert payload["entries"] == [{"index": index, "retries": 1}
+                                          for index in range(3)]
+            assert payload["total"] == 3
+        finally:
+            revived.close()
+        wal = (tmp_path / "jobs.wal").read_text(encoding="utf-8")
+        events = [json.loads(line) for line in wal.splitlines()]
+        assert "entry" not in {event["type"] for event in events}
 
     def test_retention_gc_forgets_from_the_store(self, open_store):
         gate = threading.Event()

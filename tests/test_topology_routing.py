@@ -331,15 +331,14 @@ class TestBraidTracker:
         assert second.crossings >= 1
         assert second.start >= first.finish
 
-    def test_average_crossings_and_reset(self):
+    def test_reset_forgets_braids_and_crossings(self):
         topology = Topology.grid(3, 3)
         tracker = BraidTracker(topology)
         tracker.request(0, 2, earliest_start=0)
         tracker.request(1, 7, earliest_start=0)
-        assert tracker.average_crossings() > 0
+        assert tracker.total_crossings > 0
         tracker.reset()
-        assert tracker.total_braids == 0
-        assert tracker.average_crossings() == 0.0
+        assert tracker.total_braids == tracker.total_crossings == 0
 
 
 # ----------------------------------------------------------------------
